@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 0, "rerun a failed run up to this many extra times")
 	journal := fs.String("journal", "", "JSONL checkpoint journal for the supervised figures")
 	resume := fs.Bool("resume", false, "with -journal: serve already-completed runs from the journal")
-	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers to every run (serializes workers)")
+	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers to every run")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports of figures 5/6/9 here (.csv = CSV sections, else JSON)")
 	monitorAddr := fs.String("monitor", "", "serve the live HTTP run monitor on this address (e.g. :8080)")

@@ -55,8 +55,8 @@ type cliOptions struct {
 // the labeled reports -analysis-out writes. The RunCells-backed sweeps
 // (seeds, cell) get their analyzers from exp.Options and only deposit
 // reports here; the direct-build ablation sweeps attach per system via
-// attach, which also closes the previous system's analyzer first — the
-// trace edges are process-global, one live analyzer at a time.
+// attach, which also closes the previous system's analyzer first and
+// harvests its report — those sweeps build one system at a time.
 type analysisSink struct {
 	enabled bool
 	window  uint64
@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	warmup := fs.Int("warmup", 0, "cell sweep: warmup frames before measurement")
 	measure := fs.Int("measure", 1, "cell sweep: measured frames")
 	domainWorkers := fs.Int("domain-workers", 0, "build each system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
-	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers (serializes workers)")
+	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports here (.csv = CSV sections, else JSON)")
 	monitorAddr := fs.String("monitor", "", "serve the live HTTP sweep monitor on this address (e.g. :8080)")

@@ -44,18 +44,6 @@ func TestWakeBugRejected(t *testing.T) {
 	}
 }
 
-// TestHookBugRejected proves saravet rejects a direct write to a
-// package-level trace-hook pointer.
-func TestHookBugRejected(t *testing.T) {
-	code, out, errb := vet(t, "hookbug", "./...")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	if !strings.Contains(out, "hookdiscipline:") || !strings.Contains(out, "debugTrace") {
-		t.Fatalf("missing hookdiscipline finding for debugTrace:\n%s", out)
-	}
-}
-
 // TestAllocBugRejected proves saravet rejects an injected hot-path
 // allocation.
 func TestAllocBugRejected(t *testing.T) {

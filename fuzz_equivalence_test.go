@@ -199,17 +199,17 @@ func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult
 	defer memctrl.SetForceScan(false)
 	defer dma.SetForceScan(false)
 	defer sim.SetForcePoll(false)
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
-	})
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
-	})
 	defer noc.SetForceScan(false)
-	defer noc.SetDebugGrant(nil)
-	defer noc.SetDebugCredit(nil)
 
 	sys := sara.Build(cfg)
+	sys.Probe(sara.Probes{
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
+			res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
+		},
+	})
 	sys.Kernel().SetIdleSkip(skip)
 	sys.Run(horizon)
 

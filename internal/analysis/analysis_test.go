@@ -6,8 +6,6 @@ import (
 	"sara/internal/analysis"
 	"sara/internal/config"
 	"sara/internal/core"
-	"sara/internal/dma"
-	"sara/internal/memctrl"
 	"sara/internal/noc"
 	"sara/internal/sim"
 	"sara/internal/txn"
@@ -33,12 +31,13 @@ func (s *toggleSink) Accept(t *txn.Transaction, now sim.Cycle) {
 // checks every window against hand-computed grant/credit/full-pop/stall
 // counts.
 func TestEdgeTapWindowedGolden(t *testing.T) {
+	t.Parallel()
 	sink := &toggleSink{}
 	p := noc.Params{PortDepth: 2, HopLatency: 0, RespLatency: 12, Arb: noc.ArbFCFS}
 	r := noc.NewRouter("g", p, 1, []noc.Sink{sink}, nil)
 
 	tap := analysis.TapRouters("g")
-	defer tap.Close()
+	r.SetTrace(tap.Trace())
 	c := tap.Counts("g")
 	if c == nil {
 		t.Fatal("tapped router has no counter cell")
@@ -132,29 +131,25 @@ type runOutcome struct {
 	forwarded map[string]uint64
 }
 
-// tracedRun runs one frame of case A with the legacy SetDebugX observers
-// installed, optionally with an edge-layer analyzer attached alongside
-// them through the multiplexing registries.
+// tracedRun runs one frame of case A with test trace probes subscribed,
+// optionally with an edge-layer analyzer subscribed alongside them.
 func tracedRun(analyze bool) runOutcome {
 	lg := &traceLog{}
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		lg.grants = append(lg.grants, grantEv{name, now, port, out, id})
-	})
-	defer noc.SetDebugGrant(nil)
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		lg.credits = append(lg.credits, creditEv{name, now, port, wasFull})
-	})
-	defer noc.SetDebugCredit(nil)
-	dma.SetDebugInject(func(now sim.Cycle, source int, id uint64, addr uint64) {
-		lg.injects = append(lg.injects, injectEv{now, source, id, addr})
-	})
-	defer dma.SetDebugInject(nil)
-	memctrl.SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
-		lg.cmds = append(lg.cmds, cmdEv{ch, now, id, kind})
-	})
-	defer memctrl.SetDebugTrace(nil)
-
 	sys := core.Build(fastCfg())
+	sys.Probe(core.Probes{
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			lg.grants = append(lg.grants, grantEv{name, now, port, out, id})
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
+			lg.credits = append(lg.credits, creditEv{name, now, port, wasFull})
+		},
+		Inject: func(now sim.Cycle, source int, id uint64, addr uint64) {
+			lg.injects = append(lg.injects, injectEv{now, source, id, addr})
+		},
+		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
+			lg.cmds = append(lg.cmds, cmdEv{ch, now, id, kind})
+		},
+	})
 	if analyze {
 		az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
 		defer az.Detach()
@@ -179,11 +174,12 @@ func tracedRun(analyze bool) runOutcome {
 
 // TestAnalyzerDoesNotChangeBehavior is the enabled-vs-disabled
 // differential: the same configuration runs once bare and once with an
-// edge-layer analyzer attached, with the legacy trace observers installed
-// in both runs (so it also proves a test observer and the analyzer
-// coexist on the same edges). Every behavioral event stream and every
-// aggregate must be bit-identical.
+// edge-layer analyzer attached, with the test trace probes subscribed in
+// both runs (so it also proves a test probe and the analyzer coexist on
+// the same edges). Every behavioral event stream and every aggregate must
+// be bit-identical.
 func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
+	t.Parallel()
 	bare := tracedRun(false)
 	analyzed := tracedRun(true)
 
@@ -244,23 +240,23 @@ func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
 }
 
 // TestAnalyzerReportAgainstLegacyTrace runs one analyzed frame and checks
-// the report's per-router edge totals and series shape against the legacy
-// observers running alongside.
+// the report's per-router edge totals and series shape against test
+// trace probes running alongside.
 func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
+	t.Parallel()
 	grants := map[string]uint64{}
 	fullPops := map[string]uint64{}
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		grants[name]++
-	})
-	defer noc.SetDebugGrant(nil)
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		if wasFull {
-			fullPops[name]++
-		}
-	})
-	defer noc.SetDebugCredit(nil)
-
 	sys := core.Build(fastCfg())
+	sys.Probe(core.Probes{
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			grants[name]++
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
+			if wasFull {
+				fullPops[name]++
+			}
+		},
+	})
 	az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
 	sys.RunFrames(1)
 	az.Detach()
@@ -278,10 +274,10 @@ func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 		// the last window boundary are in neither, so compare <=, and
 		// exactly when the run length is a window multiple.
 		if r.Grants > grants[r.Name] {
-			t.Errorf("router %s: analyzer grants %d > legacy trace %d", r.Name, r.Grants, grants[r.Name])
+			t.Errorf("router %s: analyzer grants %d > probe trace %d", r.Name, r.Grants, grants[r.Name])
 		}
 		if r.FullPops > fullPops[r.Name] {
-			t.Errorf("router %s: analyzer full pops %d > legacy trace %d", r.Name, r.FullPops, fullPops[r.Name])
+			t.Errorf("router %s: analyzer full pops %d > probe trace %d", r.Name, r.FullPops, fullPops[r.Name])
 		}
 		if r.StallFrac.Len() != rep.Samples || r.Backpressure.Len() != rep.Samples {
 			t.Errorf("router %s: series lengths %d/%d, want %d samples",
@@ -298,9 +294,9 @@ func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 		}
 	}
 	// Whole-run grant totals must match exactly once the final partial
-	// window is accounted: sum the analyzer's windows plus the legacy
-	// trace restricted to closed windows is overkill — instead check that
-	// at least one router saw traffic through both layers.
+	// window is accounted: sum the analyzer's windows plus the probe
+	// trace restricted to closed windows is overkill — instead check
+	// that at least one router saw traffic through both layers.
 	var sawTraffic bool
 	for _, r := range rep.Routers {
 		if r.Grants > 0 && grants[r.Name] > 0 {
@@ -308,7 +304,7 @@ func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 		}
 	}
 	if !sawTraffic {
-		t.Fatal("no router saw traffic through both the analyzer and the legacy trace")
+		t.Fatal("no router saw traffic through both the analyzer and the probe trace")
 	}
 }
 
@@ -317,7 +313,8 @@ func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 // sample must cost nothing beyond amortized series growth. The budget of
 // 32 allocations per 1000-cycle window absorbs the occasional slice
 // doubling across the analyzer's ~150 series; a per-event or per-sample
-// allocation (map, closure, boxing) would blow far past it.
+// allocation (map, closure, boxing) would blow far past it. It stays
+// serial: AllocsPerRun counts every goroutine's allocations.
 func TestAnalyzerSamplingAllocations(t *testing.T) {
 	sys := core.Build(fastCfg())
 	analysis.Attach(sys, analysis.Options{Window: 1000})

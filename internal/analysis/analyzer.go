@@ -10,14 +10,13 @@
 //
 // Two layers feed the windows. The sampling layer reads per-system
 // counters (router stall/forward totals, engine stats, DRAM channel
-// stats, meter NPIs) and is safe to run on many systems in parallel. The
-// edge layer additionally subscribes to the trace-hook edges
-// (noc grant/credit/stall, dma inject, memctrl command) through the
-// multiplexing hook registries, which are process-global — enable it
-// (Options.Edges) only when a single simulation runs at a time. Both
-// layers are strictly observational: attaching an analyzer must not
-// change simulated behavior, and with no analyzer attached the hook
-// pointers stay nil so the simulation hot paths keep their zero-cost
+// stats, meter NPIs). The edge layer (Options.Edges) additionally
+// subscribes to the System's own trace edges (noc grant/credit/stall, dma
+// inject, memctrl command) through core.System.Probe. Both layers touch
+// only the System they are attached to, so analyzers on many systems run
+// in parallel. Both are strictly observational: attaching an analyzer
+// must not change simulated behavior, and with no analyzer attached the
+// probe fields stay nil so the simulation hot paths keep their zero-cost
 // disabled-path guarantee.
 package analysis
 
@@ -28,7 +27,6 @@ import (
 	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
-	"sara/internal/memctrl"
 	"sara/internal/meter"
 	"sara/internal/noc"
 	"sara/internal/sim"
@@ -40,10 +38,8 @@ type Options struct {
 	// Window is the aggregation period in cycles; 0 picks four NPI
 	// sampling periods (4 × Config.SampleEvery).
 	Window sim.Cycle
-	// Edges subscribes the analyzer to the process-global trace-hook
-	// edges for per-event grant/credit/backpressure/command counts.
-	// Leave it off when several simulations run concurrently in one
-	// process — the edges cannot tell them apart.
+	// Edges subscribes the analyzer to the System's trace edges for
+	// per-event grant/credit/backpressure/command counts.
 	Edges bool
 	// Publish, when non-nil, receives a live Snapshot at every window
 	// boundary (the HTTP monitor's feed).
@@ -56,7 +52,7 @@ type Analyzer struct {
 	window  sim.Cycle
 	edges   bool
 	publish func(Snapshot)
-	detach  []func()
+	detach  func()
 	closed  bool
 
 	routers   []*routerProbe
@@ -113,8 +109,9 @@ type channelProbe struct {
 
 	// edge-layer window counters (Edges only)
 	act, pre, cas, ref uint64
-	// mcEC counts the controller queue releases TraceCredit reports under
-	// this channel's "mc<ch>" name (Edges only, nil otherwise)
+	// mcEC counts the controller queue releases Router.TraceCredit
+	// reports under this channel's "mc<ch>" name (Edges only, nil
+	// otherwise)
 	mcEC *EdgeCounts
 
 	blackout *stats.Series
@@ -123,8 +120,7 @@ type channelProbe struct {
 
 // Attach builds an Analyzer over sys and schedules its windowed sampler
 // on the system's kernel. Attach before running; the sampler fires every
-// opt.Window cycles from the current clock. Call Detach when done so the
-// process-global edges are released for the next simulation.
+// opt.Window cycles from the current clock. Call Detach when done.
 func Attach(sys *core.System, opt Options) *Analyzer {
 	w := opt.Window
 	if w == 0 {
@@ -201,11 +197,11 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 	return a
 }
 
-// subscribe installs the edge-layer hook subscriptions through the
-// multiplexing registries, so any legacy SetDebugX observer a test
-// installed keeps seeing the same events. The NoC edges go through an
-// EdgeTap (one cell per router plus one per controller queue name); the
-// dma and memctrl edges index probes directly.
+// subscribe installs the edge layer as one probe subscription on the
+// System, alongside any other subscriber (a test's trace observers keep
+// seeing the same events). The NoC edges go through an EdgeTap (one cell
+// per router plus one per controller queue name); the dma and memctrl
+// edges index probes directly.
 func (a *Analyzer) subscribe() {
 	mcNames := make([]string, 0, len(a.mcByName))
 	for n := range a.mcByName {
@@ -224,13 +220,17 @@ func (a *Analyzer) subscribe() {
 	for _, n := range mcNames {
 		a.mcByName[n].mcEC = tap.Counts(n)
 	}
-	a.detach = append(a.detach, tap.Close,
-		dma.HookInject(func(now sim.Cycle, source int, id uint64, addr uint64) {
+	tr := tap.Trace()
+	a.detach = a.sys.Probe(core.Probes{
+		Stall:  tr.Stall,
+		Grant:  tr.Grant,
+		Credit: tr.Credit,
+		Inject: func(now sim.Cycle, source int, id uint64, addr uint64) {
 			if source >= 0 && source < len(a.engines) {
 				a.engines[source].injects++
 			}
-		}),
-		memctrl.HookTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+		},
+		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
 			if ch < 0 || ch >= len(a.channels) {
 				return
 			}
@@ -245,17 +245,17 @@ func (a *Analyzer) subscribe() {
 			case 'R':
 				c.ref++
 			}
-		}),
-	)
+		},
+	})
 }
 
-// Detach releases the analyzer's edge subscriptions. The windowed sampler
+// Detach releases the analyzer's edge subscription. The windowed sampler
 // event keeps firing but becomes a no-op; detach once the run is over.
 func (a *Analyzer) Detach() {
-	for _, d := range a.detach {
-		d()
+	if a.detach != nil {
+		a.detach()
+		a.detach = nil
 	}
-	a.detach = nil
 	a.closed = true
 }
 

@@ -17,49 +17,52 @@ type EdgeCounts struct {
 	Stalls   uint64
 }
 
-// EdgeTap subscribes to the NoC grant/credit/stall edges through the
-// multiplexing hook registries and counts events per endpoint name. It is
+// EdgeTap counts NoC grant/credit/stall events per endpoint name. It is
 // the edge layer the Analyzer's per-router backpressure numbers come
-// from, exported so tests can drive it against a bare router with
-// hand-computable traffic. The edges are process-global: one live tap per
-// process, detached via Close.
+// from: the Analyzer subscribes its Trace to one System through
+// core.System.Probe. It is exported so tests can drive it against a bare
+// router (noc.Router.SetTrace) with hand-computable traffic.
 type EdgeTap struct {
 	byName map[string]*EdgeCounts
-	detach []func()
 }
 
-// TapRouters subscribes a tap counting events for the given endpoint
-// names; events for other names are ignored.
+// TapRouters returns a tap counting events for the given endpoint names;
+// events for other names are ignored. The tap observes nothing until its
+// Trace is installed.
 func TapRouters(names ...string) *EdgeTap {
 	t := &EdgeTap{byName: make(map[string]*EdgeCounts, len(names))}
 	for _, n := range names {
 		t.byName[n] = &EdgeCounts{}
 	}
-	t.detach = append(t.detach,
-		noc.HookGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+	return t
+}
+
+// Trace returns the tap's router probes: grant, credit and stall.
+func (t *EdgeTap) Trace() noc.Trace {
+	return noc.Trace{
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
 			if c := t.byName[name]; c != nil {
 				c.Grants++
 			}
-		}),
-		noc.HookCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
 			if c := t.byName[name]; c != nil {
 				c.Credits++
 				if wasFull {
 					c.FullPops++
 				}
 			}
-		}),
-		noc.HookStall(func(name string, now sim.Cycle, n uint64, backfill bool) {
+		},
+		Stall: func(name string, now sim.Cycle, n uint64, backfill bool) {
 			if c := t.byName[name]; c != nil {
 				c.Stalls += n
 			}
-		}),
-	)
-	return t
+		},
+	}
 }
 
 // Counts returns the live counter cell for name (nil when untapped). The
-// cell is updated in place by the edges; read it only between kernel
+// cell is updated in place by the probes; read it only between kernel
 // steps.
 func (t *EdgeTap) Counts(name string) *EdgeCounts { return t.byName[name] }
 
@@ -68,12 +71,4 @@ func (t *EdgeTap) Reset() {
 	for _, c := range t.byName {
 		*c = EdgeCounts{}
 	}
-}
-
-// Close detaches the tap from the edges.
-func (t *EdgeTap) Close() {
-	for _, d := range t.detach {
-		d()
-	}
-	t.detach = nil
 }

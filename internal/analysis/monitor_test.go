@@ -32,6 +32,7 @@ func getJSON(t *testing.T, url string, v any) {
 // the simulation runs on the test goroutine, so there is no race between
 // progress and the probe.
 func TestMonitorServesLiveRun(t *testing.T) {
+	t.Parallel()
 	mon := analysis.NewMonitor()
 	if err := mon.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -118,6 +119,7 @@ func TestMonitorServesLiveRun(t *testing.T) {
 // CLIs rely on: with monitoring disabled every call must be a no-op, so
 // no caller ever branches.
 func TestNilMonitorIsInert(t *testing.T) {
+	t.Parallel()
 	var mon *analysis.Monitor
 	mon.AddPlanned(3)
 	if got := mon.Addr(); got != "" {

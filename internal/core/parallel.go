@@ -681,12 +681,27 @@ func (p *parRun) run(horizon sim.Cycle, checked bool) error {
 }
 
 // workerLoop is the persistent body of an extra worker: run a segment
-// per command, then park. It lives for the life of the System.
+// per command, then park. It lives until close.
 func (p *parRun) workerLoop(w int) {
 	for horizon := range p.cmd[w] {
 		p.errs[w] = p.worker(w, horizon)
 		p.wg.Done()
 	}
+	p.wg.Done()
+}
+
+// close stops the parked extra workers and waits for them to exit. The
+// next run spawns fresh ones.
+func (p *parRun) close() {
+	if !p.started {
+		return
+	}
+	p.wg.Add(p.workers - 1)
+	for w := 1; w < p.workers; w++ {
+		close(p.cmd[w])
+	}
+	p.wg.Wait()
+	p.started = false
 }
 
 // worker advances this worker's domains to horizon through the epoch

@@ -52,6 +52,9 @@ type System struct {
 	pool    txn.Pool
 
 	par *parRun
+
+	// probes are the trace-edge subscribers installed through Probe.
+	probes []*Probes
 }
 
 // mcSink adapts a memory controller into a NoC sink with credit returns:
@@ -78,10 +81,14 @@ func (s mcSink) OnCredit(w noc.Waker) {
 	if s.ctrl.OnRelease != nil {
 		panic(fmt.Sprintf("core: controller %d already credit-wired", s.ctrl.Config().Channel))
 	}
+	// The upstream is always a router (noc.NewRouter does the wiring);
+	// queue releases are reported on its credit probe under the
+	// controller's own name.
 	name := fmt.Sprintf("mc%d", s.ctrl.Config().Channel)
+	r := w.(*noc.Router)
 	s.ctrl.OnRelease = func(class txn.Class, now sim.Cycle) {
-		noc.TraceCredit(name, now, int(class), true)
-		w.Wake(now + 1)
+		r.TraceCredit(name, now, int(class), true)
+		r.Wake(now + 1)
 	}
 }
 
@@ -548,6 +555,15 @@ func (s *System) SkippedCycles() uint64 {
 		n += d.kernel.SkippedCycles()
 	}
 	return n
+}
+
+// Close releases the worker goroutines of a domain-parallel System, which
+// otherwise stay parked for the System's lifetime; a later Run restarts
+// them. Close is idempotent and a no-op on the serial kernel.
+func (s *System) Close() {
+	if s.par != nil {
+		s.par.close()
+	}
 }
 
 // Units exposes every assembled DMA.

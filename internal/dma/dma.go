@@ -28,98 +28,36 @@ import (
 	"sara/internal/txn"
 )
 
-// The injection and injection-wake trace edges follow the registry
-// contract shared with noc and memctrl (see the hook block in
-// internal/noc/noc.go): HookX(fn) subscribes fn alongside other
-// observers and returns its detach func, SetDebugX(fn) is the legacy
-// single-observer installer on one managed slot, and with no subscribers
-// the fast-path pointer is nil so the disabled path stays zero-cost.
-// Registration is single-threaded and the edges are process-global.
+// The injection and injection-wake trace edges are per-engine probes,
+// like the router probes of internal/noc: nil-checked function fields
+// installed through SetTrace (for a whole System, through
+// core.System.Probe), so with no subscriber the disabled path stays
+// zero-cost.
 
 // InjectFn observes one injection: which engine injected which
 // transaction (id, address) into its NoC port at now.
 type InjectFn = func(now sim.Cycle, source int, id uint64, addr uint64)
 
-// debugInject, when non-nil, observes every injection.
-var debugInject InjectFn
-
-var injectHooks sim.HookList[InjectFn]
-
-// HookInject subscribes fn to the injection edge and returns its detach
-// func.
-func HookInject(fn InjectFn) (detach func()) {
-	return injectHooks.Attach(fn, &debugInject, func(fns []InjectFn) InjectFn {
-		return func(now sim.Cycle, source int, id uint64, addr uint64) {
-			for _, f := range fns {
-				f(now, source, id, addr)
-			}
-		}
-	})
-}
-
-var legacyInject func()
-
-// SetDebugInject installs fn as the legacy injection observer (nil
-// uninstalls).
-func SetDebugInject(fn InjectFn) {
-	if fn == nil {
-		setLegacy(&legacyInject, nil)
-		return
-	}
-	setLegacy(&legacyInject, func() func() { return HookInject(fn) })
-}
-
 // WakeFn observes one injection-wake re-arm of the cached next-injection
 // cycle: which engine re-armed to at, and why — 'D' for a completion
 // delivery, 'C' for a port credit return. The enqueue edge re-arms only
 // the kernel's wake entry, never the cache — the Tick gate reads the
-// live queue — so it has no wake to trace.
+// live queue — so it has no wake to trace. The re-arm stream is a
+// function of the simulated behavior alone, so it must be bit-identical
+// between the idle-skipping run and the stepped force-scan reference — a
+// stale or missing wake diverges this trace instead of silently stalling
+// a core.
 type WakeFn = func(source int, at sim.Cycle, cause byte)
 
-// debugWake, when non-nil, observes every injection-wake re-arm. The
-// re-arm stream is a function of the simulated behavior alone, so it must
-// be bit-identical between the idle-skipping run and the stepped
-// force-scan reference — a stale or missing wake diverges this trace
-// instead of silently stalling a core.
-var debugWake WakeFn
-
-var wakeHooks sim.HookList[WakeFn]
-
-// HookWake subscribes fn to the injection-wake edge and returns its
-// detach func.
-func HookWake(fn WakeFn) (detach func()) {
-	return wakeHooks.Attach(fn, &debugWake, func(fns []WakeFn) WakeFn {
-		return func(source int, at sim.Cycle, cause byte) {
-			for _, f := range fns {
-				f(source, at, cause)
-			}
-		}
-	})
+// Trace is one engine's set of trace probes; nil fields are disabled.
+type Trace struct {
+	Inject InjectFn
+	Wake   WakeFn
 }
 
-var legacyWake func()
-
-// SetDebugWake installs fn as the legacy injection-wake observer (nil
-// uninstalls).
-func SetDebugWake(fn WakeFn) {
-	if fn == nil {
-		setLegacy(&legacyWake, nil)
-		return
-	}
-	setLegacy(&legacyWake, func() func() { return HookWake(fn) })
-}
-
-// setLegacy mirrors noc.setLegacy: detach the previous legacy
-// subscription, then install the replacement when attach is non-nil.
-func setLegacy(slot *func(), attach func() func()) {
-	if *slot != nil {
-		(*slot)()
-		*slot = nil
-	}
-	if attach != nil {
-		*slot = attach()
-	}
-}
+// SetTrace installs the engine's trace probes, replacing the previous
+// set. Install probes only while the engine is not running.
+func (e *Engine) SetTrace(t Trace) { e.trace = t }
 
 // forceScan, when set, disables the wakeAt dormancy short-circuit so Tick
 // re-inspects the queue, window and port every cycle — the per-cycle
@@ -227,6 +165,9 @@ type Engine struct {
 	kern             sim.WakeHandle
 	srcWake          sim.WakeHandle
 	srcWakeOnDeliver bool
+
+	// trace holds the engine's trace probes (see SetTrace).
+	trace Trace
 }
 
 // New builds a DMA engine. id must be unique per system; nextID is the
@@ -299,8 +240,8 @@ func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
 // fires before this cycle's ticks on an engine that may be dormant — in
 // either case the kernel entry is what gets the engine ticked at all.
 func (e *Engine) rearm(at sim.Cycle, cause byte) {
-	if debugWake != nil {
-		debugWake(e.id, at, cause)
+	if e.trace.Wake != nil {
+		e.trace.Wake(e.id, at, cause)
 	}
 	if at >= e.wakeAt {
 		// Already armed at or before at — and the kernel already knows:
@@ -450,8 +391,8 @@ func (e *Engine) Tick(now sim.Cycle) {
 		if e.urgent != nil {
 			t.Urgent = e.urgent(now)
 		}
-		if debugInject != nil {
-			debugInject(now, e.id, t.ID, uint64(t.Addr))
+		if e.trace.Inject != nil {
+			e.trace.Inject(now, e.id, t.ID, uint64(t.Addr))
 		}
 		e.port.Push(t, now, now+e.hop)
 		e.outstanding++

@@ -197,10 +197,6 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		SetForceScan(force)
 		defer SetForceScan(false)
 		var injs []inj
-		SetDebugInject(func(now sim.Cycle, _ int, id uint64, _ uint64) {
-			injs = append(injs, inj{now, id})
-		})
-		defer SetDebugInject(nil)
 
 		var id uint64
 		var out []*txn.Transaction
@@ -209,6 +205,9 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
 		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8},
 			0, &id, router.Port(0), 0)
+		engine.SetTrace(Trace{Inject: func(now sim.Cycle, _ int, id uint64, _ uint64) {
+			injs = append(injs, inj{now, id})
+		}})
 
 		delivered := 0
 		for now := sim.Cycle(0); now < 40; now++ {

@@ -57,8 +57,9 @@ type Options struct {
 	// actual goroutine count per run is EffectiveDomainWorkers: the
 	// across-run fan-out (Workers) wins the core budget, because
 	// embarrassingly parallel runs scale better than intra-run domains.
-	// Analyze, Monitor and Chaos hook the serial kernel, so any of them
-	// forces the serial build (apply clears this field).
+	// Analyze, Monitor and Chaos arm the serial kernel's sampler and
+	// fault hooks, which the domain-parallel build does not have, so any
+	// of them forces the serial build (apply clears this field).
 	DomainWorkers int
 
 	// The supervisor knobs below are all zero-cost when left at their
@@ -87,16 +88,15 @@ type Options struct {
 
 	// Analyze attaches the stall-attribution analyzers (edge layer
 	// included) to every cell and records an analysis.Report in each
-	// PolicyRun. The trace-hook edges are process-global, so an analyzed
-	// sweep runs its cells serially (apply forces Workers to 1).
+	// PolicyRun. Each analyzer probes only its own cell's System, so an
+	// analyzed sweep fans out across Workers like any other.
 	Analyze bool
 	// AnalysisWindow overrides the analyzer aggregation window in cycles
 	// (0 = four NPI sampling periods).
 	AnalysisWindow uint64
 	// Monitor, when non-nil, receives each cell's progress and live
 	// windowed snapshots. Monitoring alone attaches sampling-only
-	// analyzers (no process-global edges), so it composes with parallel
-	// workers; combine with Analyze for edge-layer snapshots too.
+	// analyzers; combine with Analyze for edge-layer snapshots too.
 	Monitor *analysis.Monitor
 }
 
@@ -110,11 +110,6 @@ func (o Options) apply() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Analyze {
-		// The analyzer's edge layer subscribes to process-global trace
-		// edges that cannot tell concurrent systems apart.
-		o.Workers = 1
 	}
 	if o.Analyze || o.Monitor != nil || o.Chaos != nil {
 		// Analyzers and chaos arm the serial kernel (sys.Kernel());
@@ -402,6 +397,7 @@ func Fig7(opt Options) []FreqHistogram {
 			config.WithDataRate(mtps),
 			config.WithRefresh(opt.Refresh))
 		sys := opt.buildSystem(cfg)
+		defer sys.Close()
 		sys.RunFrames(opt.WarmupFrames + opt.MeasureFrames)
 		hist := sys.PriorityHistogramByCore("Image Proc.")
 		h := FreqHistogram{DataRateMTps: mtps, Fraction: make([]float64, hist.Levels())}
@@ -454,6 +450,7 @@ func Fig8(opt Options) []BandwidthResult {
 			config.WithSeed(opt.Seed),
 			config.WithRefresh(opt.Refresh))
 		sys := opt.buildSystem(cfg)
+		defer sys.Close()
 		sys.RunFrames(warmup)
 		from := sys.Now()
 		before := sys.DRAMStats()

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"sara/internal/analysis"
@@ -15,16 +16,14 @@ import (
 // windowed analysis report, and the monitor must have tracked the cells
 // through to "done" with their final snapshots still served.
 func TestRunCellsAnalyzesAndMonitors(t *testing.T) {
+	t.Parallel()
 	mon := analysis.NewMonitor()
 	if err := mon.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
 
-	opt := Options{ScaleDiv: 512, Analyze: true, AnalysisWindow: 2048, Monitor: mon}.apply()
-	if opt.Workers != 1 {
-		t.Fatalf("Analyze did not serialize workers: %d", opt.Workers)
-	}
+	opt := Options{ScaleDiv: 512, Workers: 2, Analyze: true, AnalysisWindow: 2048, Monitor: mon}.apply()
 	cells := []Cell{
 		{Case: config.CaseA, Policy: memctrl.FCFS},
 		{Case: config.CaseA, Policy: memctrl.QoS},
@@ -90,10 +89,50 @@ func TestRunCellsAnalyzesAndMonitors(t *testing.T) {
 	}
 }
 
+// TestAnalyzedRunCellsIdenticalAcrossWorkers pins that analyzed cells fan
+// out: each analyzer probes only its own cell's System, so an analyzed
+// grid gives the same runs, analysis reports included, on one worker and
+// on two running cells concurrently.
+func TestAnalyzedRunCellsIdenticalAcrossWorkers(t *testing.T) {
+	t.Parallel()
+	cells := []Cell{
+		{Case: config.CaseA, Policy: memctrl.FCFS},
+		{Case: config.CaseA, Policy: memctrl.QoS},
+		{Case: config.CaseB, Policy: memctrl.FRFCFS},
+		{Case: config.CaseB, Policy: memctrl.QoSRB},
+	}
+	run := func(workers int) []PolicyRun {
+		opt := Options{ScaleDiv: 512, Workers: workers, Analyze: true, AnalysisWindow: 2048, Refresh: true}
+		if got := opt.apply().Workers; got != workers {
+			t.Fatalf("Analyze changed Workers from %d to %d", workers, got)
+		}
+		runs, err := RunCells(cells, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			if r.Err != nil || r.Analysis == nil || !r.Analysis.Edges || r.Analysis.Samples == 0 {
+				t.Fatalf("workers=%d cell %v: err %v, report %v; want an edge-layer report", workers, r.Policy, r.Err, r.Analysis != nil)
+			}
+		}
+		return runs
+	}
+	serial, fanned := run(1), run(2)
+	if !reflect.DeepEqual(serial, fanned) {
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], fanned[i]) {
+				t.Fatalf("cell %d (%v) differs between 1 and 2 workers", i, cells[i].Policy)
+			}
+		}
+		t.Fatal("analyzed runs differ between 1 and 2 workers")
+	}
+}
+
 // TestPolicyRunAnalysisRoundTripsJSON pins the export contract: an
 // analyzed PolicyRun survives a JSON round trip with its report intact
 // (the journal and the CLI -analysis-out path both rely on this).
 func TestPolicyRunAnalysisRoundTripsJSON(t *testing.T) {
+	t.Parallel()
 	opt := Options{ScaleDiv: 512, Analyze: true, AnalysisWindow: 4096}.apply()
 	run := RunPolicy(config.CaseA, memctrl.QoS, opt)
 	if run.Err != nil {

@@ -14,6 +14,7 @@ import (
 // workers yields results identical to serial execution with the same
 // seed — every run owns its own kernel and forked RNG streams.
 func TestParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	serial := FastOptions()
 	serial.Workers = 1
 	parallel := FastOptions()
@@ -43,6 +44,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // fan-out wins the contested cores, the per-run domain count gets the
 // remainder, and both floors are 1.
 func TestEffectiveDomainWorkers(t *testing.T) {
+	t.Parallel()
 	cases := []struct{ req, runW, procs, want int }{
 		{0, 4, 8, 1},  // serial kernel requested
 		{1, 4, 8, 1},  // one worker is the serial execution
@@ -68,6 +70,7 @@ func TestEffectiveDomainWorkers(t *testing.T) {
 // fan-out (1 goroutine per run) matches the same sweep given the whole
 // machine, because the partitioned topology is identical either way.
 func TestDomainWorkersBudgetInvariance(t *testing.T) {
+	t.Parallel()
 	lone := FastOptions()
 	lone.Workers = 1
 	lone.DomainWorkers = 4
@@ -85,6 +88,7 @@ func TestDomainWorkersBudgetInvariance(t *testing.T) {
 // journal key — while the goroutine count, which never changes results,
 // must not affect the key. The repro line carries the kernel choice.
 func TestDomainKernelJournalKey(t *testing.T) {
+	t.Parallel()
 	c := Cell{Case: config.CaseA, Policy: memctrl.QoS}
 	serial := FastOptions()
 	par := FastOptions()

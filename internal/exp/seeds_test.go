@@ -16,6 +16,7 @@ import (
 // derived from them — identical to serial execution, and the seeds
 // genuinely vary the workload.
 func TestSeedFanOutReproducible(t *testing.T) {
+	t.Parallel()
 	seeds := []uint64{1, 2, 3, 4}
 	serial := FastOptions()
 	serial.Workers = 1
@@ -68,6 +69,7 @@ func TestSeedFanOutReproducible(t *testing.T) {
 // run, not just worker-count independent: the CI a CI job records today
 // must be the CI it records tomorrow.
 func TestSeedFanOutRerunIdentity(t *testing.T) {
+	t.Parallel()
 	seeds := []uint64{7, 8}
 	opt := FastOptions()
 	a := WorstNPISummary(RunSeeds(config.CaseB, memctrl.FCFS, seeds, opt))
@@ -85,6 +87,7 @@ func TestSeedFanOutRerunIdentity(t *testing.T) {
 // not contribute a huge sentinel "worst" to the summary — it is skipped,
 // and N reports only contributing runs.
 func TestWorstNPISummarySkipsEmptyRuns(t *testing.T) {
+	t.Parallel()
 	runs := []PolicyRun{
 		{MinNPI: map[string]float64{"Display": 1.1, "DSP": 0.9}},
 		{MinNPI: map[string]float64{}}, // no samples: must be skipped
@@ -109,6 +112,7 @@ func TestWorstNPISummarySkipsEmptyRuns(t *testing.T) {
 // seed sweep tables print: stable sorted core order, per-core N counting
 // only the runs that measured the core, and correct means.
 func TestPerCoreNPISummaries(t *testing.T) {
+	t.Parallel()
 	runs := []PolicyRun{
 		{MinNPI: map[string]float64{"Display": 1.1, "DSP": 0.9}},
 		{MinNPI: map[string]float64{"Display": 1.3}}, // DSP unmeasured this seed
@@ -129,6 +133,7 @@ func TestPerCoreNPISummaries(t *testing.T) {
 // TestFormatSeedSummaryPerCoreRows asserts the seed summary renders the
 // per-core error-bar table alongside the aggregate lines.
 func TestFormatSeedSummaryPerCoreRows(t *testing.T) {
+	t.Parallel()
 	seeds := []uint64{1, 2}
 	runs := RunSeeds(config.CaseA, memctrl.QoS, seeds, FastOptions())
 	out := FormatSeedSummary(runs)

@@ -13,6 +13,7 @@ import (
 // deviations.
 
 func TestFig5Shapes(t *testing.T) {
+	t.Parallel()
 	runs := Fig5(FastOptions())
 	byPolicy := map[memctrl.PolicyKind]PolicyRun{}
 	for _, r := range runs {
@@ -61,6 +62,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
+	t.Parallel()
 	runs := Fig6(FastOptions())
 	byPolicy := map[memctrl.PolicyKind]PolicyRun{}
 	for _, r := range runs {
@@ -82,6 +84,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Monotonicity(t *testing.T) {
+	t.Parallel()
 	hists := Fig7(FastOptions())
 	if len(hists) != 5 {
 		t.Fatalf("got %d frequency points, want 5", len(hists))
@@ -103,6 +106,7 @@ func TestFig7Monotonicity(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
+	t.Parallel()
 	results := Fig8(FastOptions())
 	bw := map[memctrl.PolicyKind]float64{}
 	for _, r := range results {
@@ -131,6 +135,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
+	t.Parallel()
 	runs := Fig9(FastOptions())
 	frfcfs, qosrb := runs[0], runs[1]
 	if frfcfs.Policy != memctrl.FRFCFS || qosrb.Policy != memctrl.QoSRB {
@@ -152,6 +157,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
+	t.Parallel()
 	a := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
 	b := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
 	for core, v := range a.MinNPI {
@@ -165,6 +171,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
+	t.Parallel()
 	run := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
 	if s := FormatRun(run); len(s) == 0 {
 		t.Fatal("empty run report")

@@ -257,6 +257,7 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 	}()
 	cfg := c.Config(opt)
 	sys := opt.buildSystem(cfg)
+	defer sys.Close()
 	var az *analysis.Analyzer
 	if opt.Analyze || opt.Monitor != nil {
 		mon = opt.Monitor.StartRun(c.String())

@@ -33,6 +33,7 @@ func smallGrid() []Cell {
 // asserts the supervisor converts it into that cell's RunError — with the
 // rerun command — while every other cell completes normally.
 func TestPanicContainedToCell(t *testing.T) {
+	t.Parallel()
 	opt := chaosOptions()
 	opt.Chaos = func(c Cell, attempt int) Chaos {
 		if c.Case == config.CaseA && c.Policy == memctrl.QoS {
@@ -104,6 +105,7 @@ func TestTimeoutBoundsLivelock(t *testing.T) {
 // TestMaxCyclesBudget asserts the deterministic cycle budget trips on a
 // run that executes more cycles than allowed.
 func TestMaxCyclesBudget(t *testing.T) {
+	t.Parallel()
 	opt := chaosOptions()
 	opt.MaxCycles = 100 // any real frame executes far more
 	run := RunPolicy(config.CaseA, memctrl.FCFS, opt)
@@ -120,6 +122,7 @@ func TestMaxCyclesBudget(t *testing.T) {
 // attempt is absorbed, a fault present on every attempt exhausts the
 // budget and reports the attempt count.
 func TestDeterministicRetry(t *testing.T) {
+	t.Parallel()
 	opt := chaosOptions()
 	opt.Retries = 1
 	opt.Chaos = func(c Cell, attempt int) Chaos {
@@ -149,6 +152,7 @@ func TestDeterministicRetry(t *testing.T) {
 // sweep killed mid-grid resumes from the journal and produces tables
 // byte-identical to an uninterrupted sweep.
 func TestKillAndResume(t *testing.T) {
+	t.Parallel()
 	grid := smallGrid()
 	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 
@@ -228,6 +232,7 @@ func TestKillAndResume(t *testing.T) {
 // mid-write (the kill signature) reopens cleanly, dropping only the torn
 // entry.
 func TestJournalSkipsTornLine(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "torn.jsonl")
 	j, err := OpenJournal(path)
 	if err != nil {
@@ -284,6 +289,7 @@ func TestJournalSkipsTornLine(t *testing.T) {
 // newline-terminated entry must fail the open with the line's position,
 // never silently rerun the cell inside a sweep presented as resumed.
 func TestJournalRejectsCorruptInteriorLine(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "corrupt.jsonl")
 	j, err := OpenJournal(path)
 	if err != nil {
@@ -337,6 +343,7 @@ func TestJournalRejectsCorruptInteriorLine(t *testing.T) {
 // that differ in any result-determining input and is stable for
 // identically-spelled cells.
 func TestCellKeyIdentity(t *testing.T) {
+	t.Parallel()
 	opt := chaosOptions()
 	base := Cell{Case: config.CaseA, Policy: memctrl.FCFS}
 	if base.Key(opt) != base.Key(opt) {
@@ -378,6 +385,7 @@ func TestCellKeyIdentity(t *testing.T) {
 // before re-raising a panic from one of them (the unsupervised-path
 // safety net).
 func TestForEachPanicSafety(t *testing.T) {
+	t.Parallel()
 	opt := Options{Workers: 4}.apply()
 	done := make([]bool, 8)
 	var recovered any

@@ -25,10 +25,6 @@ func TestWakeBound(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "wakebound"), lint.WakeBound())
 }
 
-func TestHookDiscipline(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "hookdiscipline"), lint.HookDiscipline())
-}
-
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "determinism"), lint.Determinism())
 }

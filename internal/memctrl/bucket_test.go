@@ -37,10 +37,9 @@ func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bo
 	c := New(cfg, d)
 
 	var out []issueRecord
-	SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+	c.SetTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
 		out = append(out, issueRecord{id, now, kind})
 	})
-	defer SetDebugTrace(nil)
 	c.OnComplete = func(*txn.Transaction, sim.Cycle) {}
 
 	rng := sim.NewRand(seed)

@@ -86,6 +86,9 @@ type Controller struct {
 	// this queue, so its dormancy window already covers the slot.
 	OnRelease func(class txn.Class, now sim.Cycle)
 
+	// trace is the command probe (see SetTrace).
+	trace TraceFn
+
 	stats Stats
 
 	// scratch is reused every cycle to collect issuable candidates.
@@ -406,8 +409,8 @@ func (c *Controller) earliestPre(r int) sim.Cycle {
 // cycle: the REF moved every activate gate of the rank and may have
 // cleared the forced mask over queued work.
 func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
-	if debugTrace != nil {
-		debugTrace(c.cfg.Channel, now, 0, 'R')
+	if c.trace != nil {
+		c.trace(c.cfg.Channel, now, 0, 'R')
 	}
 	c.dram.Refresh(c.cfg.Channel, r, now)
 	c.dram.RefreshScanRank(c.cfg.Channel, r, &c.scan)
@@ -427,8 +430,8 @@ func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
 // refresh, overriding any transaction's bank reservation (the reserving
 // transaction re-activates once the blackout passes).
 func (c *Controller) issueRefreshPre(r, b int, now sim.Cycle) {
-	if debugTrace != nil {
-		debugTrace(c.cfg.Channel, now, 0, 'P')
+	if c.trace != nil {
+		c.trace(c.cfg.Channel, now, 0, 'P')
 	}
 	loc := dram.Location{Channel: c.cfg.Channel, Rank: r, Bank: b}
 	c.dram.Precharge(loc, now)
@@ -736,61 +739,28 @@ func (c *Controller) allowPrecharge(e *entry) bool {
 
 // TraceFn observes one issued DRAM command on channel ch at cycle now:
 // kind is 'A' (activate), 'P' (precharge), 'C' (CAS) or 'R' (refresh,
-// id 0); id is the transaction the command serves. The edge follows the
-// registry contract shared with noc and dma (see the hook block in
-// internal/noc/noc.go): HookTrace subscribes alongside other observers,
-// SetDebugTrace is the legacy single-observer installer, a nil fast-path
-// pointer keeps the disabled path zero-cost, and registration is
-// single-threaded on a process-global edge.
+// id 0); id is the transaction the command serves. It is a per-controller
+// probe, like the router probes of internal/noc: a nil-checked field
+// installed through SetTrace (for a whole System, through
+// core.System.Probe), zero-cost while unset.
 type TraceFn = func(ch int, now sim.Cycle, id uint64, kind byte)
 
-// debugTrace, when non-nil, observes every issued command.
-var debugTrace TraceFn
-
-var traceHooks sim.HookList[TraceFn]
-
-// HookTrace subscribes fn to the command edge and returns its detach
-// func.
-func HookTrace(fn TraceFn) (detach func()) {
-	return traceHooks.Attach(fn, &debugTrace, func(fns []TraceFn) TraceFn {
-		return func(ch int, now sim.Cycle, id uint64, kind byte) {
-			for _, f := range fns {
-				f(ch, now, id, kind)
-			}
-		}
-	})
-}
-
-var legacyTrace func()
-
-// SetDebugTrace installs fn as the legacy command observer (nil
-// uninstalls).
-func SetDebugTrace(fn TraceFn) {
-	if fn == nil {
-		if legacyTrace != nil {
-			legacyTrace()
-			legacyTrace = nil
-		}
-		return
-	}
-	if legacyTrace != nil {
-		legacyTrace()
-	}
-	legacyTrace = HookTrace(fn)
-}
+// SetTrace installs fn as the controller's command probe (nil disables
+// it). Install it only while the controller is not running.
+func (c *Controller) SetTrace(fn TraceFn) { c.trace = fn }
 
 // issue performs e's next command at cycle now.
 func (c *Controller) issue(best candidate, now sim.Cycle) {
 	e := best.e
 	state, row := c.dram.State(e.loc)
-	if debugTrace != nil {
+	if c.trace != nil {
 		k := byte('C')
 		if state == dram.BankOpen && row != e.loc.Row {
 			k = 'P'
 		} else if state != dram.BankOpen {
 			k = 'A'
 		}
-		debugTrace(c.cfg.Channel, now, e.t.ID, k)
+		c.trace(c.cfg.Channel, now, e.t.ID, k)
 	}
 	switch {
 	case state == dram.BankOpen && row == e.loc.Row:

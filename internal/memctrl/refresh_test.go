@@ -33,7 +33,7 @@ func TestRefreshGoldenIdleSchedule(t *testing.T) {
 	ref := d.Config().Refresh
 
 	var got []sim.Cycle
-	SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+	c.SetTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
 		if kind != 'R' {
 			t.Fatalf("idle controller issued non-REF command %c at %d", kind, now)
 		}
@@ -42,7 +42,6 @@ func TestRefreshGoldenIdleSchedule(t *testing.T) {
 		}
 		got = append(got, now)
 	})
-	defer SetDebugTrace(nil)
 
 	horizon := 3*ref.TREFI + 10
 	for now := sim.Cycle(0); now < horizon; now++ {
@@ -87,7 +86,7 @@ func TestRefreshForcedUnderLoad(t *testing.T) {
 	ref := d.Config().Refresh
 
 	var refs, pres []sim.Cycle
-	SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+	c.SetTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
 		if id != 0 {
 			return
 		}
@@ -98,7 +97,6 @@ func TestRefreshForcedUnderLoad(t *testing.T) {
 			pres = append(pres, now)
 		}
 	})
-	defer SetDebugTrace(nil)
 
 	served := 0
 	c.OnComplete = func(tr *txn.Transaction, at sim.Cycle) { served++ }

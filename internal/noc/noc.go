@@ -204,8 +204,8 @@ func (p *Port) pop(now sim.Cycle) packet {
 	p.fifo = p.fifo[:len(p.fifo)-1]
 	if p.owner != nil {
 		p.owner.queued--
-		if debugCredit != nil {
-			debugCredit(p.owner.name, now, p.idx, wasFull)
+		if fn := p.owner.trace.Credit; fn != nil {
+			fn(p.owner.name, now, p.idx, wasFull)
 		}
 	}
 	if wasFull && p.creditTo != nil && (!p.creditLazy || p.creditArmed) {
@@ -341,6 +341,9 @@ type Router struct {
 	forwarded uint64
 	stalls    uint64 // cycles an arbitrable head existed but no grant fit
 
+	// trace holds the router's trace probes (see SetTrace).
+	trace Trace
+
 	// wake is the router's kernel wake handle: every lowering of
 	// nextGrantAt — upstream pushes (Port.Push) and credit wakes (Wake) —
 	// is forwarded through it into the kernel's wake heap, so the
@@ -350,17 +353,15 @@ type Router struct {
 	wake sim.WakeHandle
 }
 
-// The trace edges below follow the registry contract shared by noc, dma
-// and memctrl: each edge is a package-level function pointer that the hot
-// path nil-checks, multiplexed by a sim.HookList so several observers can
-// coexist. HookX(fn) subscribes fn and returns its detach function;
-// SetDebugX(fn) is the legacy single-observer installer the equivalence
-// suites use, reimplemented as one managed registry slot (SetDebugX(nil)
-// releases it). With no subscribers the pointer is nil and the disabled
-// path stays zero-cost (the steady-state alloc gates cover it).
-// Registration is single-threaded: never attach or detach concurrently
-// with a running kernel, and note the edges are process-global — two
-// simulations in one process share them.
+// The trace edges below are per-router probes: each Router holds one
+// nil-checked function field per edge, installed through SetTrace (the
+// SoC assembly does it for a whole System through core.System.Probe,
+// which multiplexes several subscribers onto one field). With no
+// subscriber the field is nil and the disabled path costs one load and a
+// nil test (the steady-state alloc gates cover it). Install probes only
+// while the router is not running; a probe runs on the goroutine that
+// ticks the router, so under the domain-parallel kernel probes of one
+// System may run concurrently and must synchronize shared state.
 
 // StallFn observes a stall accrual: name's router stalled for n cycles
 // ending at now. Stalls are batched across dormant stretches, so one call
@@ -370,163 +371,49 @@ type Router struct {
 // — only the per-router totals are.
 type StallFn = func(name string, now sim.Cycle, n uint64, backfill bool)
 
-// debugStall, when non-nil, observes every stall accrual.
-var debugStall StallFn
-
-var stallHooks sim.HookList[StallFn]
-
-// HookStall subscribes fn to the stall edge and returns its detach func.
-func HookStall(fn StallFn) (detach func()) {
-	return stallHooks.Attach(fn, &debugStall, func(fns []StallFn) StallFn {
-		return func(name string, now sim.Cycle, n uint64, backfill bool) {
-			for _, f := range fns {
-				f(name, now, n, backfill)
-			}
-		}
-	})
-}
-
-var legacyStall func()
-
-// SetDebugStall installs fn as the legacy stall observer (nil uninstalls),
-// managing a single registry slot so tests and analyzers coexist.
-func SetDebugStall(fn StallFn) {
-	if fn == nil {
-		setLegacy(&legacyStall, nil)
-		return
-	}
-	setLegacy(&legacyStall, func() func() { return HookStall(fn) })
-}
-
 // GrantFn observes one switch-allocation grant: which input port won
 // which output for which transaction.
 type GrantFn = func(name string, now sim.Cycle, port, out int, id uint64)
 
-// debugGrant, when non-nil, observes every switch-allocation grant.
-var debugGrant GrantFn
-
-var grantHooks sim.HookList[GrantFn]
-
-// HookGrant subscribes fn to the grant edge and returns its detach func.
-func HookGrant(fn GrantFn) (detach func()) {
-	return grantHooks.Attach(fn, &debugGrant, func(fns []GrantFn) GrantFn {
-		return func(name string, now sim.Cycle, port, out int, id uint64) {
-			for _, f := range fns {
-				f(name, now, port, out, id)
-			}
-		}
-	})
-}
-
-var legacyGrant func()
-
-// SetDebugGrant installs fn as the legacy grant observer (nil uninstalls).
-func SetDebugGrant(fn GrantFn) {
-	if fn == nil {
-		setLegacy(&legacyGrant, nil)
-		return
-	}
-	setLegacy(&legacyGrant, func() func() { return HookGrant(fn) })
-}
-
 // CreditFn observes a credit-side pop of a router input port: which port
 // freed a slot and whether the FIFO was full (i.e. the pop actually
 // returned a credit upstream). Controller-side queue releases are
-// reported on the same edge through TraceCredit by the SoC wiring, under
-// their own names.
+// reported on the same edge through Router.TraceCredit by the SoC wiring,
+// under their own names.
 type CreditFn = func(name string, now sim.Cycle, port int, wasFull bool)
-
-// debugCredit, when non-nil, observes every credit-side pop.
-var debugCredit CreditFn
-
-var creditHooks sim.HookList[CreditFn]
-
-// HookCredit subscribes fn to the credit edge and returns its detach func.
-func HookCredit(fn CreditFn) (detach func()) {
-	return creditHooks.Attach(fn, &debugCredit, func(fns []CreditFn) CreditFn {
-		return func(name string, now sim.Cycle, port int, wasFull bool) {
-			for _, f := range fns {
-				f(name, now, port, wasFull)
-			}
-		}
-	})
-}
-
-var legacyCredit func()
-
-// SetDebugCredit installs fn as the legacy credit observer (nil
-// uninstalls).
-func SetDebugCredit(fn CreditFn) {
-	if fn == nil {
-		setLegacy(&legacyCredit, nil)
-		return
-	}
-	setLegacy(&legacyCredit, func() func() { return HookCredit(fn) })
-}
-
-// setLegacy points one managed registry slot at a fresh subscription: the
-// previous legacy subscription (if any) is detached, then attach (when
-// non-nil) installs the replacement — exactly the old single-pointer
-// SetDebugX semantics, expressed on the registry.
-func setLegacy(slot *func(), attach func() func()) {
-	if *slot != nil {
-		(*slot)()
-		*slot = nil
-	}
-	if attach != nil {
-		*slot = attach()
-	}
-}
-
-// TraceCredit reports a credit return to the credit edge's subscribers.
-// It exists for credit sources outside this package (the memory-controller
-// queue releases wired up by the SoC assembly).
-func TraceCredit(name string, now sim.Cycle, port int, wasFull bool) {
-	if debugCredit != nil {
-		debugCredit(name, now, port, wasFull)
-	}
-}
 
 // SleepFn observes a sleep window: when a scan runs at cycle b after the
 // previous scan at a-1, the router asserts no grant occurred in [a, b).
 type SleepFn = func(name string, from, until sim.Cycle)
 
-// debugSleep, when non-nil, observes every sleep window.
-var debugSleep SleepFn
-
-var sleepHooks sim.HookList[SleepFn]
-
-// HookSleep subscribes fn to the sleep-window edge and returns its detach
-// func.
-func HookSleep(fn SleepFn) (detach func()) {
-	return sleepHooks.Attach(fn, &debugSleep, func(fns []SleepFn) SleepFn {
-		return func(name string, from, until sim.Cycle) {
-			for _, f := range fns {
-				f(name, from, until)
-			}
-		}
-	})
+// Trace is one router's set of trace probes; nil fields are disabled.
+type Trace struct {
+	Stall  StallFn
+	Grant  GrantFn
+	Credit CreditFn
+	Sleep  SleepFn
 }
 
-var legacySleep func()
+// SetTrace installs the router's trace probes, replacing the previous set.
+func (r *Router) SetTrace(t Trace) { r.trace = t }
 
-// SetDebugSleep installs fn as the legacy sleep-window observer (nil
-// uninstalls).
-func SetDebugSleep(fn SleepFn) {
-	if fn == nil {
-		setLegacy(&legacySleep, nil)
-		return
+// TraceCredit reports a credit return to the router's credit probe. It
+// exists for credit sources outside this package: the memory-controller
+// queue releases the SoC assembly reports through the router that feeds
+// the controller.
+func (r *Router) TraceCredit(name string, now sim.Cycle, port int, wasFull bool) {
+	if r.trace.Credit != nil {
+		r.trace.Credit(name, now, port, wasFull)
 	}
-	setLegacy(&legacySleep, func() func() { return HookSleep(fn) })
 }
 
 // FlushSleep reports the router's trailing sleep window — the scan-free
-// stretch between its last scan and now — to the sleep-window edge.
+// stretch between its last scan and now — to the sleep-window probe.
 // Windows are otherwise only emitted when a later scan runs, so an
 // observer ending its run mid-sleep calls this to close the final window.
 func (r *Router) FlushSleep(now sim.Cycle) {
-	if debugSleep != nil && now > r.lastScan+1 {
-		debugSleep(r.name, r.lastScan+1, now)
+	if r.trace.Sleep != nil && now > r.lastScan+1 {
+		r.trace.Sleep(r.name, r.lastScan+1, now)
 	}
 }
 
@@ -662,8 +549,8 @@ func (r *Router) SettleRun(end sim.Cycle) {
 	r.accrueStallGap(now)
 	if r.stallFrom <= now {
 		r.stalls++
-		if debugStall != nil {
-			debugStall(r.name, now, 1, false)
+		if r.trace.Stall != nil {
+			r.trace.Stall(r.name, now, 1, false)
 		}
 	}
 	r.lastTick = now
@@ -679,8 +566,8 @@ func (r *Router) accrueStallGap(now sim.Cycle) {
 			from = r.lastTick + 1
 		}
 		r.stalls += uint64(now - from)
-		if debugStall != nil {
-			debugStall(r.name, now, uint64(now-from), true)
+		if r.trace.Stall != nil {
+			r.trace.Stall(r.name, now, uint64(now-from), true)
 		}
 	}
 }
@@ -708,15 +595,15 @@ func (r *Router) Tick(now sim.Cycle) {
 		r.accrueStallGap(now)
 		if r.stallFrom <= now {
 			r.stalls++
-			if debugStall != nil {
-				debugStall(r.name, now, 1, false)
+			if r.trace.Stall != nil {
+				r.trace.Stall(r.name, now, 1, false)
 			}
 		}
 		r.lastTick = now
 		return
 	}
-	if debugSleep != nil && now > r.lastScan+1 {
-		debugSleep(r.name, r.lastScan+1, now)
+	if r.trace.Sleep != nil && now > r.lastScan+1 {
+		r.trace.Sleep(r.name, r.lastScan+1, now)
 	}
 	r.accrueStallGap(now)
 	r.lastTick = now
@@ -744,8 +631,8 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		h := r.ready[sel]
 		pk := r.ports[h.idx].pop(now)
-		if debugGrant != nil {
-			debugGrant(r.name, now, h.idx, out, pk.t.ID)
+		if r.trace.Grant != nil {
+			r.trace.Grant(r.name, now, h.idx, out, pk.t.ID)
 		}
 		r.outputs[out].Accept(pk.t, now)
 		r.forwarded++
@@ -761,8 +648,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	if !granted && len(r.ready) > 0 {
 		// Some head was ready but nothing fit downstream.
 		r.stalls++
-		if debugStall != nil {
-			debugStall(r.name, now, 1, false)
+		if r.trace.Stall != nil {
+			r.trace.Stall(r.name, now, 1, false)
 		}
 	}
 	// Recompute the dormancy window and the stall origin from the

@@ -11,7 +11,6 @@ import (
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -48,49 +47,46 @@ type parSnapshot struct {
 }
 
 // captureParallel builds cfg with the given worker count, drives it with
-// drive, and snapshots every comparable surface. The trace hooks are
-// process-global and the domains run concurrently, so collection locks.
+// drive, and snapshots every comparable surface. The domains run
+// concurrently and share the System's probes, so collection locks.
 func captureParallel(t *testing.T, cfg sara.Config, workers int, drive func(*sara.System)) parSnapshot {
 	t.Helper()
 	var (
 		mu  sync.Mutex
 		res parSnapshot
 	)
-	detachGrant := noc.HookGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		mu.Lock()
-		res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
-		mu.Unlock()
-	})
-	defer detachGrant()
-	detachCredit := noc.HookCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		mu.Lock()
-		res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
-		mu.Unlock()
-	})
-	defer detachCredit()
-	detachCmd := memctrl.HookTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
-		mu.Lock()
-		res.cmds = append(res.cmds, tracedCmd{ch, now, id, kind})
-		mu.Unlock()
-	})
-	defer detachCmd()
-	detachInj := dma.HookInject(func(now sim.Cycle, source int, id uint64, addr uint64) {
-		mu.Lock()
-		res.injs = append(res.injs, tracedInj{now, source, id, addr})
-		mu.Unlock()
-	})
-	defer detachInj()
-	detachWake := dma.HookWake(func(source int, at sim.Cycle, cause byte) {
-		mu.Lock()
-		res.wakes = append(res.wakes, tracedWake{source, at, cause})
-		mu.Unlock()
-	})
-	defer detachWake()
-
 	sys := sara.BuildParallel(cfg, workers)
 	if sys.Domains() == 0 {
 		t.Fatalf("BuildParallel(workers=%d) fell back to the serial kernel", workers)
 	}
+	defer sys.Close()
+	sys.Probe(sara.Probes{
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			mu.Lock()
+			res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
+			mu.Unlock()
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
+			mu.Lock()
+			res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
+			mu.Unlock()
+		},
+		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
+			mu.Lock()
+			res.cmds = append(res.cmds, tracedCmd{ch, now, id, kind})
+			mu.Unlock()
+		},
+		Inject: func(now sim.Cycle, source int, id uint64, addr uint64) {
+			mu.Lock()
+			res.injs = append(res.injs, tracedInj{now, source, id, addr})
+			mu.Unlock()
+		},
+		Wake: func(source int, at sim.Cycle, cause byte) {
+			mu.Lock()
+			res.wakes = append(res.wakes, tracedWake{source, at, cause})
+			mu.Unlock()
+		},
+	})
 	drive(sys)
 
 	res.workers = sys.DomainWorkers()

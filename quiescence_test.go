@@ -37,14 +37,16 @@ func TestNoMissedGrantWindows(t *testing.T) {
 
 		// Event-driven run: record every sleep window and every grant.
 		windows := map[string][]sleepWindow{}
-		noc.SetDebugSleep(func(name string, from, until sim.Cycle) {
-			windows[name] = append(windows[name], sleepWindow{from, until})
-		})
 		var fastGrants []tracedGrant
-		noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-			fastGrants = append(fastGrants, tracedGrant{name, now, port, out, id})
-		})
 		fastSys := sara.Build(cfg)
+		fastSys.Probe(sara.Probes{
+			Sleep: func(name string, from, until sim.Cycle) {
+				windows[name] = append(windows[name], sleepWindow{from, until})
+			},
+			Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+				fastGrants = append(fastGrants, tracedGrant{name, now, port, out, id})
+			},
+		})
 		fastSys.Run(horizon)
 		// Close each router's trailing window: a router that went dormant
 		// and never scanned again before the horizon — the blocked-on-
@@ -52,8 +54,6 @@ func TestNoMissedGrantWindows(t *testing.T) {
 		for _, r := range fastSys.Routers() {
 			r.FlushSleep(sim.Cycle(horizon))
 		}
-		noc.SetDebugSleep(nil)
-		noc.SetDebugGrant(nil)
 
 		// Stepped force-scan replay: the per-cycle reference grant stream.
 		// The DMA injection-wake cache is bypassed too, so a stale cached
@@ -61,15 +61,14 @@ func TestNoMissedGrantWindows(t *testing.T) {
 		var refGrants []tracedGrant
 		noc.SetForceScan(true)
 		dma.SetForceScan(true)
-		noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-			refGrants = append(refGrants, tracedGrant{name, now, port, out, id})
-		})
 		refSys := sara.Build(cfg)
+		refSys.Probe(sara.Probes{Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			refGrants = append(refGrants, tracedGrant{name, now, port, out, id})
+		}})
 		refSys.Kernel().SetIdleSkip(false)
 		refSys.Run(horizon)
 		noc.SetForceScan(false)
 		dma.SetForceScan(false)
-		noc.SetDebugGrant(nil)
 
 		// Windows are emitted in scan order, hence sorted by from.
 		inWindow := func(ws []sleepWindow, c sim.Cycle) bool {

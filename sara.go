@@ -84,6 +84,11 @@ type System = core.System
 // Unit is one assembled DMA with its engine, source, meter and adapter.
 type Unit = core.Unit
 
+// Probes is one subscriber's set of trace-edge observers (NoC grants,
+// credits, stalls and sleep windows, DMA injections and wakes, DRAM
+// commands); subscribe it to one System with System.Probe.
+type Probes = core.Probes
+
 // Build assembles a System from a Config.
 func Build(cfg Config) *System { return core.Build(cfg) }
 
@@ -242,7 +247,7 @@ var (
 type Analyzer = analysis.Analyzer
 
 // AnalysisOptions configures an Analyzer: aggregation window, whether the
-// process-global trace edges are tapped, and an optional live publisher.
+// System's trace edges are tapped, and an optional live publisher.
 type AnalysisOptions = analysis.Options
 
 // AnalysisReport is the serialized outcome of one analyzed run.

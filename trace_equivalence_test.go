@@ -98,28 +98,25 @@ func runTraced(policy sara.Policy, mode traceMode, refresh bool, cycles sim.Cycl
 	defer memctrl.SetForceScan(false)
 	defer dma.SetForceScan(false)
 	defer sim.SetForcePoll(false)
-	memctrl.SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
-		tr.cmds = append(tr.cmds, tracedCmd{ch, now, id, kind})
-	})
-	dma.SetDebugInject(func(now sim.Cycle, src int, id uint64, addr uint64) {
-		tr.injs = append(tr.injs, tracedInj{now, src, id, addr})
-	})
-	dma.SetDebugWake(func(src int, at sim.Cycle, cause byte) {
-		tr.wakes = append(tr.wakes, tracedWake{src, at, cause})
-	})
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		tr.grants = append(tr.grants, tracedGrant{name, now, port, out, id})
-	})
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		tr.credits = append(tr.credits, tracedCredit{name, now, port, wasFull})
-	})
-	defer memctrl.SetDebugTrace(nil)
-	defer dma.SetDebugInject(nil)
-	defer dma.SetDebugWake(nil)
-	defer noc.SetDebugGrant(nil)
-	defer noc.SetDebugCredit(nil)
 	sys := sara.Build(sara.Camcorder(sara.CaseA,
 		sara.WithPolicy(policy), sara.WithRefresh(refresh)))
+	sys.Probe(sara.Probes{
+		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
+			tr.cmds = append(tr.cmds, tracedCmd{ch, now, id, kind})
+		},
+		Inject: func(now sim.Cycle, src int, id uint64, addr uint64) {
+			tr.injs = append(tr.injs, tracedInj{now, src, id, addr})
+		},
+		Wake: func(src int, at sim.Cycle, cause byte) {
+			tr.wakes = append(tr.wakes, tracedWake{src, at, cause})
+		},
+		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
+			tr.grants = append(tr.grants, tracedGrant{name, now, port, out, id})
+		},
+		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
+			tr.credits = append(tr.credits, tracedCredit{name, now, port, wasFull})
+		},
+	})
 	sys.Kernel().SetIdleSkip(!stepped)
 	sys.Run(cycles)
 	return tr
@@ -274,11 +271,10 @@ func TestIdleSkipStallAccounting(t *testing.T) {
 	}
 	run := func(skip bool) map[string][]ev {
 		out := map[string][]ev{}
-		noc.SetDebugStall(func(name string, now sim.Cycle, n uint64, backfill bool) {
-			out[name] = append(out[name], ev{now, n, backfill})
-		})
-		defer noc.SetDebugStall(nil)
 		sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithPolicy(sara.QoS)))
+		sys.Probe(sara.Probes{Stall: func(name string, now sim.Cycle, n uint64, backfill bool) {
+			out[name] = append(out[name], ev{now, n, backfill})
+		}})
 		sys.Kernel().SetIdleSkip(skip)
 		sys.RunFrames(2)
 		return out
