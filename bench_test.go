@@ -198,6 +198,8 @@ func BenchmarkAblationAdaptInterval(b *testing.B) {
 // fraction well above zero.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	sys := sara.Build(sara.Camcorder(sara.CaseA))
+	sys.RunFrames(1) // pools, heaps and queues reach steady capacity
+	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Run(1000)
@@ -212,6 +214,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // refresh-free number and allocs/op should stay at 0.
 func BenchmarkSimulatorThroughputRefresh(b *testing.B) {
 	sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithRefresh(true)))
+	sys.RunFrames(1) // pools, heaps and queues reach steady capacity
+	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Run(1000)
@@ -229,6 +233,7 @@ func BenchmarkSimulatorThroughputRefresh(b *testing.B) {
 func BenchmarkLoadedPhaseThroughput(b *testing.B) {
 	sys := sara.Build(sara.Saturated())
 	sys.RunFrames(1) // reach the saturated steady state
+	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Run(1000)
@@ -249,6 +254,7 @@ func BenchmarkLoadedPhaseThroughputScaled(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx", factor), func(b *testing.B) {
 			sys := sara.Build(sara.ScaledSaturated(factor))
 			sys.RunFrames(1)
+			growSeries(sys, sara.Cycle(b.N)*1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys.Run(1000)
@@ -273,10 +279,11 @@ func BenchmarkLoadedPhaseThroughputParallel(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			sys := sara.BuildParallel(sara.ScaledSaturated(4), workers)
-			if sys.Domains() == 0 {
+			if sys.Domains() < 2 {
 				b.Fatal("4x saturated config should partition")
 			}
 			sys.RunFrames(1)
+			growSeries(sys, sara.Cycle(b.N)*1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys.Run(1000)
@@ -295,6 +302,7 @@ func BenchmarkLoadedPhaseThroughputReference(b *testing.B) {
 	sys := sara.Build(sara.Saturated())
 	sys.Kernel().SetIdleSkip(false)
 	sys.RunFrames(1)
+	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Run(1000)
@@ -309,6 +317,8 @@ func BenchmarkLoadedPhaseThroughputReference(b *testing.B) {
 func BenchmarkSimulatorThroughputReference(b *testing.B) {
 	sys := sara.Build(sara.Camcorder(sara.CaseA))
 	sys.Kernel().SetIdleSkip(false)
+	sys.RunFrames(1) // pools, heaps and queues reach steady capacity
+	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Run(1000)

@@ -5,25 +5,28 @@
 //
 // # Topology
 //
-// BuildParallel splits the SoC at construction time. Domain d owns
-// channel d: its memory controller, a full-geometry DRAM instance with
-// only channel d attached (so rank refresh phases match the device
-// layout and the unused channels' counters stay zero), and the subset of
-// the DMA roster assigned to it (round-robin per class group, so every
-// domain carries a balanced mix of direct/media/system traffic — the
-// address interleave spreads every unit's accesses uniformly over all
-// channels, so any balanced assignment is equivalent). Each domain runs
-// its own sim.Kernel — wake heap, active-ticker list, idle skipping,
-// all unchanged — on its own goroutine.
+// Every System is built from domains, each owning a set of memory
+// channels: their controllers, a full-geometry DRAM instance (only the
+// owned channels see commands, so rank refresh phases match the device
+// layout and the other channels' counters stay zero), and a subset of the
+// DMA roster. Each domain runs its own sim.Kernel — wake heap,
+// active-ticker list, idle skipping, all unchanged.
 //
-// The serial root router is split per domain: domain d's root has one
-// output per channel, routed by the same address interleave as the
-// serial system. The output for the domain's own channel feeds a new
-// per-channel ingress router ("chan d") directly; every other output is
-// a crossLink — a bounded inter-domain mailbox ring. The chan router has
+// A domain's root router has one output per channel, routed by the
+// address interleave. One domain owning every channel is the serial
+// system: every root output feeds its channel's controller directly,
+// giving the single-root Fig. 1 topology with one kernel, one DRAM and
+// no epochs. BuildParallel instead gives every channel its own domain
+// and assigns the DMAs round-robin per class group, so every domain
+// carries a balanced mix of direct/media/system traffic (the address
+// interleave spreads every unit's accesses uniformly over all channels,
+// so any balanced assignment is equivalent). Only across domains is
+// there an ingress hop: the output for a domain's own channel feeds a
+// per-channel ingress router ("chanN"), and every other output is a
+// crossLink — a bounded inter-domain mailbox ring. The chan router has
 // one input port per source domain and is the single feeder of the
 // memory controller, so local and remote traffic merge through ordinary
-// deterministic NoC arbitration.
+// deterministic NoC arbitration. The domains run on worker goroutines.
 //
 // # Lookahead and the epoch loop
 //
@@ -51,12 +54,12 @@
 // never on goroutine scheduling. Worker counts only change which
 // goroutine runs a domain, not any order the simulation observes:
 // results are bit-identical across worker counts, and workers=1 is the
-// serial execution of this topology. (The split topology itself is not
-// cycle-identical to the single-root serial system: the per-channel
-// ingress stage adds a hop on the request path. Equivalence is therefore
-// defined — and fuzz-tested — across worker counts on the partitioned
-// topology, while the serial kernel remains the default and the
-// reference.)
+// serial execution of the per-channel topology. That topology is not
+// cycle-identical to the one-domain serial system — the ingress hop
+// exists only across domains and adds a stage to the request path — so
+// equivalence is defined, and fuzz-tested, across worker counts on the
+// per-channel topology, while the one-domain system remains the default
+// and the reference.
 //
 // # Credits
 //
@@ -101,7 +104,7 @@ type PartitionPlan struct {
 // to split), no DMAs, or a response latency shorter than the lookahead
 // (a completion could then become visible to its owner before the next
 // barrier, which the conservative exchange cannot deliver in time).
-// Unpartitionable configs degrade gracefully to the serial kernel.
+// Unpartitionable configs build as one domain: the serial system.
 func Partition(cfg Config) (PartitionPlan, bool) {
 	channels := cfg.DRAM.Geometry.Channels
 	look := cfg.NoC.CrossDomainLatency()
@@ -113,9 +116,9 @@ func Partition(cfg Config) (PartitionPlan, bool) {
 		Lookahead:  look,
 		UnitDomain: make([]int, len(cfg.DMAs)),
 	}
-	// Round-robin within each class group: the serial topology groups
+	// Round-robin within each class group: every router tree groups
 	// media and system cores behind aggregation routers, so spreading
-	// each group evenly keeps every domain's router tree the same shape.
+	// each group evenly keeps every domain's tree the same shape.
 	var perClass [3]int
 	for i, spec := range cfg.DMAs {
 		g := 0
@@ -131,18 +134,26 @@ func Partition(cfg Config) (PartitionPlan, bool) {
 	return plan, true
 }
 
-// BuildParallel assembles the domain-parallel System on the given number
-// of worker goroutines. workers is clamped to a divisor of the domain
-// count in 1..Domains, so every worker owns the same number of domains;
-// workers=1 runs the partitioned topology serially on the caller's
-// goroutine and is the bit-identity reference for every other count
-// (capping workers never changes results, only wall-clock). An
-// unpartitionable cfg falls back to the serial Build, unchanged.
+// serialPlan is the one-domain partition: every channel and every DMA
+// in domain 0.
+func serialPlan(cfg Config) PartitionPlan {
+	return PartitionPlan{Domains: 1, UnitDomain: make([]int, len(cfg.DMAs))}
+}
+
+// BuildParallel assembles the domain-parallel System, one domain per
+// channel, on the given number of worker goroutines. workers is clamped
+// to a divisor of the domain count in 1..Domains, so every worker owns
+// the same number of domains; workers=1 runs the partitioned topology
+// serially on the caller's goroutine and is the bit-identity reference
+// for every other count (capping workers never changes results, only
+// wall-clock). An unpartitionable cfg builds the serial System, as Build
+// does.
 func BuildParallel(cfg Config, workers int) *System {
-	if _, ok := Partition(cfg); !ok {
-		return buildSerial(cfg)
+	plan, ok := Partition(cfg)
+	if !ok {
+		plan, workers = serialPlan(cfg), 1
 	}
-	return buildParallel(cfg, workers)
+	return build(cfg, plan, workers)
 }
 
 // xferEntry is one mailbox slot: a transaction and the cycle it becomes
@@ -200,15 +211,16 @@ func (c *crossLink) OnCredit(w noc.Waker) {
 	c.waker = w
 }
 
-// parDomain is one per-channel domain: its own kernel, DRAM instance,
-// controller, router tree, transaction pool and ID space, plus the
-// outbound mailbox state other domains read at barriers.
-type parDomain struct {
+// domain is one shard of a System: its own kernel, DRAM instance, owned
+// controllers, router tree, transaction pool and ID space, plus — with
+// several domains — the channel ingress router and the outbound mailbox
+// state other domains read at barriers.
+type domain struct {
 	idx    int
 	kernel *sim.Kernel
 	dram   *dram.DRAM
-	ctrl   *memctrl.Controller
-	units  []*Unit // this domain's subset, in global spec order
+	ctrls  []*memctrl.Controller // the owned channels', in channel order
+	units  []*Unit               // this domain's subset, in global spec order
 
 	mediaRouter *noc.Router
 	sysRouter   *noc.Router
@@ -218,34 +230,42 @@ type parDomain struct {
 
 	pool   txn.Pool
 	nextID uint64
-	// deliver is the long-lived completion event function (one per
-	// domain, so AtArg never captures a transaction in a closure).
+	// deliver is the System's long-lived completion event function (so
+	// AtArg never captures a transaction in a closure).
 	deliver func(now sim.Cycle, arg any)
 
-	// Outbound state, indexed by destination domain (self entries idle):
-	// cross[c] carries requests this domain's root grants toward channel
-	// c; respOut[o] carries completions owned by domain o; credFor[o]
-	// counts pops of this domain's ingress port fed by o — credits owed
-	// back to o, banked at o's next apply.
+	// Outbound state, indexed by destination domain (self entries idle;
+	// all nil with one domain): cross[c] carries requests this domain's
+	// root grants toward channel c; respOut[o] carries completions owned
+	// by domain o; credFor[o] counts pops of this domain's ingress port
+	// fed by o — credits owed back to o, banked at o's next apply.
 	cross   []*crossLink
 	respOut []xferRing
 	credFor []uint32
+}
+
+// routers lists the domain's routers in tick order.
+func (d *domain) routers() []*noc.Router {
+	var out []*noc.Router
+	for _, r := range []*noc.Router{d.mediaRouter, d.sysRouter, d.rootRouter, d.chanRouter} {
+		if r != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // errParAborted is the error every worker except the one that failed
 // returns when the epoch barrier is aborted mid-run.
 var errParAborted = errors.New("core: parallel run aborted by another worker")
 
-// parRun is the epoch engine of a domain-parallel System: the domains,
-// the worker pool and barrier, and the watchdog state evaluated at epoch
-// boundaries.
+// parRun is the run control of a System: the domains, and with several
+// domains the worker pool and barrier of the epoch loop and the watchdog
+// state evaluated at epoch boundaries. One domain runs without epochs.
 type parRun struct {
-	sys     *System
-	cfg     Config
-	plan    PartitionPlan
-	domains []*parDomain
+	domains []*domain
 	workers int
-	owned   [][]*parDomain // owned[w]: the domains worker w advances
+	owned   [][]*domain // owned[w]: the domains worker w advances
 	bar     *sim.Barrier
 	epoch   sim.Cycle
 
@@ -266,293 +286,45 @@ type parRun struct {
 	progAt      uint64 // executed count at the last progress change
 }
 
-// buildParallel assembles the partitioned System. cfg must be
-// partitionable (Build and BuildParallel check before dispatching here).
-func buildParallel(cfg Config, workers int) *System {
-	validate(cfg)
-	plan, ok := Partition(cfg)
-	if !ok {
-		panic("core: buildParallel on unpartitionable config")
-	}
-	nd := plan.Domains
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nd {
-		workers = nd
-	}
-	for nd%workers != 0 {
-		workers--
-	}
-
-	s := &System{cfg: cfg, byLabel: make(map[string]*Unit)}
+// newParRun sets up the run control of domains on workers goroutines
+// (a divisor of the domain count) with the given epoch length. Worker w
+// owns domains w, w+workers, ..., so shares are equal.
+func newParRun(domains []*domain, epoch sim.Cycle, workers int) *parRun {
 	p := &parRun{
-		sys:      s,
-		cfg:      cfg,
-		plan:     plan,
-		domains:  make([]*parDomain, nd),
+		domains:  domains,
 		workers:  workers,
+		owned:    make([][]*domain, workers),
 		bar:      sim.NewBarrier(workers),
-		epoch:    plan.Lookahead,
+		epoch:    epoch,
 		cmd:      make([]chan sim.Cycle, workers),
 		errs:     make([]error, workers),
-		skipBase: make([]uint64, nd),
+		skipBase: make([]uint64, len(domains)),
 	}
-	s.par = p
-
-	nocParams := cfg.NoC
-	nocParams.Arb = cfg.NoCArb()
-	rng := sim.NewRand(cfg.Seed)
-	burst := uint32(cfg.DRAM.Geometry.BurstBytes(cfg.DRAM.Timing))
-
-	// Pass 1: domains with their channel-side machinery (controller,
-	// DRAM instance, ingress router, completion routing).
-	for d := 0; d < nd; d++ {
-		dom := &parDomain{
-			idx:    d,
-			kernel: &sim.Kernel{},
-			dram:   dram.New(cfg.DRAM),
-			// Per-domain ID spaces: the top byte is the domain, so IDs
-			// stay globally unique and deterministic without a shared
-			// counter (FCFS arbitration breaks arrival ties by ID).
-			nextID:  uint64(d+1) << 56,
-			inPort:  make([]*noc.Port, nd),
-			cross:   make([]*crossLink, nd),
-			respOut: make([]xferRing, nd),
-			credFor: make([]uint32, nd),
-		}
-		p.domains[d] = dom
-
-		ctrl := memctrl.New(memctrl.Config{
-			Channel:   d,
-			Policy:    cfg.Policy,
-			Delta:     cfg.Delta,
-			AgingT:    cfg.AgingT,
-			QueueCaps: cfg.QueueCaps,
-		}, dom.dram)
-		dom.ctrl = ctrl
-		s.ctrls = append(s.ctrls, ctrl)
-
-		// The channel ingress router: one port per source domain, single
-		// output into the controller. It is the only feeder of the
-		// controller, so the mcSink credit wiring stays single-owner.
-		dom.chanRouter = noc.NewRouter(fmt.Sprintf("chan%d", d), nocParams, nd,
-			[]noc.Sink{mcSink{ctrl: ctrl}}, nil)
-		for a := 0; a < nd; a++ {
-			dom.inPort[a] = dom.chanRouter.Port(a)
-			if a != d {
-				// Count pops so the sending domain earns its credits
-				// back at the next barrier.
-				src, ownDom := a, dom
-				dom.inPort[a].OnPop(func(now sim.Cycle) { ownDom.credFor[src]++ })
-			}
-		}
-
-		dd := dom
-		dom.deliver = func(now sim.Cycle, arg any) {
-			t := arg.(*txn.Transaction)
-			s.units[t.Source].Engine.Deliver(t, now)
-		}
-		resp := cfg.NoC.RespLatency
-		ctrl.OnComplete = func(t *txn.Transaction, done sim.Cycle) {
-			owner := plan.UnitDomain[t.Source]
-			if owner == dd.idx {
-				dd.kernel.AtArg(done+resp, dd.deliver, t)
-				return
-			}
-			dd.respOut[owner].push(t, done+resp)
-		}
+	for d, dom := range domains {
+		p.owned[d%workers] = append(p.owned[d%workers], dom)
 	}
-
-	// Pass 2: per-domain router trees and egress links.
-	portOf := make(map[int]*noc.Port, len(cfg.DMAs))
-	for d, dom := range p.domains {
-		var direct, media, system []int
-		for i, spec := range cfg.DMAs {
-			if plan.UnitDomain[i] != d {
-				continue
-			}
-			switch spec.Class {
-			case txn.ClassMedia:
-				media = append(media, i)
-			case txn.ClassSystem:
-				system = append(system, i)
-			default:
-				direct = append(direct, i)
-			}
-		}
-		if len(direct)+len(media)+len(system) == 0 {
-			continue // no units: this domain only serves remote traffic
-		}
-
-		outs := make([]noc.Sink, nd)
-		for c := 0; c < nd; c++ {
-			if c == d {
-				outs[c] = noc.PortSink{Port: dom.inPort[d], Hop: nocParams.HopLatency}
-				continue
-			}
-			cl := &crossLink{
-				ring:    xferRing{buf: make([]xferEntry, nocParams.PortDepth)},
-				credits: nocParams.PortDepth,
-				lat:     nocParams.CrossDomainLatency(),
-			}
-			dom.cross[c] = cl
-			outs[c] = cl
-		}
-
-		rootPorts := len(direct)
-		if len(media) > 0 {
-			rootPorts++
-		}
-		if len(system) > 0 {
-			rootPorts++
-		}
-		mapper := dom.dram.Mapper()
-		dom.rootRouter = noc.NewRouter(fmt.Sprintf("root.d%d", d), nocParams, rootPorts, outs,
-			func(t *txn.Transaction) int { return mapper.Channel(t.Addr) })
-
-		next := 0
-		for _, i := range direct {
-			portOf[i] = dom.rootRouter.Port(next)
-			next++
-		}
-		if len(media) > 0 {
-			sink := noc.PortSink{Port: dom.rootRouter.Port(next), Hop: nocParams.HopLatency}
-			next++
-			dom.mediaRouter = noc.NewRouter(fmt.Sprintf("media.d%d", d), nocParams, len(media), []noc.Sink{sink}, nil)
-			for pi, i := range media {
-				portOf[i] = dom.mediaRouter.Port(pi)
-			}
-		}
-		if len(system) > 0 {
-			sink := noc.PortSink{Port: dom.rootRouter.Port(next), Hop: nocParams.HopLatency}
-			dom.sysRouter = noc.NewRouter(fmt.Sprintf("system.d%d", d), nocParams, len(system), []noc.Sink{sink}, nil)
-			for pi, i := range system {
-				portOf[i] = dom.sysRouter.Port(pi)
-			}
-		}
-	}
-
-	// Pass 3: units in global spec order (so txn.Source indexes s.units
-	// and address regions match the serial layout), each built against
-	// its owning domain's pool and ID counter.
-	for i, spec := range cfg.DMAs {
-		if _, dup := s.byLabel[spec.Label()]; dup {
-			panic(fmt.Sprintf("core: duplicate DMA label %q", spec.Label()))
-		}
-		dom := p.domains[plan.UnitDomain[i]]
-		u := buildUnit(unitDeps{cfg: cfg, pool: &dom.pool, nextID: &dom.nextID},
-			i, spec, portOf[i], rng.Fork(uint64(i)), burst)
-		s.units = append(s.units, u)
-		s.byLabel[u.Label()] = u
-		dom.units = append(dom.units, u)
-	}
-
-	// Response mailboxes: sized to the owner's total transaction window
-	// (a domain can never owe more completions than the owner has in
-	// flight), so pushes never allocate and overflow is an invariant trip.
-	for _, dom := range p.domains {
-		var slots int
-		for _, u := range dom.units {
-			w := u.Spec.Window
-			if w <= 0 {
-				w = defaultWindow(u.Spec.Source.Kind)
-			}
-			slots += w
-		}
-		for _, src := range p.domains {
-			if src != dom && slots > 0 {
-				src.respOut[dom.idx].buf = make([]xferEntry, slots)
-			}
-		}
-	}
-
-	// Pass 4: per-domain registration, mirroring the serial pipeline
-	// order (sources, engines, aggregation routers, root, channel
-	// ingress, controller) so co-due ticks execute identically.
-	for _, dom := range p.domains {
-		srcWakes := make([]sim.WakeHandle, len(dom.units))
-		for i, u := range dom.units {
-			srcWakes[i] = dom.kernel.Register(u.Source)
-		}
-		for i, u := range dom.units {
-			dom.kernel.Register(u.Engine)
-			kind := u.Spec.Source.Kind
-			u.Engine.BindSourceWake(srcWakes[i], kind == SrcDisplay || kind == SrcCamera)
-		}
-		if dom.mediaRouter != nil {
-			dom.kernel.Register(dom.mediaRouter)
-		}
-		if dom.sysRouter != nil {
-			dom.kernel.Register(dom.sysRouter)
-		}
-		if dom.rootRouter != nil {
-			dom.kernel.Register(dom.rootRouter)
-		}
-		dom.kernel.Register(dom.chanRouter)
-		dom.kernel.Register(dom.ctrl)
-
-		units := dom.units
-		dom.kernel.Every(cfg.AdaptInterval, func(now sim.Cycle) {
-			for _, u := range units {
-				if u.Adapter != nil {
-					u.Adapter.Tick(now)
-				}
-			}
-		})
-		dom.kernel.Every(cfg.SampleEvery, func(now sim.Cycle) {
-			for _, u := range units {
-				if u.Meter != nil && u.Series != nil {
-					u.Series.Append(now, u.Meter.NPI(now))
-				}
-			}
-		})
-	}
-
-	// Static worker assignment: worker w owns domains w, w+workers, ...
-	// (workers divides the domain count, so shares are equal).
-	p.owned = make([][]*parDomain, workers)
-	for d, dom := range p.domains {
-		w := d % workers
-		p.owned[w] = append(p.owned[w], dom)
-	}
-	return s
+	return p
 }
 
 // now reports the system clock: every domain kernel agrees between run
 // segments, so domain 0 speaks for all.
 func (p *parRun) now() sim.Cycle { return p.domains[0].kernel.Now() }
 
-// routers lists every router, per domain in domain order.
-func (p *parRun) routers() []*noc.Router {
-	var out []*noc.Router
-	for _, dom := range p.domains {
-		if dom.mediaRouter != nil {
-			out = append(out, dom.mediaRouter)
-		}
-		if dom.sysRouter != nil {
-			out = append(out, dom.sysRouter)
-		}
-		if dom.rootRouter != nil {
-			out = append(out, dom.rootRouter)
-		}
-		out = append(out, dom.chanRouter)
+// sole returns the kernel of a one-domain System, nil with several.
+func (p *parRun) sole() *sim.Kernel {
+	if len(p.domains) != 1 {
+		return nil
 	}
-	return out
+	return p.domains[0].kernel
 }
 
-// dramStats merges the per-domain device snapshots (each domain only
-// touches its own channel, so the merge is exact).
-func (p *parRun) dramStats() dram.Stats {
-	parts := make([]dram.Stats, len(p.domains))
-	for i, dom := range p.domains {
-		parts[i] = dom.dram.Stats()
-	}
-	return dram.MergeStats(parts...)
-}
-
-// setWatchdog installs wd and resets the boundary-check baselines.
+// setWatchdog installs wd: on a one-domain System's kernel, otherwise
+// for the boundary checks, resetting their baselines.
 func (p *parRun) setWatchdog(wd *sim.Watchdog) {
+	if k := p.sole(); k != nil {
+		k.SetWatchdog(wd)
+		return
+	}
 	p.wd = wd
 	p.nowBase = p.now()
 	for i, dom := range p.domains {
@@ -624,13 +396,22 @@ func (p *parRun) deadlock(now sim.Cycle, executed uint64, reason string) error {
 	return e
 }
 
-// run advances every domain to horizon. Worker 0 is the caller; workers
-// 1..n-1 are persistent goroutines spawned on first use and parked on
-// their command channel between segments. A worker error (panic,
-// watchdog trip) aborts the barrier so every worker unwinds; the run is
-// then poisoned — the mailbox exchange stopped mid-epoch, so the
-// simulation state is no longer consistent and further runs refuse.
+// run advances every domain to horizon. A one-domain System has nothing
+// to exchange, so its kernel runs straight to the horizon. With several
+// domains, worker 0 is the caller; workers 1..n-1 are persistent
+// goroutines spawned on first use and parked on their command channel
+// between segments. A worker error (panic, watchdog trip) aborts the
+// barrier so every worker unwinds; the run is then poisoned — the
+// mailbox exchange stopped mid-epoch, so the simulation state is no
+// longer consistent and further runs refuse.
 func (p *parRun) run(horizon sim.Cycle, checked bool) error {
+	if k := p.sole(); k != nil {
+		if checked {
+			return k.RunChecked(horizon)
+		}
+		k.Run(horizon)
+		return nil
+	}
 	if p.poisoned != nil {
 		if !checked {
 			panic(p.poisoned)
@@ -762,7 +543,7 @@ func (p *parRun) worker(w int, horizon sim.Cycle) (err error) {
 // barrier and is not rewritten until the next one.
 //
 //sara:hotpath
-func (p *parRun) apply(dom *parDomain, now sim.Cycle) {
+func (p *parRun) apply(dom *domain, now sim.Cycle) {
 	for a, src := range p.domains {
 		if a == dom.idx {
 			continue

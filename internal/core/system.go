@@ -30,41 +30,37 @@ type Unit struct {
 // Label returns the unit's full DMA name.
 func (u *Unit) Label() string { return u.Spec.Label() }
 
-// System is a fully wired MPSoC memory subsystem. It comes in two
-// shapes: the serial kernel (one sim.Kernel driving everything; par is
-// nil) and the domain-parallel kernel built by BuildParallel (one kernel
-// per memory-channel domain advancing in lookahead epochs; kernel, dram
-// and the router fields are nil and par holds the domains). The
-// run-control and statistics methods work identically on both.
+// System is a fully wired MPSoC memory subsystem, built as a set of
+// domains (see parallel.go). A domain owns a set of memory channels and
+// runs its own sim.Kernel over their controllers, its DRAM instance and
+// its share of the DMA roster. The serial System is one domain owning
+// every channel — one kernel, one DRAM, the single-root Fig. 1 topology
+// — and the domain-parallel System built by BuildParallel has one domain
+// per channel, advanced in lookahead epochs. The run-control and
+// statistics methods work identically on both.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	dram   *dram.DRAM
-	ctrls  []*memctrl.Controller
-	units  []*Unit
-
-	mediaRouter *noc.Router
-	sysRouter   *noc.Router
-	rootRouter  *noc.Router
-
-	nextID  uint64
+	cfg     Config
+	units   []*Unit
+	ctrls   []*memctrl.Controller
 	byLabel map[string]*Unit
-	pool    txn.Pool
-
-	par *parRun
 
 	// probes are the trace-edge subscribers installed through Probe.
 	probes []*Probes
+
+	domains []*domain
+	epochs  *parRun // advances the domains (see parRun.run)
 }
 
 // mcSink adapts a memory controller into a NoC sink with credit returns:
-// a CAS that frees a slot in a full class queue wakes the root router,
-// which can grant into the slot from the next cycle on (the controller
-// ticks after the router, so the freed slot is usable at now+1). Accept
-// is also the enqueue edge of the controller's per-bank candidate
-// buckets: Enqueue files the transaction into its bank bucket and resets
-// the controller's dormancy window, so a packet granted mid-quiescence
-// is scheduled on the very next executed cycle (see memctrl/bucket.go).
+// a CAS that frees a slot in a full class queue wakes the router feeding
+// the controller (the root, or with several domains the channel ingress
+// router), which can grant into the slot from the next cycle on (the
+// controller ticks after the router, so the freed slot is usable at
+// now+1). Accept is also the enqueue edge of the controller's per-bank
+// candidate buckets: Enqueue files the transaction into its bank bucket
+// and resets the controller's dormancy window, so a packet granted
+// mid-quiescence is scheduled on the very next executed cycle (see
+// memctrl/bucket.go).
 type mcSink struct {
 	ctrl *memctrl.Controller
 }
@@ -100,18 +96,16 @@ const regionBytes = 16 << 20
 // configurations (configs are code, not user input). With
 // cfg.DomainWorkers >= 2 and a partitionable topology it builds the
 // domain-parallel system (see BuildParallel); otherwise — including
-// every unpartitionable topology — it degrades gracefully to the serial
-// kernel, unchanged.
+// every unpartitionable topology — it builds the serial system, one
+// domain owning every channel.
 func Build(cfg Config) *System {
 	if cfg.DomainWorkers > 1 {
-		if _, ok := Partition(cfg); ok {
-			return buildParallel(cfg, cfg.DomainWorkers)
-		}
+		return BuildParallel(cfg, cfg.DomainWorkers)
 	}
-	return buildSerial(cfg)
+	return build(cfg, serialPlan(cfg), 1)
 }
 
-// validate panics on malformed configurations (shared by both builders).
+// validate panics on malformed configurations.
 func validate(cfg Config) {
 	if err := cfg.DRAM.Validate(); err != nil {
 		panic(err)
@@ -127,162 +121,271 @@ func validate(cfg Config) {
 	}
 }
 
-// buildSerial assembles the single-kernel System.
-func buildSerial(cfg Config) *System {
+// build assembles cfg as plan's domains, run on workers goroutines
+// (clamped to a divisor of the domain count in 1..Domains, so every
+// worker owns the same number of domains). Channel c belongs to domain
+// c % plan.Domains: one domain owns every channel, and a per-channel
+// plan gives each domain exactly one, the shape the epoch exchange
+// (ingress routers, cross links, mailboxes) is built for.
+func build(cfg Config, plan PartitionPlan, workers int) *System {
 	validate(cfg)
-
-	s := &System{
-		cfg:     cfg,
-		kernel:  &sim.Kernel{},
-		dram:    dram.New(cfg.DRAM),
-		byLabel: make(map[string]*Unit),
+	nd := plan.Domains
+	channels := cfg.DRAM.Geometry.Channels
+	workers = max(1, min(workers, nd))
+	for nd%workers != 0 {
+		workers--
 	}
-	mapper := s.dram.Mapper()
-	rng := sim.NewRand(cfg.Seed)
 
-	// Memory controllers, one per channel, completing into the response
-	// delay pipe. One long-lived deliver function plus a per-event
-	// transaction pointer keeps the completion path allocation-free
-	// (a closure capturing t would allocate on every completion).
+	s := &System{cfg: cfg, byLabel: make(map[string]*Unit), domains: make([]*domain, nd)}
+	nocParams := cfg.NoC
+	nocParams.Arb = cfg.NoCArb()
+	rng := sim.NewRand(cfg.Seed)
+	burst := uint32(cfg.DRAM.Geometry.BurstBytes(cfg.DRAM.Timing))
+	resp := cfg.NoC.RespLatency
+
+	// Domains: a kernel and a full-geometry DRAM instance each (a
+	// domain's instance only ever sees its own channels' commands, so
+	// rank refresh phases match the device layout and the other
+	// channels' counters stay zero). One long-lived deliver function plus
+	// a per-event transaction pointer keeps the completion path
+	// allocation-free (a closure capturing t would allocate on every
+	// completion).
 	deliver := func(now sim.Cycle, arg any) {
 		t := arg.(*txn.Transaction)
 		s.units[t.Source].Engine.Deliver(t, now)
 	}
-	mcSinks := make([]noc.Sink, cfg.DRAM.Geometry.Channels)
-	for ch := 0; ch < cfg.DRAM.Geometry.Channels; ch++ {
-		mcCfg := memctrl.Config{
+	for d := range s.domains {
+		dom := &domain{idx: d, kernel: &sim.Kernel{}, dram: dram.New(cfg.DRAM), deliver: deliver}
+		if nd > 1 {
+			// Per-domain ID spaces: the top byte is the domain, so IDs
+			// stay globally unique and deterministic without a shared
+			// counter (FCFS arbitration breaks arrival ties by ID).
+			dom.nextID = uint64(d+1) << 56
+			dom.inPort = make([]*noc.Port, nd)
+			dom.cross = make([]*crossLink, nd)
+			dom.respOut = make([]xferRing, nd)
+			dom.credFor = make([]uint32, nd)
+		}
+		s.domains[d] = dom
+	}
+
+	// Memory controllers, one per channel in channel order, each in its
+	// owning domain and completing into the response delay pipe of the
+	// domain that owns the transaction's DMA. feed[c] is where channel
+	// c's own domain delivers its requests: the controller itself, or,
+	// with several domains, the channel's ingress router ("chanN"),
+	// which has one input port per source domain and is the single
+	// feeder of the controller, so local and remote traffic merge
+	// through ordinary deterministic NoC arbitration and the mcSink
+	// credit wiring stays single-owner.
+	feed := make([]noc.Sink, channels)
+	for ch := 0; ch < channels; ch++ {
+		dom := s.domains[ch%nd]
+		ctrl := memctrl.New(memctrl.Config{
 			Channel:   ch,
 			Policy:    cfg.Policy,
 			Delta:     cfg.Delta,
 			AgingT:    cfg.AgingT,
 			QueueCaps: cfg.QueueCaps,
-		}
-		ctrl := memctrl.New(mcCfg, s.dram)
+		}, dom.dram)
 		ctrl.OnComplete = func(t *txn.Transaction, done sim.Cycle) {
-			s.kernel.AtArg(done+cfg.NoC.RespLatency, deliver, t)
+			if owner := plan.UnitDomain[t.Source]; owner != dom.idx {
+				dom.respOut[owner].push(t, done+resp)
+				return
+			}
+			dom.kernel.AtArg(done+resp, dom.deliver, t)
 		}
+		dom.ctrls = append(dom.ctrls, ctrl)
 		s.ctrls = append(s.ctrls, ctrl)
-		mcSinks[ch] = mcSink{ctrl: ctrl}
+		if nd == 1 {
+			feed[ch] = mcSink{ctrl: ctrl}
+			continue
+		}
+		dom.chanRouter = noc.NewRouter(fmt.Sprintf("chan%d", ch), nocParams, nd,
+			[]noc.Sink{mcSink{ctrl: ctrl}}, nil)
+		for a := 0; a < nd; a++ {
+			dom.inPort[a] = dom.chanRouter.Port(a)
+			if a != dom.idx {
+				// Count pops so the sending domain earns its credits
+				// back at the next barrier.
+				dom.inPort[a].OnPop(func(now sim.Cycle) { dom.credFor[a]++ })
+			}
+		}
+		feed[ch] = noc.PortSink{Port: dom.inPort[dom.idx], Hop: nocParams.HopLatency}
 	}
 
-	// Partition DMAs into the Fig. 1 topology: CPU/GPU/DSP direct to the
-	// root router; media and system cores behind aggregation routers.
-	var direct, media, system []int
-	for i, spec := range cfg.DMAs {
-		switch spec.Class {
-		case txn.ClassMedia:
-			media = append(media, i)
-		case txn.ClassSystem:
-			system = append(system, i)
-		default:
-			direct = append(direct, i)
+	// Per-domain router trees in the Fig. 1 shape: CPU/GPU/DSP direct to
+	// the domain's root router; media and system cores behind
+	// aggregation routers. The root has one output per channel, routed
+	// by the address interleave: the domain's own channels take their
+	// feed, every other channel a crossLink — a bounded inter-domain
+	// mailbox ring. With several domains the router names carry the
+	// domain (".dN").
+	portOf := make([]*noc.Port, len(cfg.DMAs))
+	for d, dom := range s.domains {
+		var direct, media, system []int
+		for i, spec := range cfg.DMAs {
+			if plan.UnitDomain[i] != d {
+				continue
+			}
+			switch spec.Class {
+			case txn.ClassMedia:
+				media = append(media, i)
+			case txn.ClassSystem:
+				system = append(system, i)
+			default:
+				direct = append(direct, i)
+			}
+		}
+		if len(direct)+len(media)+len(system) == 0 {
+			continue // no units: this domain only serves remote traffic
+		}
+
+		outs := make([]noc.Sink, channels)
+		for c := range outs {
+			if c%nd == d {
+				outs[c] = feed[c]
+				continue
+			}
+			cl := &crossLink{
+				ring:    xferRing{buf: make([]xferEntry, nocParams.PortDepth)},
+				credits: nocParams.PortDepth,
+				lat:     nocParams.CrossDomainLatency(),
+			}
+			dom.cross[c] = cl
+			outs[c] = cl
+		}
+		suffix := ""
+		if nd > 1 {
+			suffix = fmt.Sprintf(".d%d", d)
+		}
+
+		rootPorts := len(direct)
+		if len(media) > 0 {
+			rootPorts++
+		}
+		if len(system) > 0 {
+			rootPorts++
+		}
+		mapper := dom.dram.Mapper()
+		dom.rootRouter = noc.NewRouter("root"+suffix, nocParams, rootPorts, outs,
+			func(t *txn.Transaction) int { return mapper.Channel(t.Addr) })
+
+		next := 0
+		for _, i := range direct {
+			portOf[i] = dom.rootRouter.Port(next)
+			next++
+		}
+		if len(media) > 0 {
+			sink := noc.PortSink{Port: dom.rootRouter.Port(next), Hop: nocParams.HopLatency}
+			next++
+			dom.mediaRouter = noc.NewRouter("media"+suffix, nocParams, len(media), []noc.Sink{sink}, nil)
+			for pi, i := range media {
+				portOf[i] = dom.mediaRouter.Port(pi)
+			}
+		}
+		if len(system) > 0 {
+			sink := noc.PortSink{Port: dom.rootRouter.Port(next), Hop: nocParams.HopLatency}
+			dom.sysRouter = noc.NewRouter("system"+suffix, nocParams, len(system), []noc.Sink{sink}, nil)
+			for pi, i := range system {
+				portOf[i] = dom.sysRouter.Port(pi)
+			}
 		}
 	}
 
-	nocParams := cfg.NoC
-	nocParams.Arb = cfg.NoCArb()
-
-	rootPorts := len(direct)
-	if len(media) > 0 {
-		rootPorts++
-	}
-	if len(system) > 0 {
-		rootPorts++
-	}
-	s.rootRouter = noc.NewRouter("root", nocParams, rootPorts, mcSinks,
-		func(t *txn.Transaction) int { return mapper.Channel(t.Addr) })
-
-	portOf := make(map[int]*noc.Port, len(cfg.DMAs))
-	next := 0
-	for _, i := range direct {
-		portOf[i] = s.rootRouter.Port(next)
-		next++
-	}
-	if len(media) > 0 {
-		sink := noc.PortSink{Port: s.rootRouter.Port(next), Hop: nocParams.HopLatency}
-		next++
-		s.mediaRouter = noc.NewRouter("media", nocParams, len(media), []noc.Sink{sink}, nil)
-		for pi, i := range media {
-			portOf[i] = s.mediaRouter.Port(pi)
-		}
-	}
-	if len(system) > 0 {
-		sink := noc.PortSink{Port: s.rootRouter.Port(next), Hop: nocParams.HopLatency}
-		s.sysRouter = noc.NewRouter("system", nocParams, len(system), []noc.Sink{sink}, nil)
-		for pi, i := range system {
-			portOf[i] = s.sysRouter.Port(pi)
-		}
-	}
-
-	// DMAs, sources, meters and adapters.
-	burst := uint32(cfg.DRAM.Geometry.BurstBytes(cfg.DRAM.Timing))
+	// DMAs, sources, meters and adapters, in global spec order (so
+	// txn.Source indexes s.units and address regions do not depend on
+	// the partition), each drawing transactions and IDs from its owning
+	// domain.
 	for i, spec := range cfg.DMAs {
 		if _, dup := s.byLabel[spec.Label()]; dup {
 			panic(fmt.Sprintf("core: duplicate DMA label %q", spec.Label()))
 		}
-		u := buildUnit(unitDeps{cfg: cfg, pool: &s.pool, nextID: &s.nextID},
+		dom := s.domains[plan.UnitDomain[i]]
+		u := buildUnit(unitDeps{cfg: cfg, pool: &dom.pool, nextID: &dom.nextID},
 			i, spec, portOf[i], rng.Fork(uint64(i)), burst)
 		s.units = append(s.units, u)
 		s.byLabel[u.Label()] = u
+		dom.units = append(dom.units, u)
 	}
 
-	// Per-cycle pipeline order: sources generate, DMAs inject, aggregation
-	// routers forward, root router delivers into the controllers, and the
-	// controllers issue DRAM commands. Every component is registered
-	// directly (not through TickFunc) so it carries its sim.Idler hint
-	// and the kernel can fast-forward over system-wide quiescence.
-	// Registration also binds the push-based wake wiring: engines,
-	// routers and controllers receive their kernel wake handles through
-	// sim.WakeBinder, and each engine additionally gets its source's
-	// handle — the engine is the component that observes the two events
-	// that can move a source's next activity earlier (a pending-queue pop
-	// from full, a completion delivery), so it owns those re-arms.
-	srcWakes := make([]sim.WakeHandle, len(s.units))
-	for i, u := range s.units {
-		srcWakes[i] = s.kernel.Register(u.Source)
-	}
-	for i, u := range s.units {
-		s.kernel.Register(u.Engine)
-		// Only the occupancy-tracking sources consult completion-mutated
-		// state (buffer in-flight bytes) in their activity hints; the
-		// rest need no per-delivery re-arm.
-		kind := u.Spec.Source.Kind
-		u.Engine.BindSourceWake(srcWakes[i], kind == SrcDisplay || kind == SrcCamera)
-	}
-	if s.mediaRouter != nil {
-		s.kernel.Register(s.mediaRouter)
-	}
-	if s.sysRouter != nil {
-		s.kernel.Register(s.sysRouter)
-	}
-	s.kernel.Register(s.rootRouter)
-	for _, c := range s.ctrls {
-		s.kernel.Register(c)
+	// Response mailboxes: sized to the owner's total transaction window
+	// (a domain can never owe more completions than the owner has in
+	// flight), so pushes never allocate and overflow is an invariant trip.
+	for _, dom := range s.domains {
+		var slots int
+		for _, u := range dom.units {
+			w := u.Spec.Window
+			if w <= 0 {
+				w = defaultWindow(u.Spec.Source.Kind)
+			}
+			slots += w
+		}
+		for _, src := range s.domains {
+			if src != dom && slots > 0 {
+				src.respOut[dom.idx].buf = make([]xferEntry, slots)
+			}
+		}
 	}
 
-	// Adaptation and NPI sampling.
-	s.kernel.Every(cfg.AdaptInterval, func(now sim.Cycle) {
-		for _, u := range s.units {
-			if u.Adapter != nil {
-				u.Adapter.Tick(now)
-			}
+	// Per-cycle pipeline order within each domain: sources generate,
+	// DMAs inject, aggregation routers forward, the root router delivers
+	// (through the channel ingress router, with several domains) into
+	// the controllers, and the controllers issue DRAM commands. Every
+	// component is registered directly (not through TickFunc) so it
+	// carries its sim.Idler hint and the kernel can fast-forward over
+	// quiescence. Registration also binds the push-based wake wiring:
+	// engines, routers and controllers receive their kernel wake handles
+	// through sim.WakeBinder, and each engine additionally gets its
+	// source's handle — the engine is the component that observes the
+	// two events that can move a source's next activity earlier (a
+	// pending-queue pop from full, a completion delivery), so it owns
+	// those re-arms.
+	for _, dom := range s.domains {
+		k := dom.kernel
+		srcWakes := make([]sim.WakeHandle, len(dom.units))
+		for i, u := range dom.units {
+			srcWakes[i] = k.Register(u.Source)
 		}
-	})
-	s.kernel.Every(cfg.SampleEvery, func(now sim.Cycle) {
-		for _, u := range s.units {
-			if u.Meter != nil && u.Series != nil {
-				u.Series.Append(now, u.Meter.NPI(now))
-			}
+		for i, u := range dom.units {
+			k.Register(u.Engine)
+			// Only the occupancy-tracking sources consult
+			// completion-mutated state (buffer in-flight bytes) in their
+			// activity hints; the rest need no per-delivery re-arm.
+			kind := u.Spec.Source.Kind
+			u.Engine.BindSourceWake(srcWakes[i], kind == SrcDisplay || kind == SrcCamera)
 		}
-	})
+		for _, r := range dom.routers() {
+			k.Register(r)
+		}
+		for _, c := range dom.ctrls {
+			k.Register(c)
+		}
+
+		// Adaptation and NPI sampling.
+		units := dom.units
+		k.Every(cfg.AdaptInterval, func(now sim.Cycle) {
+			for _, u := range units {
+				if u.Adapter != nil {
+					u.Adapter.Tick(now)
+				}
+			}
+		})
+		k.Every(cfg.SampleEvery, func(now sim.Cycle) {
+			for _, u := range units {
+				if u.Meter != nil && u.Series != nil {
+					u.Series.Append(now, u.Meter.NPI(now))
+				}
+			}
+		})
+	}
+	s.epochs = newParRun(s.domains, plan.Lookahead, workers)
 	return s
 }
 
 // unitDeps are the shared-state dependencies of buildUnit: the config
-// plus the transaction pool and ID counter the unit's engine draws from.
-// The serial builder passes the System's own pool/counter; the parallel
-// builder passes the owning domain's, so each domain allocates and IDs
-// transactions without cross-domain sharing.
+// plus the owning domain's transaction pool and ID counter, so each
+// domain allocates and IDs transactions without cross-domain sharing.
 type unitDeps struct {
 	cfg    Config
 	pool   *txn.Pool
@@ -468,65 +571,58 @@ func roundTo(v float64, reqSize uint32) uint64 {
 
 // --- accessors and run control ---
 
-// Kernel exposes the simulation kernel (tests drive it directly). It is
-// nil on a domain-parallel System, which has one kernel per domain; use
-// the System-level run control and statistics methods instead.
-func (s *System) Kernel() *sim.Kernel { return s.kernel }
+// Kernel exposes the simulation kernel of a one-domain (serial) System;
+// tests drive it directly. It is nil with several domains, each of which
+// has its own kernel; use the System-level run control and statistics
+// methods instead.
+func (s *System) Kernel() *sim.Kernel { return s.epochs.sole() }
 
-// DRAM exposes the device model. It is nil on a domain-parallel System,
-// which has one instance per domain; use DRAMStats, RowHitRate,
-// RefreshDuty and BandwidthOverWindowGBps, which work on both shapes.
-func (s *System) DRAM() *dram.DRAM { return s.dram }
+// DRAM exposes the device model of a one-domain (serial) System. It is
+// nil with several domains, each of which has its own instance; use
+// DRAMStats, RowHitRate, RefreshDuty and BandwidthOverWindowGBps, which
+// work on every System.
+func (s *System) DRAM() *dram.DRAM {
+	if len(s.domains) != 1 {
+		return nil
+	}
+	return s.domains[0].dram
+}
 
-// Controllers exposes the per-channel memory controllers (in channel
-// order on both the serial and the domain-parallel System).
+// Controllers exposes the per-channel memory controllers, in channel
+// order.
 func (s *System) Controllers() []*memctrl.Controller { return s.ctrls }
 
-// Routers exposes the NoC routers in tick order (aggregation routers
-// first, root last; on the domain-parallel System, per domain in domain
-// order with the channel ingress router after each domain's root); the
+// Routers exposes the NoC routers in tick order, per domain in domain
+// order: aggregation routers first ("media", "system"), then the root,
+// then — with several domains — the channel ingress router. The
 // equivalence tests compare their statistics across kernel modes.
 func (s *System) Routers() []*noc.Router {
-	if s.par != nil {
-		return s.par.routers()
-	}
 	var out []*noc.Router
-	if s.mediaRouter != nil {
-		out = append(out, s.mediaRouter)
+	for _, dom := range s.domains {
+		out = append(out, dom.routers()...)
 	}
-	if s.sysRouter != nil {
-		out = append(out, s.sysRouter)
-	}
-	return append(out, s.rootRouter)
+	return out
 }
 
-// Domains reports the number of per-channel domains: 0 on the serial
-// kernel, the channel count on a domain-parallel System.
-func (s *System) Domains() int {
-	if s.par == nil {
-		return 0
-	}
-	return len(s.par.domains)
-}
+// Domains reports the number of domains: 1 on the serial System, the
+// channel count on a domain-parallel System.
+func (s *System) Domains() int { return len(s.domains) }
 
-// DomainWorkers reports the goroutine count a domain-parallel System
-// runs on (0 on the serial kernel). It can be lower than requested: the
-// worker count is clamped to a divisor of the domain count so every
-// worker owns the same number of domains.
-func (s *System) DomainWorkers() int {
-	if s.par == nil {
-		return 0
-	}
-	return s.par.workers
-}
+// DomainWorkers reports the goroutine count the System runs on (1 on the
+// serial System). It can be lower than requested: the worker count is
+// clamped to a divisor of the domain count so every worker owns the same
+// number of domains.
+func (s *System) DomainWorkers() int { return s.epochs.workers }
 
-// DRAMStats snapshots the per-channel DRAM counters, merging across
-// domains on a domain-parallel System.
+// DRAMStats snapshots the per-channel DRAM counters, merged across
+// domains (each domain only touches its own channels, so the merge is
+// exact).
 func (s *System) DRAMStats() dram.Stats {
-	if s.par == nil {
-		return s.dram.Stats()
+	parts := make([]dram.Stats, len(s.domains))
+	for i, dom := range s.domains {
+		parts[i] = dom.dram.Stats()
 	}
-	return s.par.dramStats()
+	return dram.MergeStats(parts...)
 }
 
 // RowHitRate reports the device-wide row-buffer hit rate.
@@ -545,26 +641,20 @@ func (s *System) BandwidthOverWindowGBps(before dram.Stats, from, to sim.Cycle) 
 }
 
 // SkippedCycles reports how many cycles idle skipping fast-forwarded
-// over (summed across domains on a domain-parallel System).
+// over, summed across domains.
 func (s *System) SkippedCycles() uint64 {
-	if s.par == nil {
-		return s.kernel.SkippedCycles()
-	}
 	var n uint64
-	for _, d := range s.par.domains {
-		n += d.kernel.SkippedCycles()
+	for _, dom := range s.domains {
+		n += dom.kernel.SkippedCycles()
 	}
 	return n
 }
 
 // Close releases the worker goroutines of a domain-parallel System, which
 // otherwise stay parked for the System's lifetime; a later Run restarts
-// them. Close is idempotent and a no-op on the serial kernel.
-func (s *System) Close() {
-	if s.par != nil {
-		s.par.close()
-	}
-}
+// them. Close is idempotent and a no-op on a System that never started
+// extra workers.
+func (s *System) Close() { s.epochs.close() }
 
 // Units exposes every assembled DMA.
 func (s *System) Units() []*Unit { return s.units }
@@ -578,24 +668,13 @@ func (s *System) Unit(label string) (*Unit, bool) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Now reports the current cycle. On a domain-parallel System every
-// domain kernel agrees on the cycle between Run calls (they rendezvous
-// at the run horizon), so domain 0's clock is the system clock.
-func (s *System) Now() sim.Cycle {
-	if s.par != nil {
-		return s.par.now()
-	}
-	return s.kernel.Now()
-}
+// Now reports the current cycle. Every domain kernel agrees on the cycle
+// between Run calls (they rendezvous at the run horizon), so domain 0's
+// clock is the system clock.
+func (s *System) Now() sim.Cycle { return s.epochs.now() }
 
 // Run advances the simulation by n cycles.
-func (s *System) Run(n sim.Cycle) {
-	if s.par != nil {
-		s.par.run(s.par.now()+n, false)
-		return
-	}
-	s.kernel.RunFor(n)
-}
+func (s *System) Run(n sim.Cycle) { s.epochs.run(s.Now()+n, false) }
 
 // RunFrames advances the simulation by k frame periods.
 func (s *System) RunFrames(k int) {
@@ -605,14 +684,11 @@ func (s *System) RunFrames(k int) {
 // RunChecked advances the simulation by n cycles with failures contained:
 // panics raised anywhere in the system surface as a *sim.PanicError, and
 // any watchdog installed with SetWatchdog bounds the run (see
-// sim.Kernel.RunChecked). On a domain-parallel System a worker panic or
+// sim.Kernel.RunChecked). With several domains a worker panic or
 // watchdog trip aborts the epoch barrier, so every worker unwinds and
 // the first error is returned.
 func (s *System) RunChecked(n sim.Cycle) error {
-	if s.par != nil {
-		return s.par.run(s.par.now()+n, true)
-	}
-	return s.kernel.RunForChecked(n)
+	return s.epochs.run(s.Now()+n, true)
 }
 
 // RunFramesChecked is RunChecked over k frame periods.
@@ -622,11 +698,12 @@ func (s *System) RunFramesChecked(k int) error {
 
 // SetWatchdog installs wd, defaulting its Outstanding and Progress
 // probes to the system-level ones (in-flight transactions and completed
-// transactions) when unset, so callers only pick budgets. On a
-// domain-parallel System the watchdog is evaluated by worker 0 at epoch
-// boundaries — the only points where every domain is quiescent — so
-// CheckEvery is effectively the epoch length and the parked-deadlock
-// check is subsumed by the progress budget.
+// transactions) when unset, so callers only pick budgets. A one-domain
+// System hands wd to its kernel, with the full parked-deadlock check and
+// per-idler dump. With several domains the watchdog is evaluated by
+// worker 0 at epoch boundaries — the only points where every domain is
+// quiescent — so CheckEvery is effectively the epoch length and the
+// parked-deadlock check is subsumed by the progress budget.
 func (s *System) SetWatchdog(wd *sim.Watchdog) {
 	if wd != nil {
 		if wd.Outstanding == nil {
@@ -636,11 +713,7 @@ func (s *System) SetWatchdog(wd *sim.Watchdog) {
 			wd.Progress = s.CompletedTransactions
 		}
 	}
-	if s.par != nil {
-		s.par.setWatchdog(wd)
-		return
-	}
-	s.kernel.SetWatchdog(wd)
+	s.epochs.setWatchdog(wd)
 }
 
 // Outstanding counts transactions that are in flight somewhere in the

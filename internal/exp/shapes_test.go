@@ -9,8 +9,9 @@ import (
 
 // These tests assert the qualitative shapes of the paper's evaluation —
 // who fails, who passes, which orderings hold — on the calibrated
-// workload. EXPERIMENTS.md records the quantitative values and the known
-// deviations.
+// workload. The paper's quantitative values live in the "paper:" notes
+// beside each assertion until a generated fidelity table (paper value,
+// reproduced value, known deviations) replaces them.
 
 func TestFig5Shapes(t *testing.T) {
 	t.Parallel()

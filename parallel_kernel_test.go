@@ -56,7 +56,7 @@ func captureParallel(t *testing.T, cfg sara.Config, workers int, drive func(*sar
 		res parSnapshot
 	)
 	sys := sara.BuildParallel(cfg, workers)
-	if sys.Domains() == 0 {
+	if sys.Domains() < 2 {
 		t.Fatalf("BuildParallel(workers=%d) fell back to the serial kernel", workers)
 	}
 	defer sys.Close()
@@ -361,24 +361,38 @@ func TestParallelRunSegmentation(t *testing.T) {
 }
 
 // TestParallelFallback: unpartitionable configs and the serial default
-// degrade gracefully to the serial kernel, unchanged.
+// build the serial System — one domain owning every channel, with the
+// single-root Fig. 1 topology — and the partitioned build has no single
+// kernel.
 func TestParallelFallback(t *testing.T) {
 	// Hop latency pushes the lookahead past the response latency: a
 	// completion could outrun the barrier, so Partition refuses.
-	cfg := sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(4))
-	cfg.NoC.HopLatency = cfg.NoC.RespLatency // lookahead = resp+1 > resp
-	sys := sara.Build(cfg)
-	if sys.Domains() != 0 {
-		t.Fatalf("unpartitionable config built %d domains, want serial fallback", sys.Domains())
-	}
-	if sys.Kernel() == nil {
-		t.Fatalf("serial fallback has no kernel")
-	}
-
-	// DomainWorkers <= 1 selects the serial kernel outright.
-	serial := sara.Build(sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(1)))
-	if serial.Domains() != 0 {
-		t.Fatalf("DomainWorkers=1 built %d domains, want serial", serial.Domains())
+	unpart := sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(4))
+	unpart.NoC.HopLatency = unpart.NoC.RespLatency // lookahead = resp+1 > resp
+	for _, tc := range []struct {
+		name string
+		sys  *sara.System
+	}{
+		{"unpartitionable", sara.Build(unpart)},
+		{"unpartitionable/BuildParallel", sara.BuildParallel(unpart, 4)},
+		// DomainWorkers <= 1 selects the serial System outright.
+		{"DomainWorkers=1", sara.Build(sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(1)))},
+	} {
+		sys := tc.sys
+		if sys.Domains() != 1 || sys.DomainWorkers() != 1 {
+			t.Fatalf("%s: %d domains on %d workers, want the serial System (1 on 1)",
+				tc.name, sys.Domains(), sys.DomainWorkers())
+		}
+		if sys.Kernel() == nil || sys.DRAM() == nil {
+			t.Fatalf("%s: serial System has no kernel or DRAM", tc.name)
+		}
+		var names []string
+		for _, r := range sys.Routers() {
+			names = append(names, r.Name())
+		}
+		if fmt.Sprint(names) != "[media system root]" {
+			t.Fatalf("%s: routers %v, want [media system root]", tc.name, names)
+		}
 	}
 
 	// The partitioned build clamps workers to a divisor of the domain
@@ -391,6 +405,9 @@ func TestParallelFallback(t *testing.T) {
 	}
 	if par.DomainWorkers() != 2 {
 		t.Fatalf("8 domains at 3 requested workers: got %d, want divisor clamp to 2", par.DomainWorkers())
+	}
+	if par.Kernel() != nil || par.DRAM() != nil {
+		t.Fatalf("8-domain System exposes a single kernel or DRAM")
 	}
 }
 

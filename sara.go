@@ -95,15 +95,16 @@ func Build(cfg Config) *System { return core.Build(cfg) }
 // BuildParallel assembles the domain-parallel System: one domain per
 // memory channel, run on workers goroutines synchronized at
 // conservative-lookahead epoch barriers. Results are bit-identical
-// across worker counts; unpartitionable configs fall back to the serial
-// kernel. See core.BuildParallel.
+// across worker counts; unpartitionable configs build the serial System,
+// the one-domain case. See core.BuildParallel.
 func BuildParallel(cfg Config, workers int) *System { return core.BuildParallel(cfg, workers) }
 
 // PartitionPlan describes how a config shards into per-channel domains.
 type PartitionPlan = core.PartitionPlan
 
 // Partition reports the per-channel domain decomposition of a config,
-// or ok=false when the topology cannot be safely sharded.
+// or ok=false when the topology cannot be safely sharded; such a config
+// builds as one domain owning every channel, the serial System.
 func Partition(cfg Config) (PartitionPlan, bool) { return core.Partition(cfg) }
 
 // Case identifies one of the paper's test cases.
