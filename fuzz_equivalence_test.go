@@ -5,13 +5,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"sara"
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -159,7 +159,7 @@ func fuzzConfig(seed uint64) (sara.Config, string) {
 	// Domain-parallel kernel: a slice of the pool re-runs the partitioned
 	// topology at this worker count against its 1-worker reference (drawn
 	// last — appending keeps every historic failure seed meaningful). The
-	// three serial differential modes always run with the serial kernel;
+	// serial differential modes always run with the serial kernel;
 	// captureRun clears this field before building.
 	cfg.DomainWorkers = []int{1, 2, 4}[rng.Intn(3)]
 
@@ -181,25 +181,17 @@ type diffResult struct {
 	skipped uint64
 }
 
-// captureRun executes cfg for the given horizon in one of the three
-// differential modes: the cycle-stepped force-scan reference (skip=false,
-// with every dormancy cache — router grant windows, controller buckets,
-// DMA injection wakes — bypassed), the event-driven idle-skipping run
-// (skip=true), or the idle-skipping run with the kernel's wake heap
-// replaced by the sim.SetForcePoll linear sweep (skip and poll true).
-func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult {
+// captureRun executes cfg for the given horizon in one of the two
+// differential modes: the cycle-stepped force-scan reference (skip=false:
+// the kernel's SetReference mode, with every dormancy cache — router
+// grant windows, controller buckets, DMA injection wakes — bypassed) or
+// the event-driven idle-skipping run (skip=true). The mode lives on the
+// System's kernel, so concurrent captures never see each other's mode.
+func captureRun(cfg sara.Config, skip bool, horizon sara.Cycle) diffResult {
 	var res diffResult
-	// The three differential modes compare serial kernels; the parallel
-	// leg builds its own systems through captureParallel.
+	// Both differential modes compare serial kernels; the parallel leg
+	// builds its own systems through captureParallel.
 	cfg.DomainWorkers = 0
-	noc.SetForceScan(!skip)
-	memctrl.SetForceScan(!skip)
-	dma.SetForceScan(!skip)
-	sim.SetForcePoll(skip && poll)
-	defer memctrl.SetForceScan(false)
-	defer dma.SetForceScan(false)
-	defer sim.SetForcePoll(false)
-	defer noc.SetForceScan(false)
 
 	sys := sara.Build(cfg)
 	sys.Probe(sara.Probes{
@@ -210,7 +202,7 @@ func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult
 			res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
 		},
 	})
-	sys.Kernel().SetIdleSkip(skip)
+	sys.Kernel().SetReference(!skip)
 	sys.Run(horizon)
 
 	for _, c := range sys.Controllers() {
@@ -289,13 +281,11 @@ func compareDiff(t *testing.T, seed uint64, ref, fast diffResult) {
 // TestRandomizedSkipVsStepDifferential fuzzes the skip-vs-step boundary
 // across 50 randomized configurations. Every config must produce an
 // identical NoC grant trace, credit trace and aggregate statistics in
-// all three modes — the cycle-stepped force-scan reference, the wake-heap
-// idle-skipping run, and the SetForcePoll linear-sweep skipping run; the
-// heap run may additionally skip at most as many cycles as the poll run
-// (a trusted stale-early cached bound can cost an extra uneventful
-// executed cycle, never a missed wake). Across the pool, the
-// event-driven runs must actually have skipped cycles and granted
-// packets (the harness must not pass vacuously).
+// the cycle-stepped force-scan reference and the wake-heap idle-skipping
+// run. Across the pool, the event-driven runs must actually have skipped
+// cycles and granted packets (the harness must not pass vacuously). The
+// configs run as parallel subtests; the pool totals are collected under
+// a mutex and checked once every subtest has finished.
 func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 	const (
 		baseSeed = uint64(0x5a7a_2026_07_29)
@@ -308,9 +298,33 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 	configs *= fuzzScale()
 	// Deterministic parallel runs cost two extra builds per config, so the
 	// worker-count differential runs a shorter horizon than the serial
-	// three-mode legs — determinism violations show up within a few epochs.
+	// legs — determinism violations show up within a few epochs.
 	const parHorizon = sara.Cycle(12000)
+	var mu sync.Mutex
 	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns, parallelRuns uint64
+	// Cleanup runs after every parallel subtest has completed, so the
+	// totals are final there.
+	t.Cleanup(func() {
+		if totalGrants == 0 || totalSkipped == 0 {
+			t.Errorf("vacuous fuzz pool: %d grants, %d skipped cycles across %d configs",
+				totalGrants, totalSkipped, configs)
+		}
+		if testing.Short() {
+			return
+		}
+		if refreshRuns == 0 {
+			t.Error("fuzz pool exercised no refresh-enabled configs")
+		}
+		if scaledRuns == 0 {
+			t.Error("fuzz pool exercised no scaled-SoC configs")
+		}
+		if dormancyRuns == 0 {
+			t.Error("fuzz pool exercised no adversarial dormancy configs")
+		}
+		if parallelRuns == 0 {
+			t.Error("fuzz pool exercised no multi-worker parallel runs")
+		}
+	})
 	for i := 0; i < configs; i++ {
 		seed := sim.NewRand(baseSeed).Fork(uint64(i)).Uint64()
 		cfg, desc := fuzzConfig(seed)
@@ -318,23 +332,15 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			dormancyRuns++
 		}
 		t.Run(fmt.Sprintf("cfg%02d_%s", i, desc), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, fmt.Sprintf("TestRandomizedSkipVsStepDifferential/cfg%02d_.*", i))
-			ref := captureRun(cfg, false, false, horizon)
-			fast := captureRun(cfg, true, false, horizon)
-			polled := captureRun(cfg, true, true, horizon)
+			ref := captureRun(cfg, false, horizon)
+			fast := captureRun(cfg, true, horizon)
 			if ref.skipped != 0 {
 				t.Fatalf("config seed %#x: force-scan reference skipped %d cycles", seed, ref.skipped)
 			}
 			compareDiff(t, seed, ref, fast)
-			compareDiff(t, seed, ref, polled)
-			if fast.skipped > polled.skipped {
-				// The heap may execute extra uneventful cycles on
-				// stale-early cached bounds (trusted future keys), so it
-				// can only skip at most what the exact swept minimum
-				// skips; skipping MORE would mean a missed wake.
-				t.Fatalf("config seed %#x: wake heap skipped %d cycles, poll reference only %d",
-					seed, fast.skipped, polled.skipped)
-			}
+			mu.Lock()
 			totalGrants += uint64(len(fast.grants))
 			totalSkipped += fast.skipped
 			if cfg.DRAM.Refresh.Enabled {
@@ -343,6 +349,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			if cfg.DRAM.Geometry.Channels > 2 {
 				scaledRuns++
 			}
+			mu.Unlock()
 			// Worker-count differential: on partitionable configs that drew
 			// a parallel worker count, the partitioned topology at that
 			// count must be bit-identical to its own 1-worker reference.
@@ -354,26 +361,47 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 					compareParSnapshots(t,
 						fmt.Sprintf("config seed %#x: dw=%d vs 1 worker", seed, dw), pref, pgot)
 					if pgot.workers > 1 {
+						mu.Lock()
 						parallelRuns++
+						mu.Unlock()
 					}
 				}
 			}
 		})
 	}
-	if totalGrants == 0 || totalSkipped == 0 {
-		t.Fatalf("vacuous fuzz pool: %d grants, %d skipped cycles across %d configs",
-			totalGrants, totalSkipped, configs)
+}
+
+// TestReferenceIsolationConcurrentSystems runs the force-scan reference
+// and the idle-skipping run of one fuzz config at the same time, on two
+// goroutines, and requires each to match its own serial run. The
+// reference switch is per kernel, so neither System may see the other's
+// mode; under the race detector this also proves the components read
+// no process-global mode state.
+func TestReferenceIsolationConcurrentSystems(t *testing.T) {
+	t.Parallel()
+	const horizon = sara.Cycle(20000)
+	seed := sim.NewRand(0x5a7a_2026_07_29).Fork(0).Uint64() // the fuzz pool's cfg00
+	cfg, desc := fuzzConfig(seed)
+	reproOnFailure(t, "TestReferenceIsolationConcurrentSystems")
+	serialRef := captureRun(cfg, false, horizon)
+	serialFast := captureRun(cfg, true, horizon)
+
+	var ref, fast diffResult
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); ref = captureRun(cfg, false, horizon) }()
+	go func() { defer wg.Done(); fast = captureRun(cfg, true, horizon) }()
+	wg.Wait()
+
+	// compareDiff labels its sides "step" and "skip"; here they are the
+	// serial run and the concurrent run of the same mode.
+	compareDiff(t, seed, serialRef, ref)
+	compareDiff(t, seed, serialFast, fast)
+	if ref.skipped != 0 || fast.skipped != serialFast.skipped {
+		t.Fatalf("%s: concurrent runs skipped %d (reference) and %d (skipping) cycles, serial %d and %d",
+			desc, ref.skipped, fast.skipped, serialRef.skipped, serialFast.skipped)
 	}
-	if !testing.Short() && refreshRuns == 0 {
-		t.Fatal("fuzz pool exercised no refresh-enabled configs")
-	}
-	if !testing.Short() && scaledRuns == 0 {
-		t.Fatal("fuzz pool exercised no scaled-SoC configs")
-	}
-	if !testing.Short() && dormancyRuns == 0 {
-		t.Fatal("fuzz pool exercised no adversarial dormancy configs")
-	}
-	if !testing.Short() && parallelRuns == 0 {
-		t.Fatal("fuzz pool exercised no multi-worker parallel runs")
+	if fast.skipped == 0 || len(fast.grants) == 0 {
+		t.Fatalf("%s: vacuous run: %d skipped cycles, %d grants", desc, fast.skipped, len(fast.grants))
 	}
 }

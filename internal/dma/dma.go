@@ -13,11 +13,12 @@
 // update), a completion freeing a window slot (Deliver), and a credit
 // return from the NoC port it injects into (Wake, wired through
 // noc.Port.OnCredit). Under the kernel's active-ticker list a dormant
-// engine is not ticked at all; in the stepped and force-poll reference
-// modes ticks strictly before wakeAt settle the batched stall accounting
-// in O(1), and SettleRun flushes the same accounting at the run horizon.
-// SetForceScan restores the per-cycle queue inspection as the stepped
-// reference for the differential suites.
+// engine is not ticked at all; with idle skipping off, ticks strictly
+// before wakeAt settle the batched stall accounting in O(1), and
+// SettleRun flushes the same accounting at the run horizon. A kernel in
+// reference mode (sim.Kernel.SetReference) makes the engine ignore wakeAt
+// and inspect its queue, window and port every cycle, the per-cycle
+// reference the differential suites compare the cached wake against.
 package dma
 
 import (
@@ -58,16 +59,6 @@ type Trace struct {
 // SetTrace installs the engine's trace probes, replacing the previous
 // set. Install probes only while the engine is not running.
 func (e *Engine) SetTrace(t Trace) { e.trace = t }
-
-// forceScan, when set, disables the wakeAt dormancy short-circuit so Tick
-// re-inspects the queue, window and port every cycle — the per-cycle
-// reference the differential tests compare the event-driven engine
-// against (tests only; use with idle skipping disabled, like
-// noc.SetForceScan).
-var forceScan bool
-
-// SetForceScan forces the per-cycle reference inspection (tests only).
-func SetForceScan(on bool) { forceScan = on }
 
 // never marks an unarmed injection wake: nothing can be injected until an
 // external event (enqueue, completion, credit) re-arms the engine.
@@ -328,7 +319,7 @@ func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (e *Engine) Tick(now sim.Cycle) {
-	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !forceScan {
+	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !e.kern.Reference() {
 		// Idle, or dormant while blocked. The live pending check is the
 		// enqueue edge: fresh requests on an un-stalled engine can only
 		// appear on this very cycle (the source ticked just before), so

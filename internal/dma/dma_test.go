@@ -186,16 +186,15 @@ func TestNextActivityIsCachedWake(t *testing.T) {
 // TestInjectionWakeDifferential scripts a scenario that exercises all
 // three injection blockers — port full, window full, queue empty — and
 // their re-arming events, and requires the event-driven engine to match
-// the SetForceScan per-cycle reference injection-for-injection and
-// stall-for-stall.
+// the per-cycle reference — the same engine and router registered with a
+// reference-mode kernel — injection-for-injection and stall-for-stall.
 func TestInjectionWakeDifferential(t *testing.T) {
+	t.Parallel()
 	type inj struct {
 		now sim.Cycle
 		id  uint64
 	}
 	run := func(force bool) (Stats, []inj) {
-		SetForceScan(force)
-		defer SetForceScan(false)
 		var injs []inj
 
 		var id uint64
@@ -205,6 +204,10 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
 		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8},
 			0, &id, router.Port(0), 0)
+		var k sim.Kernel
+		k.SetReference(force)
+		k.Register(engine)
+		k.Register(router)
 		engine.SetTrace(Trace{Inject: func(now sim.Cycle, _ int, id uint64, _ uint64) {
 			injs = append(injs, inj{now, id})
 		}})

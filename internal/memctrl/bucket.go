@@ -60,10 +60,12 @@ import (
 // scan leaves the cached bounds untouched; they remain sound because
 // aged-pass issues dirty their banks like any other issue.
 //
-// SetForceScan keeps the contract honest: with it enabled the controller
-// re-derives candidates from scratch every tick — no nextTry dormancy, no
-// bucket caches, full bankHit recompute — giving the differential fuzz
-// harness a stepped reference that any stale bound diverges from.
+// The kernel's reference mode keeps the contract honest: when the
+// controller's wake handle reports Reference, it re-derives candidates
+// from scratch every tick — no nextTry dormancy, no bucket caches, full
+// bankHit recompute, refresh machine polled every cycle — giving the
+// differential suites a stepped reference that any stale bound or missed
+// invalidation diverges from.
 
 // bucket indexes the queued entries of one bank.
 type bucket struct {
@@ -145,14 +147,3 @@ func (c *Controller) dirtyRank(r int) {
 		c.buckets[b].dirty = true
 	}
 }
-
-// forceScan, when set, disables the controller's dormancy window and all
-// bucket caches: every Tick re-derives the candidate set, the row-hit
-// table and the refresh mask from scratch. The differential fuzz harness
-// runs the cycle-stepped reference in this mode, so a stale bucket bound
-// or missed invalidation diverges the command trace instead of hiding.
-var forceScan bool
-
-// SetForceScan forces the per-cycle full-rescan reference (tests only;
-// not for concurrent use).
-func SetForceScan(on bool) { forceScan = on }

@@ -18,13 +18,12 @@ type issueRecord struct {
 
 // driveRandom runs one controller under a seeded random enqueue stream
 // for the given cycles, recording every issued command. With force set
-// the controller re-derives candidates from scratch every cycle; without
-// it the per-bank buckets and the dormancy window are live. Both must
-// produce identical command streams.
+// the controller is registered with a reference-mode kernel and
+// re-derives candidates from scratch every cycle; without it the per-bank
+// buckets and the dormancy window are live. Both must produce identical
+// command streams.
 func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bool, cycles sim.Cycle) []issueRecord {
 	t.Helper()
-	SetForceScan(force)
-	defer SetForceScan(false)
 
 	dcfg := dram.PaperConfig(1866)
 	if refresh {
@@ -35,6 +34,9 @@ func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bo
 	cfg.Policy = policy
 	cfg.AgingT = 500 // low enough that aged passes actually happen
 	c := New(cfg, d)
+	var k sim.Kernel
+	k.SetReference(force)
+	k.Register(c)
 
 	var out []issueRecord
 	c.SetTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
@@ -90,10 +92,12 @@ func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bo
 // invalidation edge (reservation release, open-page guard, refresh
 // drains, aging passes, dormancy-window resets).
 func TestBucketScanMatchesForceScan(t *testing.T) {
+	t.Parallel()
 	for _, policy := range AllPolicies() {
 		for _, refresh := range []bool{false, true} {
 			policy, refresh := policy, refresh
 			t.Run(fmt.Sprintf("%v/refresh=%v", policy, refresh), func(t *testing.T) {
+				t.Parallel()
 				for seed := uint64(1); seed <= 5; seed++ {
 					ref := driveRandom(t, policy, seed, refresh, true, 30000)
 					fast := driveRandom(t, policy, seed, refresh, false, 30000)

@@ -309,12 +309,12 @@ func (c *Controller) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (c *Controller) Tick(now sim.Cycle) {
-	if c.refreshOn && (now >= c.refNextAction || forceScan) {
+	if c.refreshOn && (now >= c.refNextAction || c.wake.Reference()) {
 		if c.tickRefresh(now) {
 			return // the refresh machine consumed this cycle's command slot
 		}
 	}
-	if now < c.nextTry && !forceScan {
+	if now < c.nextTry && !c.wake.Reference() {
 		return
 	}
 	c.collectCandidates(now)
@@ -504,8 +504,9 @@ func (c *Controller) nextRefreshAction(now sim.Cycle) sim.Cycle {
 //
 // The common case walks the per-bank buckets (collectBuckets), probing
 // only banks whose readiness could have changed since the last event.
-// Aged cycles — and every cycle under SetForceScan — take the full
-// legacy rescan (collectFull), which re-derives everything from scratch.
+// Aged cycles — and every cycle in the kernel's reference mode — take the
+// full legacy rescan (collectFull), which re-derives everything from
+// scratch.
 func (c *Controller) collectCandidates(now sim.Cycle) {
 	// Queues are FIFO and Enqueue stamps are monotone, so each class head
 	// is its queue's oldest entry: five compares decide whether any aging
@@ -519,7 +520,7 @@ func (c *Controller) collectCandidates(now sim.Cycle) {
 			}
 		}
 	}
-	if hasAged || forceScan {
+	if hasAged || c.wake.Reference() {
 		c.collectFull(now, hasAged)
 		return
 	}

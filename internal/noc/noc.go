@@ -349,7 +349,9 @@ type Router struct {
 	// is forwarded through it into the kernel's wake heap, so the
 	// active-ticker list knows to tick the router without polling
 	// NextActivity. Scan-end increases of nextGrantAt are reconciled by
-	// the kernel's post-tick re-key.
+	// the kernel's post-tick re-key. Under the kernel's reference mode
+	// (wake.Reference) Tick ignores nextGrantAt and runs the full
+	// ready-head scan every cycle.
 	wake sim.WakeHandle
 }
 
@@ -416,15 +418,6 @@ func (r *Router) FlushSleep(now sim.Cycle) {
 		r.trace.Sleep(r.name, r.lastScan+1, now)
 	}
 }
-
-// forceScan, when set, disables the dormancy short-circuit so Tick runs
-// the full ready-head scan every cycle — the polling reference the
-// differential tests compare the event-driven arbiter against.
-var forceScan bool
-
-// SetForceScan forces the per-cycle reference scan (tests only; use with
-// idle skipping disabled).
-func SetForceScan(on bool) { forceScan = on }
 
 // never marks an unarmed wake: a router with no packets accrues no stalls
 // (stallFrom) and a router whose every head is blocked on a credited sink
@@ -588,7 +581,7 @@ func (r *Router) Tick(now sim.Cycle) {
 	// (Port.Push, Wake) re-arms the kernel bound at its source, and the
 	// scan-end recompute below only raises the window relative to the
 	// post-tick re-key the active list performs.
-	if now < r.nextGrantAt && !forceScan {
+	if now < r.nextGrantAt && !r.wake.Reference() {
 		// Dormant: the window proves no grant can occur this cycle, so
 		// the only per-cycle work is the stall accounting the reference
 		// scan would have done.

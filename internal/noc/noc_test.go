@@ -286,24 +286,27 @@ func TestUncreditedSinkIsPolled(t *testing.T) {
 }
 
 // TestDormantMatchesForceScan drives the same randomized push/drain
-// schedule through a dormant router and a force-scan (per-cycle
-// reference) router and requires identical grants, stalls and forwarded
-// counts — the unit-level version of the skip-vs-step differential.
+// schedule through a dormant router and a force-scan router — one
+// registered with a reference-mode kernel, which scans every cycle — and
+// requires identical grants, stalls and forwarded counts: the unit-level
+// version of the skip-vs-step differential.
 func TestDormantMatchesForceScan(t *testing.T) {
+	t.Parallel()
 	type result struct {
 		granted []uint64
 		cycles  []sim.Cycle
 		stalls  uint64
 	}
 	run := func(force bool) result {
-		SetForceScan(force)
-		defer SetForceScan(false)
 		rng := sim.NewRand(99)
 		sink := &collectSink{}
 		pr := params(ArbPriority)
 		pr.PortDepth = 3
 		pr.AgingT = 40
 		r := NewRouter("t", pr, 3, []Sink{sink}, nil)
+		var k sim.Kernel
+		k.SetReference(force)
+		k.Register(r)
 		id := uint64(0)
 		var res result
 		for c := sim.Cycle(0); c < 3000; c++ {

@@ -39,14 +39,18 @@
 //     and, because a run can end mid-dormancy, also settled at the run
 //     horizon via the optional Settler interface.
 //
-// Two reference modes bypass the active list for the differential suites:
-// SetIdleSkip(false) restores full cycle-by-cycle stepping (every ticker
-// ticked every cycle, in registration order), and SetForcePoll replaces
-// both the active list and the heap-driven fast-forward with the legacy
-// linear NextActivity sweep. Among co-due tickers the active list
+// Two settings select the reference the differential suites compare the
+// default mode against. SetIdleSkip(false) restores full cycle-by-cycle
+// stepping: every ticker ticked every cycle, in registration order.
+// SetReference(true) does the same and also tells every component, through
+// WakeHandle.Reference, to bypass its own dormancy caches (router grant
+// windows, controller buckets, DMA injection wakes), so a stale cached
+// bound diverges the run instead of being shared by both sides. Both
+// settings live on the Kernel, so concurrent simulations in one process
+// never see each other's mode. Among co-due tickers the active list
 // preserves registration order — the SoC pipeline order sources -> DMA ->
-// NoC -> MC -> DRAM -> adapters — so all three modes execute the same
-// cycles' work in the same order.
+// NoC -> MC -> DRAM -> adapters — so the stepped and skipping modes
+// execute the same cycles' work in the same order.
 package sim
 
 import "fmt"
@@ -60,11 +64,12 @@ const never = ^Cycle(0)
 
 // Ticker is a component that advances by one cycle at a time.
 type Ticker interface {
-	// Tick advances the component to cycle now. In the stepped and
-	// force-poll reference modes the kernel calls Tick exactly once per
-	// ticker per executed cycle, in registration order. In the default
-	// active-list mode a ticker is only called on cycles its cached wake
-	// covers (wake <= now); dormant components are skipped entirely.
+	// Tick advances the component to cycle now. With idle skipping off
+	// (SetIdleSkip(false) or SetReference(true)) the kernel calls Tick
+	// exactly once per ticker per cycle, in registration order. In the
+	// default active-list mode a ticker is only called on cycles its
+	// cached wake covers (wake <= now); dormant components are skipped
+	// entirely.
 	// Components must therefore derive elapsed time from now rather than
 	// counting Tick calls, and must keep their cached wake a sound lower
 	// bound on their next action (see Idler).
@@ -125,9 +130,9 @@ type Settler interface {
 //     revives it.
 //
 // NextActivity itself must remain cheap and pure: it is the validation
-// query for the heap top, and (under SetForcePoll) the per-cycle linear
-// reference. Components that cache their wake cycle should answer from
-// the cache in O(1). The answer must be sound in ABSOLUTE time: a
+// query for the heap top and the active list's post-tick re-key.
+// Components that cache their wake cycle should answer from the cache in
+// O(1). The answer must be sound in ABSOLUTE time: a
 // component whose lazy integration lags `now` (a token bucket whose
 // funded cursor is behind, a buffer whose drain cursor is behind) must
 // anchor its bound at that cursor — e.g. cursor + steps - 1, clamped up
@@ -155,9 +160,10 @@ type WakeBinder interface {
 }
 
 // WakeHandle re-arms one registered idler's cached wake cycle in the
-// kernel's wake heap. The zero value is inert (Rearm is a no-op), so
-// components can hold a handle unconditionally and be driven either by a
-// kernel or standalone in unit tests.
+// kernel's wake heap and reports the kernel's reference mode. The zero
+// value is inert (Rearm is a no-op, Reference reads false), so components
+// can hold a handle unconditionally and be driven either by a kernel or
+// standalone in unit tests.
 type WakeHandle struct {
 	k  *Kernel
 	id int
@@ -176,6 +182,13 @@ func (h WakeHandle) Rearm(at Cycle) {
 	}
 	h.k.Rearm(h.id, at)
 }
+
+// Reference reports whether the handle's kernel runs as the stepped
+// reference (see Kernel.SetReference): the component must then bypass its
+// dormancy caches and re-derive its work from scratch every tick.
+//
+//sara:hotpath
+func (h WakeHandle) Reference() bool { return h.k != nil && h.k.reference }
 
 // TickFunc adapts a function to the Ticker interface. It does not
 // implement Idler, so registering one disables idle skipping for the
@@ -355,18 +368,6 @@ func (h *wakeHeap) siftDown(i int) {
 	}
 }
 
-// forcePoll, when set, replaces the wake-heap fast-forward probe with the
-// legacy linear sweep over every idler's NextActivity — the polling
-// reference the wake-heap differential tests replay against (tests only;
-// not for concurrent use, like noc.SetForceScan).
-var forcePoll bool
-
-// SetForcePoll forces the per-cycle linear NextActivity sweep (tests
-// only). The sweep and the heap compute the same fast-forward target as
-// long as every external wake is re-armed, which is exactly the property
-// the differential suites check.
-func SetForcePoll(on bool) { forcePoll = on }
-
 // Kernel owns the clock, the ordered ticker list, the event queue and the
 // wake heap. The zero value is ready to use, with idle skipping enabled.
 type Kernel struct {
@@ -385,28 +386,17 @@ type Kernel struct {
 	settlers []Settler
 	opaque   bool
 	noSkip   bool
-	events   eventHeap
-	seq      uint64
-	started  bool
-	skipped  uint64
-	// hot remembers the idlers that most recently reported immediate
-	// activity (hot[0] newest); querying them first short-circuits the
-	// fast-forward probe on busy stretches, where a small set of
-	// components (controllers, routers) trade being the active one cycle
-	// to cycle, without touching the wake heap at all. A busy live hint
-	// makes the probe's answer "now" regardless of any cached bound, so
-	// the shortcut cannot change a skip decision.
-	hot [2]int
-	// busyStreak counts consecutive fast-forward probes that found
-	// immediate activity, and busyLatch is the number of upcoming cycles
-	// to execute without probing at all. Under sustained load (the
-	// saturated loaded phase) every probe answers "busy now", so the
-	// kernel latches busy and amortizes the query cost over the streak.
-	// Skipping a probe is observationally identical to probing — the
-	// cycle executes either way; only a skip opportunity is deferred, by
-	// at most busyLatchMax cycles after the load ends.
-	busyStreak uint8
-	busyLatch  uint8
+	// reference is the SetReference switch: stepped execution with every
+	// component's dormancy caches bypassed.
+	reference bool
+	// poll replaces the active list and the heap-driven fast-forward
+	// with the linear NextActivity sweep. Only this package's tests set
+	// it, to check the heap against the sweep target for target.
+	poll    bool
+	events  eventHeap
+	seq     uint64
+	started bool
+	skipped uint64
 	// wd, when non-nil, activates the run-loop guardrails: RunChecked
 	// routes through the guarded loop in guard.go instead of Run's hot
 	// loop, so a nil watchdog costs nothing on the steady-state path.
@@ -419,11 +409,6 @@ type Kernel struct {
 	lastProgress uint64
 	progressAt   uint64
 }
-
-// busyLatchMax bounds the busy latch: at most this many executed cycles
-// between fast-forward probes, so an idle transition is never detected
-// more than busyLatchMax cycles late.
-const busyLatchMax = 8
 
 // Now reports the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
@@ -438,9 +423,16 @@ func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 // equivalence tests compare against.
 func (k *Kernel) SetIdleSkip(on bool) { k.noSkip = !on }
 
+// SetReference switches the kernel into the stepped reference the
+// differential suites compare against (off by default): idle skipping is
+// off, and every component registered with this kernel reads the switch
+// through WakeHandle.Reference and bypasses its dormancy caches.
+func (k *Kernel) SetReference(on bool) { k.reference = on }
+
 // IdleSkipActive reports whether Run may fast-forward: skipping must be
-// enabled and every registered ticker must implement Idler.
-func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.opaque }
+// enabled, the kernel must not be the reference, and every registered
+// ticker must implement Idler.
+func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.reference && !k.opaque }
 
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
@@ -526,9 +518,9 @@ func (k *Kernel) Every(period Cycle, fn func(now Cycle)) {
 
 // Step advances the simulation by exactly one cycle: due events first,
 // then the registered tickers. In the default active-list mode only due
-// tickers — cached wake at or before the current cycle — are called; the
-// stepped (SetIdleSkip(false)), opaque and force-poll modes tick every
-// ticker. Step never skips a cycle.
+// tickers — cached wake at or before the current cycle — are called; with
+// idle skipping off (SetIdleSkip(false), SetReference(true) or an opaque
+// ticker) every ticker is ticked. Step never skips a cycle.
 //
 //sara:hotpath
 func (k *Kernel) Step() {
@@ -541,7 +533,7 @@ func (k *Kernel) Step() {
 			e.argFn(k.now, e.arg)
 		}
 	}
-	if !k.noSkip && !k.opaque && !forcePoll {
+	if k.IdleSkipActive() && !k.poll {
 		k.stepActive()
 	} else {
 		for _, t := range k.tickers {
@@ -563,7 +555,7 @@ func (k *Kernel) Step() {
 // at now+1 or via a pre-tick event). Because every ticked entry is
 // re-keyed from a live NextActivity query, the heap bounds are exact
 // after each active step, and the fast-forward probe computes the same
-// skip targets as the force-poll linear sweep.
+// skip targets as a linear sweep over every hint.
 //
 //sara:hotpath
 func (k *Kernel) stepActive() {
@@ -608,9 +600,8 @@ func (k *Kernel) Run(horizon Cycle) {
 func (k *Kernel) Settle() { k.settleRun() }
 
 // settleRun flushes batched dormant-cycle bookkeeping at the end of a Run
-// segment. It runs in every mode: in the stepped and force-poll modes the
-// final executed cycle ticked everyone, so each SettleRun is an idempotent
-// no-op there.
+// segment. It runs in every mode: in the stepped modes the final executed
+// cycle ticked everyone, so each SettleRun is an idempotent no-op there.
 func (k *Kernel) settleRun() {
 	for _, s := range k.settlers {
 		s.SettleRun(k.now)
@@ -620,17 +611,16 @@ func (k *Kernel) settleRun() {
 // NextWake reports the cycle Run would fast-forward to from the current
 // clock — the next due event or the earliest ticker activity — capped at
 // horizon. It does not move the clock and always uses the linear poll
-// sweep, making it an audit of the live hints (and of the wake heap's
-// cached bounds, which may never be later); the equivalence tests use it
-// to check Idler hints against actual behavior.
+// sweep over the live hints, so it audits what the wake heap's cached
+// bounds (which may never be later) stand for.
 func (k *Kernel) NextWake(horizon Cycle) Cycle {
 	return k.nextWakePoll(horizon)
 }
 
 // nextWakePoll computes the fast-forward target by the legacy linear
 // sweep: the next due event or the earliest ticker activity, capped at
-// horizon; k.now means something is due immediately. It is the
-// SetForcePoll reference and the NextWake audit.
+// horizon; k.now means something is due immediately. It serves the
+// NextWake audit and the poll field this package's tests set.
 func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 	target := horizon
 	if len(k.events) > 0 {
@@ -668,9 +658,9 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 // for one uneventful executed cycle, whose probe then raises it. That
 // trade (a rare extra cycle instead of validating every future bound
 // per probe) is what keeps the probe O(1) once the due entries are
-// resolved; under SetForcePoll the linear reference instead computes
-// the exact swept minimum, so the poll reference may skip slightly more
-// while observable behavior stays bit-identical.
+// resolved; the linear sweep instead computes the exact swept minimum,
+// so it may skip slightly more while observable behavior stays
+// bit-identical.
 func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 	target := horizon
 	if len(k.events) > 0 {
@@ -700,11 +690,8 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 			continue
 		}
 		if at <= k.now {
-			// Immediately busy. The stale-low key is left in place — it
-			// is still a sound lower bound — and the idler joins the hot
-			// set, so sustained load keeps answering from a few live
-			// hints without touching the heap at all.
-			k.noteHot(id)
+			// Immediately busy. The stale-low key is left in place: it
+			// is still a sound lower bound.
 			return k.now
 		}
 		h.fix(id, at)
@@ -714,78 +701,22 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 
 // fastForward advances the clock to the earliest upcoming activity —
 // the next due event or the earliest cached wake — capped at horizon-1 so
-// the run's final cycle always executes: in the stepped and force-poll
-// modes that last cycle ticks every component and settles bookkeeping
-// accrued over a trailing quiescent stretch (the active list instead
-// settles via Settler at the horizon, and keeps the same cap so all three
-// modes execute — and count as skipped — the same cycles). It returns
-// without moving the clock if anything is due now.
+// the run's final cycle always executes: in the stepped modes that last
+// cycle ticks every component and settles bookkeeping accrued over a
+// trailing quiescent stretch (the active list instead settles via
+// Settler at the horizon, and keeps the same cap so every mode executes —
+// and counts as skipped — the same cycles). It returns without moving the
+// clock if anything is due now.
 func (k *Kernel) fastForward(horizon Cycle) {
-	if k.busyLatch > 0 {
-		// Provably-safe probe skip: recent back-to-back activity latched
-		// busy, so execute this cycle without querying anyone.
-		k.busyLatch--
-		return
-	}
-	if len(k.events) > 0 && k.events[0].at <= k.now {
-		// An event is due this cycle: provably busy, no idler query needed.
-		k.noteBusy()
-		return
-	}
-	for i, h := range k.hot {
-		if h >= len(k.idlers) || (i > 0 && h == k.hot[0]) {
-			continue
-		}
-		if next, ok := k.idlers[h].NextActivity(k.now); ok && next <= k.now {
-			if i > 0 {
-				k.noteHot(h)
-			}
-			k.noteBusy()
-			return
-		}
-	}
 	var target Cycle
-	if forcePoll {
+	if k.poll {
 		target = k.nextWakePoll(horizon - 1)
 	} else {
 		target = k.nextWakeHeap(horizon - 1)
 	}
 	if target > k.now {
-		k.busyStreak = 0
 		k.skipped += uint64(target - k.now)
 		k.now = target
-		return
-	}
-	k.noteBusy()
-}
-
-// noteHot promotes id to the front of the hot set (most-recently busy
-// first), shifting the newer entries down and evicting the oldest — or
-// rotating id forward if it is already present.
-func (k *Kernel) noteHot(id int) {
-	if k.hot[0] == id {
-		return
-	}
-	j := len(k.hot) - 1
-	for i := 1; i < j; i++ {
-		if k.hot[i] == id {
-			j = i
-			break
-		}
-	}
-	copy(k.hot[1:j+1], k.hot[:j])
-	k.hot[0] = id
-}
-
-// noteBusy records a probe that found immediate activity and arms the
-// busy latch once the streak shows sustained load: after n consecutive
-// busy probes the next n-1 (capped) cycles execute probe-free.
-func (k *Kernel) noteBusy() {
-	if k.busyStreak <= busyLatchMax {
-		k.busyStreak++
-	}
-	if k.busyStreak > 1 {
-		k.busyLatch = k.busyStreak - 1
 	}
 }
 

@@ -289,6 +289,57 @@ func TestKernelSetIdleSkipOff(t *testing.T) {
 	}
 }
 
+// refProbe records what its wake handle reports on every tick.
+type refProbe struct {
+	fakeIdler
+	h    WakeHandle
+	seen []bool
+}
+
+func (p *refProbe) BindWake(h WakeHandle) { p.h = h }
+
+func (p *refProbe) Tick(now Cycle) {
+	p.seen = append(p.seen, p.h.Reference())
+	p.fakeIdler.Tick(now)
+}
+
+// TestKernelSetReference pins the per-kernel reference switch: it turns
+// idle skipping off and is visible to every registered component through
+// its wake handle, while a second kernel and an inert handle read false.
+func TestKernelSetReference(t *testing.T) {
+	var ref, fast Kernel
+	pr := &refProbe{fakeIdler: fakeIdler{wakes: []Cycle{50}}}
+	pf := &refProbe{fakeIdler: fakeIdler{wakes: []Cycle{50}}}
+	ref.Register(pr)
+	fast.Register(pf)
+	ref.SetReference(true)
+	if ref.IdleSkipActive() {
+		t.Fatal("reference kernel reports idle skipping active")
+	}
+	ref.Run(100)
+	fast.Run(100)
+	if ref.SkippedCycles() != 0 || len(pr.seen) != 100 {
+		t.Fatalf("reference kernel skipped %d cycles and ticked %d times, want 0 and 100",
+			ref.SkippedCycles(), len(pr.seen))
+	}
+	for i, on := range pr.seen {
+		if !on {
+			t.Fatalf("tick %d: handle of a reference kernel read Reference() = false", i)
+		}
+	}
+	for i, on := range pf.seen {
+		if on {
+			t.Fatalf("tick %d: handle of a skipping kernel read Reference() = true", i)
+		}
+	}
+	if fast.SkippedCycles() == 0 {
+		t.Fatal("skipping kernel skipped nothing")
+	}
+	if (WakeHandle{}).Reference() {
+		t.Fatal("inert handle reads Reference() = true")
+	}
+}
+
 func TestKernelAtArg(t *testing.T) {
 	var k Kernel
 	payload := new(int)
@@ -428,12 +479,11 @@ func (b *busyBurst) NextActivity(now Cycle) (Cycle, bool) {
 	return 0, false
 }
 
-// TestKernelBusyLatch pins the busy-streak latch: a sustained busy burst
-// must execute every cycle (identically to the stepped reference), the
-// probe-free latched cycles included, and once the burst ends the kernel
-// must still discover the idle stretch and skip it — at most busyLatchMax
-// cycles late.
-func TestKernelBusyLatch(t *testing.T) {
+// TestKernelBusyBurst pins the busy-to-idle transition: a sustained busy
+// burst must execute every cycle (identically to the stepped reference),
+// and once the burst ends the kernel must discover the idle stretch at
+// the burst's last cycle and skip it whole.
+func TestKernelBusyBurst(t *testing.T) {
 	run := func(skip bool) (acted []Cycle, skipped uint64) {
 		var k Kernel
 		b := &busyBurst{busyUntil: 100, lateWake: 5000}
@@ -452,10 +502,10 @@ func TestKernelBusyLatch(t *testing.T) {
 			t.Fatalf("action %d at cycle %d skipping, %d stepped", i, fast[i], ref[i])
 		}
 	}
-	// The idle stretch (100..5000) must still be skipped, minus at most
-	// busyLatchMax latched cycles at its head.
-	if skipped < 4900-2*busyLatchMax {
-		t.Fatalf("skipped only %d cycles; the latch must not defeat idle skipping", skipped)
+	// Both idle stretches are skipped exactly: [100, 5000) up to the late
+	// wake, and [5001, 5999) up to the run's final executed cycle.
+	if want := uint64(4900 + 998); skipped != want {
+		t.Fatalf("skipped %d cycles, want %d", skipped, want)
 	}
 }
 
@@ -494,15 +544,14 @@ func (s *unboundSleeper) Rearm(at Cycle) {
 
 // TestWakeHeapRequiresRearm documents the contract inversion: a cached
 // component whose external wakes are NOT pushed through its WakeHandle is
-// handled correctly by the SetForcePoll linear reference (which re-reads
-// every hint each executed cycle) but missed by the active-list kernel —
-// that gap is exactly why BindWake forwarding is mandatory, and why the
-// differential suites run the poll reference against the active list.
+// handled correctly by the linear poll sweep (which re-reads every hint
+// each executed cycle) but missed by the active-list kernel — that gap is
+// exactly why BindWake forwarding is mandatory, and why a dropped re-arm
+// diverges every differential suite from its stepped reference.
 func TestWakeHeapRequiresRearm(t *testing.T) {
 	run := func(poll bool) []Cycle {
-		SetForcePoll(poll)
-		defer SetForcePoll(false)
 		var k Kernel
+		k.poll = poll
 		s := &unboundSleeper{}
 		s.wakeAt = sleeperNever
 		k.Register(s)
@@ -777,8 +826,8 @@ func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 // random population of self-timed idlers (stale-early cached bounds
 // after every act) and cached sleepers re-armed by random external
 // events must act on exactly the same cycles — and skip exactly the same
-// stretches — under the wake heap as under the SetForcePoll linear
-// reference and the cycle-stepped run.
+// stretches — under the wake heap as under the linear poll sweep and the
+// cycle-stepped run.
 func TestWakeHeapMatchesPoll(t *testing.T) {
 	const horizon = 3000
 	type mode int
@@ -788,11 +837,10 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 		heapSkip
 	)
 	run := func(seed uint64, m mode) (acted [][]Cycle, skipped uint64, now Cycle) {
-		SetForcePoll(m == pollSkip)
-		defer SetForcePoll(false)
 		rng := NewRand(seed)
 		var k Kernel
 		k.SetIdleSkip(m != stepped)
+		k.poll = m == pollSkip
 
 		nFake := 1 + rng.Intn(4)
 		nSleep := 1 + rng.Intn(4)

@@ -6,8 +6,6 @@ import (
 	"testing/quick"
 
 	"sara"
-	"sara/internal/dma"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -20,12 +18,13 @@ type sleepWindow struct {
 // arbiter, as a testing/quick property over randomized configurations:
 // whenever a router was asleep for cycles [a, b) — its scan did not run,
 // because the dormancy window or kernel-level skipping covered the
-// stretch — replaying the same configuration fully stepped (idle skipping
-// off, force-scan on) must produce zero grants for that router anywhere
-// in [a, b). A grant inside a sleep window is exactly the missed-grant
+// stretch — replaying the same configuration as the stepped reference
+// (the kernel's SetReference mode) must produce zero grants for that
+// router anywhere in [a, b). A grant inside a sleep window is exactly the missed-grant
 // bug the nextGrantAt cache could hide if both modes shared it, which is
 // why the reference replay bypasses the cache entirely.
 func TestNoMissedGrantWindows(t *testing.T) {
+	t.Parallel()
 	reproOnFailure(t, "TestNoMissedGrantWindows")
 	const horizon = sara.Cycle(25000)
 	prop := func(seed uint64) bool {
@@ -56,19 +55,16 @@ func TestNoMissedGrantWindows(t *testing.T) {
 		}
 
 		// Stepped force-scan replay: the per-cycle reference grant stream.
-		// The DMA injection-wake cache is bypassed too, so a stale cached
-		// injection hint shifts the replay's grants into a claimed window.
+		// The DMA injection-wake and controller bucket caches are bypassed
+		// too, so a stale cached hint anywhere upstream of a router shifts
+		// the replay's grants into a claimed window.
 		var refGrants []tracedGrant
-		noc.SetForceScan(true)
-		dma.SetForceScan(true)
 		refSys := sara.Build(cfg)
 		refSys.Probe(sara.Probes{Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
 			refGrants = append(refGrants, tracedGrant{name, now, port, out, id})
 		}})
-		refSys.Kernel().SetIdleSkip(false)
+		refSys.Kernel().SetReference(true)
 		refSys.Run(horizon)
-		noc.SetForceScan(false)
-		dma.SetForceScan(false)
 
 		// Windows are emitted in scan order, hence sorted by from.
 		inWindow := func(ws []sleepWindow, c sim.Cycle) bool {

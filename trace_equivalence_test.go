@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"sara"
-	"sara/internal/dma"
-	"sara/internal/memctrl"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -68,36 +65,15 @@ type traces struct {
 	wakes   []tracedWake
 }
 
-// traceMode selects one leg of the trace differential.
-type traceMode int
-
-const (
-	// traceStepped is the cycle-stepped reference: idle skipping off and
-	// every dormancy cache bypassed (noc, memctrl and dma force scans),
-	// so a stale cached grant window, bucket bound or injection wake
-	// diverges the trace instead of being shared by both modes.
-	traceStepped traceMode = iota
-	// traceSkipHeap is the production path: idle skipping driven by the
-	// kernel's indexed wake heap.
-	traceSkipHeap
-	// traceSkipPoll is the legacy skipping reference: idle skipping on,
-	// but the fast-forward target computed by the sim.SetForcePoll
-	// linear sweep over every NextActivity hint. Comparing it against
-	// both other modes isolates wake-heap bugs from hint bugs.
-	traceSkipPoll
-)
-
-func runTraced(policy sara.Policy, mode traceMode, refresh bool, cycles sim.Cycle) traces {
+// runTraced runs case A under policy and records every trace stream. With
+// reference set it is the cycle-stepped reference (the kernel's
+// SetReference mode): idle skipping off and every dormancy cache
+// bypassed (router grant windows, controller buckets, DMA injection
+// wakes), so a stale cached bound diverges the trace instead of being
+// shared by both modes. Without it it is the production path, idle
+// skipping driven by the kernel's wake heap.
+func runTraced(policy sara.Policy, reference, refresh bool, cycles sim.Cycle) traces {
 	var tr traces
-	stepped := mode == traceStepped
-	noc.SetForceScan(stepped)
-	memctrl.SetForceScan(stepped)
-	dma.SetForceScan(stepped)
-	sim.SetForcePoll(mode == traceSkipPoll)
-	defer noc.SetForceScan(false)
-	defer memctrl.SetForceScan(false)
-	defer dma.SetForceScan(false)
-	defer sim.SetForcePoll(false)
 	sys := sara.Build(sara.Camcorder(sara.CaseA,
 		sara.WithPolicy(policy), sara.WithRefresh(refresh)))
 	sys.Probe(sara.Probes{
@@ -117,7 +93,7 @@ func runTraced(policy sara.Policy, mode traceMode, refresh bool, cycles sim.Cycl
 			tr.credits = append(tr.credits, tracedCredit{name, now, port, wasFull})
 		},
 	})
-	sys.Kernel().SetIdleSkip(!stepped)
+	sys.Kernel().SetReference(reference)
 	sys.Run(cycles)
 	return tr
 }
@@ -211,20 +187,21 @@ func compareTraces(t *testing.T, ref, fast traces) {
 	}
 }
 
-// TestIdleSkipTraceEquivalence asserts that the idle-skipping kernel —
-// wake heap and linear-poll reference alike — issues the exact same DRAM
-// command stream, DMA injection stream, injection-wake stream and NoC
-// arbitration grant stream — same transactions, same cycles, same order —
-// as the cycle-stepped force-scan reference.
+// TestIdleSkipTraceEquivalence asserts that the idle-skipping kernel
+// issues the exact same DRAM command stream, DMA injection stream,
+// injection-wake stream and NoC arbitration grant stream — same
+// transactions, same cycles, same order — as the cycle-stepped
+// force-scan reference.
 func TestIdleSkipTraceEquivalence(t *testing.T) {
+	t.Parallel()
 	const horizon = 60000
 	for _, policy := range []sara.Policy{sara.QoS, sara.FRFCFS} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, "TestIdleSkipTraceEquivalence/"+policy.String())
-			ref := runTraced(policy, traceStepped, false, horizon)
-			compareTraces(t, ref, runTraced(policy, traceSkipHeap, false, horizon))
-			compareTraces(t, ref, runTraced(policy, traceSkipPoll, false, horizon))
+			ref := runTraced(policy, true, false, horizon)
+			compareTraces(t, ref, runTraced(policy, false, false, horizon))
 		})
 	}
 }
@@ -234,13 +211,15 @@ func TestIdleSkipTraceEquivalence(t *testing.T) {
 // land on identical cycles in both kernel modes, and the stream must
 // actually contain REFs (kind 'R', transaction id 0).
 func TestIdleSkipTraceEquivalenceRefresh(t *testing.T) {
+	t.Parallel()
 	const horizon = 60000
 	for _, policy := range []sara.Policy{sara.QoS, sara.FRFCFS} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, "TestIdleSkipTraceEquivalenceRefresh/"+policy.String())
-			ref := runTraced(policy, traceStepped, true, horizon)
-			fast := runTraced(policy, traceSkipHeap, true, horizon)
+			ref := runTraced(policy, true, true, horizon)
+			fast := runTraced(policy, false, true, horizon)
 			compareTraces(t, ref, fast)
 			refs := 0
 			for _, c := range ref.cmds {
