@@ -82,7 +82,7 @@ func (s *analysisSink) attach(sys *core.System) {
 	s.label = fmt.Sprintf("%s#%d", s.prefix, s.seq)
 	s.seq++
 	s.h = s.mon.StartRun(s.label)
-	aopt := sara.AnalysisOptions{Window: sara.Cycle(s.window), Edges: s.enabled}
+	aopt := sara.AnalysisOptions{Window: sara.Cycle(s.window)}
 	if s.h != nil {
 		aopt.Publish = s.h.Publish
 	}

@@ -42,9 +42,10 @@ func fuzzScale() int {
 var fuzzPolicies = []sara.Policy{sara.FCFS, sara.RR, sara.FRFCFS, sara.FrameRate, sara.QoS, sara.QoSRB}
 
 // fuzzConfig deterministically derives a full system configuration from
-// seed. Keep this function stable: failure messages identify configs by
+// seed, with the domain-worker count the pool's parallel leg builds it
+// at. Keep this function stable: failure messages identify configs by
 // seed only.
-func fuzzConfig(seed uint64) (sara.Config, string) {
+func fuzzConfig(seed uint64) (cfg sara.Config, desc string, domainWorkers int) {
 	rng := sim.NewRand(seed)
 	tc := sara.CaseA
 	if rng.Bool(0.3) {
@@ -52,7 +53,7 @@ func fuzzConfig(seed uint64) (sara.Config, string) {
 	}
 	policy := fuzzPolicies[rng.Intn(len(fuzzPolicies))]
 	refresh := rng.Bool(0.35)
-	cfg := sara.Camcorder(tc,
+	cfg = sara.Camcorder(tc,
 		sara.WithPolicy(policy),
 		sara.WithSeed(rng.Uint64()),
 		sara.WithRefresh(refresh),
@@ -159,14 +160,13 @@ func fuzzConfig(seed uint64) (sara.Config, string) {
 	// Domain-parallel kernel: a slice of the pool re-runs the partitioned
 	// topology at this worker count against its 1-worker reference (drawn
 	// last — appending keeps every historic failure seed meaningful). The
-	// serial differential modes always run with the serial kernel;
-	// captureRun clears this field before building.
-	cfg.DomainWorkers = []int{1, 2, 4}[rng.Intn(3)]
+	// serial differential modes always run with the serial kernel.
+	domainWorkers = []int{1, 2, 4}[rng.Intn(3)]
 
-	desc := fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s/dw=%d",
+	desc = fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s/dw=%d",
 		tc, policy, refresh, len(cfg.DMAs), cfg.NoC.PortDepth, cfg.NoC.HopLatency, factor, dormancy,
-		cfg.DomainWorkers)
-	return cfg, desc
+		domainWorkers)
+	return cfg, desc, domainWorkers
 }
 
 // diffResult is everything one run exposes that the differential compares.
@@ -191,8 +191,6 @@ func captureRun(cfg sara.Config, skip bool, horizon sara.Cycle) diffResult {
 	var res diffResult
 	// Both differential modes compare serial kernels; the parallel leg
 	// builds its own systems through captureParallel.
-	cfg.DomainWorkers = 0
-
 	sys := sara.Build(cfg)
 	sys.Probe(sara.Probes{
 		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
@@ -327,7 +325,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 	})
 	for i := 0; i < configs; i++ {
 		seed := sim.NewRand(baseSeed).Fork(uint64(i)).Uint64()
-		cfg, desc := fuzzConfig(seed)
+		cfg, desc, dw := fuzzConfig(seed)
 		if !strings.Contains(desc, "dorm=none") {
 			dormancyRuns++
 		}
@@ -353,7 +351,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			// Worker-count differential: on partitionable configs that drew
 			// a parallel worker count, the partitioned topology at that
 			// count must be bit-identical to its own 1-worker reference.
-			if dw := cfg.DomainWorkers; dw > 1 {
+			if dw > 1 {
 				if _, ok := sara.Partition(cfg); ok {
 					drive := func(s *sara.System) { s.Run(parHorizon) }
 					pref := captureParallel(t, cfg, 1, drive)
@@ -381,7 +379,7 @@ func TestReferenceIsolationConcurrentSystems(t *testing.T) {
 	t.Parallel()
 	const horizon = sara.Cycle(20000)
 	seed := sim.NewRand(0x5a7a_2026_07_29).Fork(0).Uint64() // the fuzz pool's cfg00
-	cfg, desc := fuzzConfig(seed)
+	cfg, desc, _ := fuzzConfig(seed)
 	reproOnFailure(t, "TestReferenceIsolationConcurrentSystems")
 	serialRef := captureRun(cfg, false, horizon)
 	serialFast := captureRun(cfg, true, horizon)

@@ -6,84 +6,11 @@ import (
 	"sara/internal/analysis"
 	"sara/internal/config"
 	"sara/internal/core"
-	"sara/internal/noc"
 	"sara/internal/sim"
-	"sara/internal/txn"
 )
 
 func fastCfg(opts ...config.Option) core.Config {
 	return config.Camcorder(config.CaseA, append([]config.Option{config.WithScaleDiv(512)}, opts...)...)
-}
-
-// toggleSink is a noc.Sink whose acceptance the test flips by hand.
-type toggleSink struct {
-	got  int
-	full bool
-}
-
-func (s *toggleSink) CanAccept(*txn.Transaction) bool { return !s.full }
-func (s *toggleSink) Accept(t *txn.Transaction, now sim.Cycle) {
-	s.got++
-}
-
-// TestEdgeTapWindowedGolden drives a bare two-deep router through the
-// exact edge path the analyzer's backpressure numbers come from and
-// checks every window against hand-computed grant/credit/full-pop/stall
-// counts.
-func TestEdgeTapWindowedGolden(t *testing.T) {
-	t.Parallel()
-	sink := &toggleSink{}
-	p := noc.Params{PortDepth: 2, HopLatency: 0, RespLatency: 12, Arb: noc.ArbFCFS}
-	r := noc.NewRouter("g", p, 1, []noc.Sink{sink}, nil)
-
-	tap := analysis.TapRouters("g")
-	r.SetTrace(tap.Trace())
-	c := tap.Counts("g")
-	if c == nil {
-		t.Fatal("tapped router has no counter cell")
-	}
-	if tap.Counts("other") != nil {
-		t.Fatal("untapped name has a counter cell")
-	}
-
-	// Window 1: fill the port (depth 2), then drain it. The first pop
-	// leaves a full FIFO, so it is the window's one backpressure release.
-	r.Port(0).Push(&txn.Transaction{ID: 1}, 0, 0)
-	r.Port(0).Push(&txn.Transaction{ID: 2}, 0, 0)
-	r.Tick(1)
-	r.Tick(2)
-	want := analysis.EdgeCounts{Grants: 2, Credits: 2, FullPops: 1, Stalls: 0}
-	if *c != want {
-		t.Fatalf("window 1 counts %+v, want %+v", *c, want)
-	}
-	if got := r.Forwarded(); got != 2 {
-		t.Fatalf("router forwarded %d, want 2", got)
-	}
-	tap.Reset()
-
-	// Window 2: a ready head blocked on a full sink stalls the switch
-	// every cycle; unblocking grants it (a pop of a non-full FIFO, so a
-	// credit but no backpressure release).
-	sink.full = true
-	r.Port(0).Push(&txn.Transaction{ID: 3}, 3, 3)
-	r.Tick(3)
-	r.Tick(4)
-	want = analysis.EdgeCounts{Stalls: 2}
-	if *c != want {
-		t.Fatalf("window 2 (blocked) counts %+v, want %+v", *c, want)
-	}
-	sink.full = false
-	r.Tick(5)
-	want = analysis.EdgeCounts{Grants: 1, Credits: 1, FullPops: 0, Stalls: 2}
-	if *c != want {
-		t.Fatalf("window 2 (drained) counts %+v, want %+v", *c, want)
-	}
-	if got := r.Stalls(); got != 2 {
-		t.Fatalf("tap stalls diverge from router counter: tap %d, router %d", c.Stalls, got)
-	}
-	if sink.got != 3 {
-		t.Fatalf("sink accepted %d packets, want 3", sink.got)
-	}
 }
 
 // Compact event records for the behavior differential. Stall events are
@@ -132,7 +59,7 @@ type runOutcome struct {
 }
 
 // tracedRun runs one frame of case A with test trace probes subscribed,
-// optionally with an edge-layer analyzer subscribed alongside them.
+// optionally with an analyzer sampling alongside them.
 func tracedRun(analyze bool) runOutcome {
 	lg := &traceLog{}
 	sys := core.Build(fastCfg())
@@ -151,7 +78,7 @@ func tracedRun(analyze bool) runOutcome {
 		},
 	})
 	if analyze {
-		az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
+		az := analysis.Attach(sys, analysis.Options{Window: 2048})
 		defer az.Detach()
 	}
 	sys.RunFrames(1)
@@ -174,10 +101,10 @@ func tracedRun(analyze bool) runOutcome {
 
 // TestAnalyzerDoesNotChangeBehavior is the enabled-vs-disabled
 // differential: the same configuration runs once bare and once with an
-// edge-layer analyzer attached, with the test trace probes subscribed in
-// both runs (so it also proves a test probe and the analyzer coexist on
-// the same edges). Every behavioral event stream and every aggregate must
-// be bit-identical.
+// analyzer attached, with the test trace probes subscribed in both runs.
+// The analyzer's sampler adds kernel events and settle points, so every
+// behavioral event stream and every aggregate must still be
+// bit-identical.
 func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
 	t.Parallel()
 	bare := tracedRun(false)
@@ -240,49 +167,36 @@ func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
 }
 
 // TestAnalyzerReportAgainstLegacyTrace runs one analyzed frame and checks
-// the report's per-router edge totals and series shape against test
-// trace probes running alongside.
+// the report's per-router counter totals and series shape against test
+// trace probes running alongside: a router's grants and full pops over
+// the closed windows are exactly the probe-counted events before the
+// last sample cycle.
 func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 	t.Parallel()
-	grants := map[string]uint64{}
-	fullPops := map[string]uint64{}
+	grantAt := map[string][]sim.Cycle{}
+	fullPopAt := map[string][]sim.Cycle{}
 	sys := core.Build(fastCfg())
 	sys.Probe(core.Probes{
 		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
-			grants[name]++
+			grantAt[name] = append(grantAt[name], now)
 		},
 		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
 			if wasFull {
-				fullPops[name]++
+				fullPopAt[name] = append(fullPopAt[name], now)
 			}
 		},
 	})
-	az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
+	az := analysis.Attach(sys, analysis.Options{Window: 2048})
 	sys.RunFrames(1)
 	az.Detach()
 	rep := az.Report()
 
-	if rep.Samples == 0 || !rep.Edges {
-		t.Fatalf("report: samples %d, edges %v; want sampled edge-layer report", rep.Samples, rep.Edges)
+	if rep.Samples == 0 {
+		t.Fatal("report has no samples")
 	}
 	if len(rep.Routers) == 0 || len(rep.Engines) == 0 || len(rep.Channels) == 0 {
 		t.Fatalf("report missing sections: %d routers, %d engines, %d channels",
 			len(rep.Routers), len(rep.Engines), len(rep.Channels))
-	}
-	for _, r := range rep.Routers {
-		// The analyzer's totals only cover closed windows; events after
-		// the last window boundary are in neither, so compare <=, and
-		// exactly when the run length is a window multiple.
-		if r.Grants > grants[r.Name] {
-			t.Errorf("router %s: analyzer grants %d > probe trace %d", r.Name, r.Grants, grants[r.Name])
-		}
-		if r.FullPops > fullPops[r.Name] {
-			t.Errorf("router %s: analyzer full pops %d > probe trace %d", r.Name, r.FullPops, fullPops[r.Name])
-		}
-		if r.StallFrac.Len() != rep.Samples || r.Backpressure.Len() != rep.Samples {
-			t.Errorf("router %s: series lengths %d/%d, want %d samples",
-				r.Name, r.StallFrac.Len(), r.Backpressure.Len(), rep.Samples)
-		}
 	}
 	sysSamples := rep.System.WorstNPI.Len()
 	if sysSamples != rep.Samples {
@@ -293,23 +207,38 @@ func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 			t.Fatalf("system series sample cycles diverge at %d", i)
 		}
 	}
-	// Whole-run grant totals must match exactly once the final partial
-	// window is accounted: sum the analyzer's windows plus the probe
-	// trace restricted to closed windows is overkill — instead check
-	// that at least one router saw traffic through both layers.
-	var sawTraffic bool
-	for _, r := range rep.Routers {
-		if r.Grants > 0 && grants[r.Name] > 0 {
-			sawTraffic = true
+	// The sampler at cycle c runs before any ticker of c, so the closed
+	// windows hold exactly the events of cycles before the last sample.
+	lastSample := rep.System.WorstNPI.Cycles[sysSamples-1]
+	before := func(at []sim.Cycle) (n uint64) {
+		for _, c := range at {
+			if c < lastSample {
+				n++
+			}
 		}
+		return n
 	}
-	if !sawTraffic {
-		t.Fatal("no router saw traffic through both the analyzer and the probe trace")
+	var grants uint64
+	for _, r := range rep.Routers {
+		if want := before(grantAt[r.Name]); r.Grants != want {
+			t.Errorf("router %s: analyzer grants %d, probe trace %d", r.Name, r.Grants, want)
+		}
+		if want := before(fullPopAt[r.Name]); r.FullPops != want {
+			t.Errorf("router %s: analyzer full pops %d, probe trace %d", r.Name, r.FullPops, want)
+		}
+		if r.StallFrac.Len() != rep.Samples || r.Backpressure.Len() != rep.Samples {
+			t.Errorf("router %s: series lengths %d/%d, want %d samples",
+				r.Name, r.StallFrac.Len(), r.Backpressure.Len(), rep.Samples)
+		}
+		grants += r.Grants
+	}
+	if grants == 0 {
+		t.Fatal("no router granted in a closed window")
 	}
 }
 
 // TestAnalyzerSamplingAllocations guards the enabled sampling path: with
-// a sampling-only analyzer attached (no edges, no publisher), a window's
+// an analyzer attached (no publisher), a window's
 // sample must cost nothing beyond amortized series growth. The budget of
 // 32 allocations per 1000-cycle window absorbs the occasional slice
 // doubling across the analyzer's ~150 series; a per-event or per-sample

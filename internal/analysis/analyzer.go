@@ -1,6 +1,6 @@
 // Package analysis is the always-available observability layer over a
 // running simulation: per-port and per-buffer occupancy/backpressure
-// analyzers plus a grant/credit/REF stall-attribution aggregator, in the
+// analyzers plus a REF/contention stall-attribution aggregator, in the
 // style of akita's buffer/port analyzers and monitoring service. An
 // Analyzer attaches to an assembled core.System, samples it on a fixed
 // window from a recurring kernel event (settling batched dormant-cycle
@@ -8,20 +8,15 @@
 // active-ticker list never ticked), and aggregates everything into
 // stats.Series for JSON/CSV export and the live HTTP Monitor.
 //
-// Two layers feed the windows. The sampling layer reads per-system
-// counters (router stall/forward totals, engine stats, DRAM channel
-// stats, meter NPIs). The edge layer (Options.Edges) additionally
-// subscribes to the System's own trace edges (noc grant/credit/stall, dma
-// inject, memctrl command) through core.System.Probe. Both layers touch
-// only the System they are attached to, so analyzers on many systems run
-// in parallel. Both are strictly observational: attaching an analyzer
-// must not change simulated behavior, and with no analyzer attached the
-// probe fields stay nil so the simulation hot paths keep their zero-cost
-// disabled-path guarantee.
+// Every windowed number is the difference of two readings of a counter
+// the components keep anyway: router grant, stall and full-FIFO-pop
+// totals, engine stats, DRAM channel stats, meter NPIs. The analyzer
+// installs no trace probe and runs no code on the simulation's hot paths,
+// so attaching one cannot change simulated behavior, and analyzers on
+// many systems run in parallel.
 package analysis
 
 import (
-	"sort"
 	"strconv"
 
 	"sara/internal/core"
@@ -38,9 +33,6 @@ type Options struct {
 	// Window is the aggregation period in cycles; 0 picks four NPI
 	// sampling periods (4 × Config.SampleEvery).
 	Window sim.Cycle
-	// Edges subscribes the analyzer to the System's trace edges for
-	// per-event grant/credit/backpressure/command counts.
-	Edges bool
 	// Publish, when non-nil, receives a live Snapshot at every window
 	// boundary (the HTTP monitor's feed).
 	Publish func(Snapshot)
@@ -50,16 +42,12 @@ type Options struct {
 type Analyzer struct {
 	sys     *core.System
 	window  sim.Cycle
-	edges   bool
 	publish func(Snapshot)
-	detach  func()
 	closed  bool
 
 	routers   []*routerProbe
-	byName    map[string]*routerProbe
 	engines   []*engineProbe
 	channels  []*channelProbe
-	mcByName  map[string]*channelProbe
 	lastDRAM  dram.Stats
 	lastCycle sim.Cycle
 	samples   int
@@ -78,12 +66,10 @@ type routerProbe struct {
 	r    *noc.Router
 	name string
 
-	// ec is the edge-layer window counter cell (Edges only, nil otherwise)
-	ec *EdgeCounts
-	// sampling-layer cursors into the router's settled totals
-	lastStalls, lastForwarded uint64
-
-	totGrants, totCredits, totFullPops uint64
+	// cursors into the router's settled totals at the last sample
+	lastStalls, lastForwarded, lastFullPops uint64
+	// grants and full pops over all closed windows
+	totGrants, totFullPops uint64
 
 	stallFrac    *stats.Series
 	grantRate    *stats.Series
@@ -93,10 +79,8 @@ type routerProbe struct {
 }
 
 type engineProbe struct {
-	u *core.Unit
-
-	injects uint64 // edge-layer window counter (Edges only)
-	last    dma.Stats
+	u    *core.Unit
+	last dma.Stats
 
 	npi        *stats.Series
 	injectRate *stats.Series
@@ -105,15 +89,7 @@ type engineProbe struct {
 }
 
 type channelProbe struct {
-	ch int
-
-	// edge-layer window counters (Edges only)
-	act, pre, cas, ref uint64
-	// mcEC counts the controller queue releases Router.TraceCredit
-	// reports under this channel's "mc<ch>" name (Edges only, nil
-	// otherwise)
-	mcEC *EdgeCounts
-
+	ch       int
 	blackout *stats.Series
 	casRate  *stats.Series
 }
@@ -132,9 +108,7 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 	a := &Analyzer{
 		sys:     sys,
 		window:  w,
-		edges:   opt.Edges,
 		publish: opt.Publish,
-		byName:  make(map[string]*routerProbe),
 
 		worstNPI:        &stats.Series{Name: "worst_npi"},
 		bandwidth:       &stats.Series{Name: "bandwidth_gbps"},
@@ -151,6 +125,7 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 
 			lastStalls:    r.Stalls(),
 			lastForwarded: r.Forwarded(),
+			lastFullPops:  r.FullPops(),
 			stallFrac:     &stats.Series{Name: r.Name() + ".stall_frac"},
 			grantRate:     &stats.Series{Name: r.Name() + ".grant_rate"},
 			backpressure:  &stats.Series{Name: r.Name() + ".backpressure"},
@@ -160,7 +135,6 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 			p.ports = append(p.ports, &stats.Series{Name: r.Name() + ".port" + itoa(i) + ".occupancy"})
 		}
 		a.routers = append(a.routers, p)
-		a.byName[p.name] = p
 	}
 	for _, u := range sys.Units() {
 		e := &engineProbe{
@@ -176,88 +150,23 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 		}
 		a.engines = append(a.engines, e)
 	}
-	nch := sys.Config().DRAM.Geometry.Channels
-	a.mcByName = make(map[string]*channelProbe, nch)
-	for ch := 0; ch < nch; ch++ {
-		p := &channelProbe{
+	for ch := 0; ch < sys.Config().DRAM.Geometry.Channels; ch++ {
+		a.channels = append(a.channels, &channelProbe{
 			ch:       ch,
 			blackout: &stats.Series{Name: "ch" + itoa(ch) + ".blackout_duty"},
 			casRate:  &stats.Series{Name: "ch" + itoa(ch) + ".cas_rate"},
-		}
-		a.channels = append(a.channels, p)
-		a.mcByName["mc"+itoa(ch)] = p
+		})
 	}
-	a.lastDRAM = sys.DRAM().Stats()
+	a.lastDRAM = sys.DRAMStats()
 	a.lastCycle = sys.Now()
 
-	if a.edges {
-		a.subscribe()
-	}
 	sys.Kernel().Every(a.window, a.sample)
 	return a
 }
 
-// subscribe installs the edge layer as one probe subscription on the
-// System, alongside any other subscriber (a test's trace observers keep
-// seeing the same events). The NoC edges go through an EdgeTap (one cell
-// per router plus one per controller queue name); the dma and memctrl
-// edges index probes directly.
-func (a *Analyzer) subscribe() {
-	mcNames := make([]string, 0, len(a.mcByName))
-	for n := range a.mcByName {
-		mcNames = append(mcNames, n)
-	}
-	sort.Strings(mcNames)
-	names := make([]string, 0, len(a.routers)+len(mcNames))
-	for _, p := range a.routers {
-		names = append(names, p.name)
-	}
-	names = append(names, mcNames...)
-	tap := TapRouters(names...)
-	for _, p := range a.routers {
-		p.ec = tap.Counts(p.name)
-	}
-	for _, n := range mcNames {
-		a.mcByName[n].mcEC = tap.Counts(n)
-	}
-	tr := tap.Trace()
-	a.detach = a.sys.Probe(core.Probes{
-		Stall:  tr.Stall,
-		Grant:  tr.Grant,
-		Credit: tr.Credit,
-		Inject: func(now sim.Cycle, source int, id uint64, addr uint64) {
-			if source >= 0 && source < len(a.engines) {
-				a.engines[source].injects++
-			}
-		},
-		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
-			if ch < 0 || ch >= len(a.channels) {
-				return
-			}
-			c := a.channels[ch]
-			switch kind {
-			case 'A':
-				c.act++
-			case 'P':
-				c.pre++
-			case 'C':
-				c.cas++
-			case 'R':
-				c.ref++
-			}
-		},
-	})
-}
-
-// Detach releases the analyzer's edge subscription. The windowed sampler
-// event keeps firing but becomes a no-op; detach once the run is over.
-func (a *Analyzer) Detach() {
-	if a.detach != nil {
-		a.detach()
-		a.detach = nil
-	}
-	a.closed = true
-}
+// Detach stops the analyzer: the windowed sampler event keeps firing but
+// becomes a no-op. Detach once the run is over.
+func (a *Analyzer) Detach() { a.closed = true }
 
 // Window reports the aggregation period.
 func (a *Analyzer) Window() sim.Cycle { return a.window }
@@ -266,8 +175,8 @@ func (a *Analyzer) Window() sim.Cycle { return a.window }
 func (a *Analyzer) Samples() int { return a.samples }
 
 // sample closes the current window at cycle now: settle batched
-// accounting, append one point to every series, reset the window
-// counters, and feed the publisher. It runs as a kernel event, before any
+// accounting, append one point to every series, advance the counter
+// cursors, and feed the publisher. It runs as a kernel event, before any
 // ticker of cycle now.
 func (a *Analyzer) sample(now sim.Cycle) {
 	if a.closed || now == a.lastCycle {
@@ -276,24 +185,17 @@ func (a *Analyzer) sample(now sim.Cycle) {
 	a.sys.Kernel().Settle()
 	win := float64(now - a.lastCycle)
 
-	// NoC routers: stall fraction and grant rate from settled counters,
-	// backpressure from the edge layer, occupancy sampled instantaneously.
+	// NoC routers: stall fraction, grant rate and backpressure (pops of a
+	// full FIFO) from settled counters, occupancy sampled instantaneously.
 	var sumStall, sumFull float64
 	for _, p := range a.routers {
-		stalls := p.r.Stalls()
-		fwd := p.r.Forwarded()
+		stalls, fwd, full := p.r.Stalls(), p.r.Forwarded(), p.r.FullPops()
+		grants, fullPops := fwd-p.lastForwarded, full-p.lastFullPops
 		sf := float64(stalls-p.lastStalls) / win
-		gr := float64(fwd-p.lastForwarded) / win
-		p.lastStalls, p.lastForwarded = stalls, fwd
-		var bp float64
-		if p.ec != nil {
-			gr = float64(p.ec.Grants) / win
-			bp = float64(p.ec.FullPops) / win
-			p.totGrants += p.ec.Grants
-			p.totCredits += p.ec.Credits
-			p.totFullPops += p.ec.FullPops
-			*p.ec = EdgeCounts{}
-		}
+		bp := float64(fullPops) / win
+		p.lastStalls, p.lastForwarded, p.lastFullPops = stalls, fwd, full
+		p.totGrants += grants
+		p.totFullPops += fullPops
 		var occ float64
 		for i, s := range p.ports {
 			po := p.r.Port(i)
@@ -303,7 +205,7 @@ func (a *Analyzer) sample(now sim.Cycle) {
 		}
 		occ /= float64(len(p.ports))
 		p.stallFrac.Append(now, sf)
-		p.grantRate.Append(now, gr)
+		p.grantRate.Append(now, float64(grants)/win)
 		p.backpressure.Append(now, bp)
 		p.occupancy.Append(now, occ)
 		sumStall += sf
@@ -321,43 +223,30 @@ func (a *Analyzer) sample(now sim.Cycle) {
 			}
 			e.npi.Append(now, npi)
 		}
-		inj := float64(st.Injected-e.last.Injected) / win
-		if a.edges {
-			inj = float64(e.injects) / win
-		}
-		e.injectRate.Append(now, inj)
+		e.injectRate.Append(now, float64(st.Injected-e.last.Injected)/win)
 		e.stallFrac.Append(now, float64(st.InjectStalls-e.last.InjectStalls)/win)
 		depth := e.u.Engine.Pending() + e.u.Engine.PendingSpace()
 		e.pendingOcc.Append(now, float64(e.u.Engine.Pending())/float64(depth))
 		e.last = st
-		e.injects = 0
 	}
 
-	// DRAM channels: command mix and refresh blackout per window.
-	d := a.sys.DRAM()
-	cur := d.Stats()
-	geo := a.sys.Config().DRAM.Geometry
-	trfc := float64(a.sys.Config().DRAM.Refresh.TRFC)
+	// DRAM channels: CAS rate and refresh blackout per window.
+	cfg := a.sys.Config().DRAM
+	cur := a.sys.DRAMStats()
+	trfc := float64(cfg.Refresh.TRFC)
 	var refTot uint64
 	for ch, c := range a.channels {
 		cs, last := cur.Channels[ch], a.lastDRAM.Channels[ch]
 		refs := cs.Refreshes - last.Refreshes
 		cas := cs.ReadBursts + cs.WriteBursts - last.ReadBursts - last.WriteBursts
-		if a.edges {
-			refs, cas = c.ref, c.cas
-		}
 		refTot += refs
-		c.blackout.Append(now, float64(refs)*trfc/(win*float64(geo.Ranks)))
+		c.blackout.Append(now, float64(refs)*trfc/(win*float64(cfg.Geometry.Ranks)))
 		c.casRate.Append(now, float64(cas)/win)
-		c.act, c.pre, c.cas, c.ref = 0, 0, 0, 0
-		if c.mcEC != nil {
-			*c.mcEC = EdgeCounts{}
-		}
 	}
 
 	// System roll-up and stall attribution.
-	bw := d.BandwidthOverWindowGBps(a.lastDRAM, a.lastCycle, now)
-	duty := float64(refTot) * trfc / (win * float64(geo.Channels*geo.Ranks))
+	bw := dram.BandwidthOverWindowOf(cfg, a.lastDRAM, cur, a.lastCycle, now)
+	duty := float64(refTot) * trfc / (win * float64(cfg.Geometry.Channels*cfg.Geometry.Ranks))
 	nocStall := sumStall / float64(len(a.routers))
 	refresh, contention := meter.StallAttribution(worst, duty)
 	a.worstNPI.Append(now, worst)

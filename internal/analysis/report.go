@@ -12,12 +12,11 @@ import (
 // Report is the serialized outcome of one analyzed run: windowed
 // stats.Series for the system roll-up, every router (with per-port
 // buffer-occupancy series), every DMA engine and every DRAM channel, plus
-// edge-layer totals. All series share the same sample cycles, so any
-// subset can go straight through stats.WriteCSV.
+// per-router grant and full-pop totals. All series share the same sample
+// cycles, so any subset can go straight through stats.WriteCSV.
 type Report struct {
 	Window  uint64 `json:"window_cycles"`
 	Samples int    `json:"samples"`
-	Edges   bool   `json:"edges_enabled"`
 
 	System   SystemReport     `json:"system"`
 	Routers  []*RouterReport  `json:"routers"`
@@ -40,9 +39,9 @@ type SystemReport struct {
 }
 
 // RouterReport is one router's windowed view. Backpressure counts
-// full-FIFO pops (pops that returned a credit upstream) per cycle and is
-// only populated by the edge layer; occupancy series are instantaneous
-// samples at the window boundary.
+// full-FIFO pops (pops that returned a credit upstream) per cycle;
+// occupancy series are instantaneous samples at the window boundary.
+// Grants and FullPops total the closed windows.
 type RouterReport struct {
 	Name         string          `json:"name"`
 	StallFrac    *stats.Series   `json:"stall_frac"`
@@ -51,7 +50,6 @@ type RouterReport struct {
 	Occupancy    *stats.Series   `json:"occupancy"`
 	Ports        []*stats.Series `json:"ports"`
 	Grants       uint64          `json:"grants,omitempty"`
-	Credits      uint64          `json:"credits,omitempty"`
 	FullPops     uint64          `json:"full_pops,omitempty"`
 }
 
@@ -72,13 +70,11 @@ type ChannelReport struct {
 }
 
 // Report assembles the accumulated windows into a serializable Report.
-// Call it after the run (the final partial window is not closed; Detach
-// first if the edge subscriptions should be released).
+// Call it after the run; the final partial window is not closed.
 func (a *Analyzer) Report() *Report {
 	rep := &Report{
 		Window:  uint64(a.window),
 		Samples: a.samples,
-		Edges:   a.edges,
 		System: SystemReport{
 			WorstNPI:        a.worstNPI,
 			BandwidthGBps:   a.bandwidth,
@@ -98,7 +94,6 @@ func (a *Analyzer) Report() *Report {
 			Occupancy:    p.occupancy,
 			Ports:        p.ports,
 			Grants:       p.totGrants,
-			Credits:      p.totCredits,
 			FullPops:     p.totFullPops,
 		})
 	}

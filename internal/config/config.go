@@ -100,13 +100,6 @@ func WithAdaptInterval(iv sim.Cycle) Option {
 	return func(c *core.Config) { c.AdaptInterval = iv }
 }
 
-// WithDomainWorkers selects the domain-parallel kernel with the given
-// goroutine count (>= 2; 0 or 1 keeps the serial kernel). Build falls
-// back to serial when the topology is unpartitionable.
-func WithDomainWorkers(n int) Option {
-	return func(c *core.Config) { c.DomainWorkers = n }
-}
-
 // Camcorder returns the full system configuration for the given test
 // case, with any options applied.
 func Camcorder(tc Case, opts ...Option) core.Config {

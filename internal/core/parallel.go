@@ -182,7 +182,7 @@ func (r *xferRing) push(t *txn.Transaction, due sim.Cycle) {
 }
 
 // crossLink is the egress half of a cross-domain request link: a
-// noc.CreditSink the sending domain's root router grants into. Accept
+// noc.Sink the sending domain's root router grants into. Accept
 // stamps the packet with the link latency and files it in the mailbox;
 // the receiving domain pushes it into its channel-ingress port at the
 // next barrier. credits mirrors the free slots of that remote port.
@@ -202,7 +202,7 @@ func (c *crossLink) Accept(t *txn.Transaction, now sim.Cycle) {
 	c.ring.push(t, now+c.lat)
 }
 
-// OnCredit implements noc.CreditSink; credits return through the epoch
+// OnCredit implements noc.Sink; credits return through the epoch
 // exchange (the sender lives on another goroutine), which wakes w.
 func (c *crossLink) OnCredit(w noc.Waker) {
 	if c.waker != nil {

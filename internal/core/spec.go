@@ -161,14 +161,6 @@ type Config struct {
 	SampleEvery sim.Cycle
 	// DMAs lists every DMA in the system.
 	DMAs []DMASpec
-	// DomainWorkers selects the domain-parallel kernel: with a value >= 2
-	// (and a partitionable topology — see Partition), Build shards the
-	// SoC into one domain per memory channel and runs them on that many
-	// goroutines, synchronized at conservative-lookahead epoch barriers.
-	// 0 or 1 selects the serial kernel. Results are bit-identical across
-	// worker counts on the partitioned topology; see BuildParallel for
-	// how the partitioned topology relates to the serial one.
-	DomainWorkers int
 }
 
 // FramePeriod reports the scaled frame period in cycles.

@@ -70,7 +70,7 @@ func (s mcSink) Accept(t *txn.Transaction, now sim.Cycle) {
 	s.ctrl.Enqueue(t, now)
 }
 
-// OnCredit implements noc.CreditSink. A controller has exactly one
+// OnCredit implements noc.Sink. A controller has exactly one
 // upstream router; wiring a second would silently steal the first one's
 // credit wakes and break skip-vs-step equivalence, so it panics instead.
 func (s mcSink) OnCredit(w noc.Waker) {
@@ -92,16 +92,10 @@ func (s mcSink) OnCredit(w noc.Waker) {
 // rows and banks, so distinct DMAs interleave realistically.
 const regionBytes = 16 << 20
 
-// Build assembles a System from cfg. It panics on malformed
-// configurations (configs are code, not user input). With
-// cfg.DomainWorkers >= 2 and a partitionable topology it builds the
-// domain-parallel system (see BuildParallel); otherwise — including
-// every unpartitionable topology — it builds the serial system, one
-// domain owning every channel.
+// Build assembles the serial System from cfg: one domain owning every
+// channel. It panics on malformed configurations (configs are code, not
+// user input). BuildParallel builds the domain-parallel System.
 func Build(cfg Config) *System {
-	if cfg.DomainWorkers > 1 {
-		return BuildParallel(cfg, cfg.DomainWorkers)
-	}
 	return build(cfg, serialPlan(cfg), 1)
 }
 
@@ -618,6 +612,9 @@ func (s *System) DomainWorkers() int { return s.epochs.workers }
 // domains (each domain only touches its own channels, so the merge is
 // exact).
 func (s *System) DRAMStats() dram.Stats {
+	if len(s.domains) == 1 {
+		return s.domains[0].dram.Stats()
+	}
 	parts := make([]dram.Stats, len(s.domains))
 	for i, dom := range s.domains {
 		parts[i] = dom.dram.Stats()

@@ -42,6 +42,10 @@ type sinkFunc func(*txn.Transaction)
 func (f sinkFunc) CanAccept(*txn.Transaction) bool         { return true }
 func (f sinkFunc) Accept(tr *txn.Transaction, _ sim.Cycle) { f(tr) }
 
+// OnCredit implements noc.Sink; a sink that is never full never returns
+// a credit.
+func (f sinkFunc) OnCredit(noc.Waker) {}
+
 func TestWindowLimitsOutstanding(t *testing.T) {
 	r := newRig(2)
 	for i := 0; i < 4; i++ { // MaxPending defaults to 2*window = 4

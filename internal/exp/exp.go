@@ -86,17 +86,17 @@ type Options struct {
 	// Chaos injects faults per cell (tests only; see ChaosFunc).
 	Chaos ChaosFunc
 
-	// Analyze attaches the stall-attribution analyzers (edge layer
-	// included) to every cell and records an analysis.Report in each
-	// PolicyRun. Each analyzer probes only its own cell's System, so an
-	// analyzed sweep fans out across Workers like any other.
+	// Analyze attaches a stall-attribution analyzer to every cell and
+	// records its analysis.Report in each PolicyRun. Each analyzer reads
+	// only its own cell's System, so an analyzed sweep fans out across
+	// Workers like any other.
 	Analyze bool
 	// AnalysisWindow overrides the analyzer aggregation window in cycles
 	// (0 = four NPI sampling periods).
 	AnalysisWindow uint64
 	// Monitor, when non-nil, receives each cell's progress and live
-	// windowed snapshots. Monitoring alone attaches sampling-only
-	// analyzers; combine with Analyze for edge-layer snapshots too.
+	// windowed snapshots. Monitoring alone attaches the same analyzer as
+	// Analyze but keeps no report.
 	Monitor *analysis.Monitor
 }
 

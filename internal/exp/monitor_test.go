@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -39,9 +42,8 @@ func TestRunCellsAnalyzesAndMonitors(t *testing.T) {
 		if r.Analysis == nil {
 			t.Fatalf("cell %v has no analysis report", r.Policy)
 		}
-		if r.Analysis.Samples == 0 || !r.Analysis.Edges {
-			t.Fatalf("cell %v report: samples %d edges %v, want sampled edge-layer report",
-				r.Policy, r.Analysis.Samples, r.Analysis.Edges)
+		if r.Analysis.Samples == 0 {
+			t.Fatalf("cell %v report has no samples", r.Policy)
 		}
 		if r.Analysis.System.WorstNPI.Len() != r.Analysis.Samples {
 			t.Fatalf("cell %v: system series %d points, want %d",
@@ -89,8 +91,45 @@ func TestRunCellsAnalyzesAndMonitors(t *testing.T) {
 	}
 }
 
+// TestMonitorOnlyPublishesBackpressure runs a case-A cell with a monitor
+// and no Analyze: the cell keeps no report, and the snapshot it publishes
+// carries the router backpressure the analyzer reads from the routers'
+// full-pop counters.
+func TestMonitorOnlyPublishesBackpressure(t *testing.T) {
+	t.Parallel()
+	mon := analysis.NewMonitor()
+	if err := mon.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+
+	opt := Options{ScaleDiv: 512, AnalysisWindow: 8192, Monitor: mon}
+	runs, err := RunCells([]Cell{{Case: config.CaseA, Policy: memctrl.QoS}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := runs[0]; r.Err != nil || r.Analysis != nil {
+		t.Fatalf("monitor-only cell: err %v, report kept %v; want a run without a report", r.Err, r.Analysis != nil)
+	}
+	resp, err := http.Get("http://" + mon.Addr() + "/api/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var entries []analysis.RunStatus
+	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Snapshot == nil {
+		t.Fatalf("monitored runs %+v, want one with a snapshot", entries)
+	}
+	if bp := entries[0].Snapshot.Backpressure; bp <= 0 {
+		t.Fatalf("snapshot backpressure %v, want > 0 on case A", bp)
+	}
+}
+
 // TestAnalyzedRunCellsIdenticalAcrossWorkers pins that analyzed cells fan
-// out: each analyzer probes only its own cell's System, so an analyzed
+// out: each analyzer reads only its own cell's System, so an analyzed
 // grid gives the same runs, analysis reports included, on one worker and
 // on two running cells concurrently.
 func TestAnalyzedRunCellsIdenticalAcrossWorkers(t *testing.T) {
@@ -111,8 +150,8 @@ func TestAnalyzedRunCellsIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range runs {
-			if r.Err != nil || r.Analysis == nil || !r.Analysis.Edges || r.Analysis.Samples == 0 {
-				t.Fatalf("workers=%d cell %v: err %v, report %v; want an edge-layer report", workers, r.Policy, r.Err, r.Analysis != nil)
+			if r.Err != nil || r.Analysis == nil || r.Analysis.Samples == 0 {
+				t.Fatalf("workers=%d cell %v: err %v, report %v; want a sampled report", workers, r.Policy, r.Err, r.Analysis != nil)
 			}
 		}
 		return runs
@@ -159,5 +198,50 @@ func TestPolicyRunAnalysisRoundTripsJSON(t *testing.T) {
 	}
 	if back.Analysis.System.WorstNPI.Len() != run.Analysis.System.WorstNPI.Len() {
 		t.Fatal("system series lost in JSON round trip")
+	}
+}
+
+// TestJournalWithEdgeFieldsLoads resumes from a journal line recorded
+// when reports still carried "edges_enabled" and per-router "credits":
+// the line loads, the cell's key still matches it, and its report equals
+// a fresh run's report of the same cell.
+func TestJournalWithEdgeFieldsLoads(t *testing.T) {
+	t.Parallel()
+	raw, err := os.ReadFile(filepath.Join("testdata", "journal_with_edge_fields.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"edges_enabled"`, `"credits"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("fixture lacks the legacy %s field", key)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	opt := Options{ScaleDiv: 1024, Analyze: true, AnalysisWindow: 4096}
+	c := Cell{Case: config.CaseA, Policy: memctrl.QoS}
+	old, ok := j.Lookup(c.Key(opt))
+	if !ok {
+		t.Fatal("journaled cell not found under its key")
+	}
+	if old.Analysis == nil || old.Analysis.Samples == 0 {
+		t.Fatal("journaled run lost its analysis report")
+	}
+	runs, err := RunCells([]Cell{c}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(runs[0].Analysis)
+	want, _ := json.Marshal(old.Analysis)
+	if !bytes.Equal(got, want) {
+		t.Fatal("fresh report differs from the journaled one")
 	}
 }

@@ -261,7 +261,7 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 	var az *analysis.Analyzer
 	if opt.Analyze || opt.Monitor != nil {
 		mon = opt.Monitor.StartRun(c.String())
-		aopt := analysis.Options{Window: sim.Cycle(opt.AnalysisWindow), Edges: opt.Analyze}
+		aopt := analysis.Options{Window: sim.Cycle(opt.AnalysisWindow)}
 		if mon != nil {
 			aopt.Publish = mon.Publish
 		}

@@ -195,7 +195,7 @@ func (p *Port) Depth() int { return p.depth }
 
 // pop removes the head packet at cycle now. Popping a full FIFO returns a
 // credit to the upstream router, which can use the freed slot from the
-// next cycle on.
+// next cycle on, and counts as a backpressure release (Router.FullPops).
 func (p *Port) pop(now sim.Cycle) packet {
 	wasFull := len(p.fifo) == p.depth
 	pk := p.fifo[0]
@@ -204,6 +204,9 @@ func (p *Port) pop(now sim.Cycle) packet {
 	p.fifo = p.fifo[:len(p.fifo)-1]
 	if p.owner != nil {
 		p.owner.queued--
+		if wasFull {
+			p.owner.fullPops++
+		}
 		if fn := p.owner.trace.Credit; fn != nil {
 			fn(p.owner.name, now, p.idx, wasFull)
 		}
@@ -218,22 +221,16 @@ func (p *Port) pop(now sim.Cycle) packet {
 	return pk
 }
 
-// Sink is the downstream consumer of a router output: either the next
-// router's input port or a memory-controller queue.
+// Sink is the downstream consumer of a router output: the next router's
+// input port, a memory-controller queue, or a cross-domain link. Every
+// sink returns credits: it wakes the upstream router when it goes from
+// full back to having space, so a router blocked on it sleeps until the
+// credit instead of polling CanAccept every cycle.
 type Sink interface {
 	// CanAccept reports whether the sink can take t this cycle.
 	CanAccept(t *txn.Transaction) bool
 	// Accept consumes t at cycle now.
 	Accept(t *txn.Transaction, now sim.Cycle)
-}
-
-// CreditSink is a Sink that returns credits: it notifies the upstream
-// waker when it transitions from full back to having space, so a router
-// blocked on it can sleep until the credit instead of polling CanAccept
-// every cycle. Sinks that do not implement CreditSink are polled — a
-// router with a ready head blocked on a plain Sink re-scans each cycle.
-type CreditSink interface {
-	Sink
 	// OnCredit registers the upstream waker to notify on credit returns.
 	OnCredit(w Waker)
 }
@@ -290,7 +287,7 @@ func (p *Port) OnPop(fn func(now sim.Cycle)) {
 	p.onPop = fn
 }
 
-// OnCredit implements CreditSink: pops of the full downstream port wake w.
+// OnCredit implements Sink: pops of the full downstream port wake w.
 func (s PortSink) OnCredit(w Waker) { s.Port.OnCredit(w) }
 
 // Router arbitrates its input ports onto one or more output sinks. Packets
@@ -311,11 +308,6 @@ type Router struct {
 	ready []readyHead
 	// queued is the live packet count across all input ports.
 	queued int
-	// credited marks outputs that return credits (CreditSink). A ready
-	// head blocked on a credited output needs no polling — the credit
-	// re-arms nextGrantAt; a head blocked on an uncredited output forces
-	// a scan every cycle.
-	credited []bool
 
 	// nextGrantAt is the dormancy window: the earliest cycle at which,
 	// absent any external wake, this router could grant. Each full scan
@@ -340,6 +332,7 @@ type Router struct {
 	// stats
 	forwarded uint64
 	stalls    uint64 // cycles an arbitrable head existed but no grant fit
+	fullPops  uint64 // pops of a full input FIFO (credits returned upstream)
 
 	// trace holds the router's trace probes (see SetTrace).
 	trace Trace
@@ -420,7 +413,7 @@ func (r *Router) FlushSleep(now sim.Cycle) {
 }
 
 // never marks an unarmed wake: a router with no packets accrues no stalls
-// (stallFrom) and a router whose every head is blocked on a credited sink
+// (stallFrom) and a router whose every head is blocked on a full sink
 // cannot grant without an external event (nextGrantAt).
 const never = ^sim.Cycle(0)
 
@@ -432,8 +425,8 @@ type readyHead struct {
 }
 
 // NewRouter builds a router with nports input ports. route may be nil when
-// there is exactly one output. Outputs implementing CreditSink are wired
-// to wake the router on credit returns.
+// there is exactly one output. Every output is wired to wake the router
+// on credit returns.
 func NewRouter(name string, params Params, nports int, outputs []Sink, route func(*txn.Transaction) int) *Router {
 	if nports <= 0 || len(outputs) == 0 {
 		panic("noc: router needs ports and outputs")
@@ -452,12 +445,8 @@ func NewRouter(name string, params Params, nports int, outputs []Sink, route fun
 		r.ports[i].owner = r
 		r.ports[i].idx = i
 	}
-	r.credited = make([]bool, len(outputs))
-	for i, out := range outputs {
-		if cs, ok := out.(CreditSink); ok {
-			cs.OnCredit(r)
-			r.credited[i] = true
-		}
+	for _, out := range outputs {
+		out.OnCredit(r)
 	}
 	return r
 }
@@ -476,6 +465,10 @@ func (r *Router) Forwarded() uint64 { return r.forwarded }
 
 // Stalls reports cycles where a ready head existed but nothing was granted.
 func (r *Router) Stalls() uint64 { return r.stalls }
+
+// FullPops reports pops that found their input FIFO full — the
+// backpressure releases, each returning a credit upstream.
+func (r *Router) FullPops() uint64 { return r.fullPops }
 
 // BindWake implements sim.WakeBinder: the kernel hands the router its
 // wake handle at registration, so Wake can push external re-arms into
@@ -512,7 +505,7 @@ func (r *Router) Wake(at sim.Cycle) {
 
 // NextActivity implements sim.Idler from the cached dormancy window: an
 // empty router never acts, and a router whose window is unarmed (every
-// head blocked on a credited sink) acts only after an external wake, which
+// head blocked on a full sink) acts only after an external wake, which
 // lands on an executed cycle and is observed by the kernel's re-query. The
 // O(ports) work lives in the scan that computed the window, not here.
 //
@@ -648,11 +641,10 @@ func (r *Router) Tick(now sim.Cycle) {
 	// Recompute the dormancy window and the stall origin from the
 	// post-grant state. A head still traversing its link opens the window
 	// at its readyAt; a ready head that survived ungranted opens it at
-	// now+1 if its output can accept (it may win next cycle) or is not
-	// credit-wired (it must be polled); a ready head blocked on a
-	// credited output contributes nothing — the credit return re-arms the
-	// window. stallFrom is the first cycle any head is arbitrable: every
-	// scan-free cycle from then on stalls.
+	// now+1 if its output can accept (it may win next cycle); a ready head
+	// blocked on a full output contributes nothing — the credit return
+	// re-arms the window. stallFrom is the first cycle any head is
+	// arbitrable: every scan-free cycle from then on stalls.
 	r.stallFrom = never
 	next := never
 	for _, p := range r.ports {
@@ -663,7 +655,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		at := pk.readyAt
 		if at <= now {
 			at = now + 1
-			if out := r.headOut(p); !r.credited[out] || r.outputs[out].CanAccept(pk.t) {
+			if r.outputs[r.headOut(p)].CanAccept(pk.t) {
 				next = at
 			}
 		} else if at < next {

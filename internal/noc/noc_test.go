@@ -11,11 +11,23 @@ import (
 type collectSink struct {
 	got  []*txn.Transaction
 	full bool
+	w    Waker
 }
 
 func (s *collectSink) CanAccept(*txn.Transaction) bool { return !s.full }
 func (s *collectSink) Accept(t *txn.Transaction, now sim.Cycle) {
 	s.got = append(s.got, t)
+}
+func (s *collectSink) OnCredit(w Waker) { s.w = w }
+
+// setFull flips the sink's acceptance before the tick of cycle now. Going
+// from full to accepting is a credit return: it wakes the router so that
+// tick scans.
+func (s *collectSink) setFull(full bool, now sim.Cycle) {
+	if s.full && !full && s.w != nil {
+		s.w.Wake(now)
+	}
+	s.full = full
 }
 
 func params(arb ArbKind) Params {
@@ -140,7 +152,7 @@ func TestBlockedDownstreamStalls(t *testing.T) {
 	if r.Stalls() != 1 {
 		t.Fatalf("stalls %d, want 1", r.Stalls())
 	}
-	sink.full = false
+	sink.setFull(false, 2)
 	r.Tick(2)
 	if len(sink.got) != 1 {
 		t.Fatal("did not forward once the sink freed up")
@@ -241,13 +253,13 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	}
 	up.Tick(2) // head 3 is ready but the downstream port is full
 	if _, ok := next(up, 3); ok {
-		t.Fatal("upstream blocked on a credited sink must report no activity")
+		t.Fatal("upstream blocked on a full sink must report no activity")
 	}
 	stallsBefore := up.Stalls()
 
 	// Downstream unblocks and pops at cycle 5: the credit must re-arm the
 	// upstream wake to cycle 6.
-	final.full = false
+	final.setFull(false, 5)
 	down.Tick(5)
 	if at, ok := next(up, 5); !ok || at != 6 {
 		t.Fatalf("after credit NextActivity = (%d, %v), want (6, true)", at, ok)
@@ -263,25 +275,6 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	up.Tick(7)
 	if up.Stalls() <= stallsBefore {
 		t.Fatalf("blocked dormant stretch accrued no stalls (%d -> %d)", stallsBefore, up.Stalls())
-	}
-}
-
-// TestUncreditedSinkIsPolled pins the compatibility path: a ready head
-// blocked on a sink that cannot return credits (plain Sink) keeps the
-// router polling every cycle, so unblocking the sink out-of-band is
-// observed without any wake.
-func TestUncreditedSinkIsPolled(t *testing.T) {
-	sink := &collectSink{full: true}
-	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
-	r.Port(0).Push(tx(1, 0), 0, 0)
-	r.Tick(1)
-	if at, ok := next(r, 1); !ok || at != 2 {
-		t.Fatalf("NextActivity = (%d, %v), want the next poll (2, true)", at, ok)
-	}
-	sink.full = false
-	r.Tick(2)
-	if len(sink.got) != 1 {
-		t.Fatal("polled router missed the out-of-band unblock")
 	}
 }
 
@@ -310,7 +303,7 @@ func TestDormantMatchesForceScan(t *testing.T) {
 		id := uint64(0)
 		var res result
 		for c := sim.Cycle(0); c < 3000; c++ {
-			sink.full = rng.Bool(0.6)
+			sink.setFull(rng.Bool(0.6), c)
 			if rng.Bool(0.3) {
 				p := r.Port(rng.Intn(3))
 				if p.CanAccept() {
@@ -341,6 +334,54 @@ func TestDormantMatchesForceScan(t *testing.T) {
 			t.Fatalf("grant %d: reference (%d@%d), dormant (%d@%d)", i,
 				ref.granted[i], ref.cycles[i], fast.granted[i], fast.cycles[i])
 		}
+	}
+}
+
+// TestRouterCountersWindowedGolden drives a bare two-deep router through
+// two hand-computable windows and checks the deltas of the counters the
+// analyzer's per-router series come from: grants (Forwarded), stall
+// cycles (Stalls) and backpressure releases (FullPops).
+func TestRouterCountersWindowedGolden(t *testing.T) {
+	t.Parallel()
+	sink := &collectSink{}
+	pr := params(ArbFCFS)
+	pr.PortDepth = 2
+	r := NewRouter("g", pr, 1, []Sink{sink}, nil)
+
+	type counts struct{ forwarded, stalls, fullPops uint64 }
+	var last counts
+	window := func() counts {
+		cur := counts{r.Forwarded(), r.Stalls(), r.FullPops()}
+		d := counts{cur.forwarded - last.forwarded, cur.stalls - last.stalls, cur.fullPops - last.fullPops}
+		last = cur
+		return d
+	}
+
+	// Window 1: fill the port (depth 2), then drain it. The first pop
+	// leaves a full FIFO, so it is the window's one backpressure release.
+	r.Port(0).Push(tx(1, 0), 0, 0)
+	r.Port(0).Push(tx(2, 0), 0, 0)
+	r.Tick(1)
+	r.Tick(2)
+	if got, want := window(), (counts{forwarded: 2, stalls: 0, fullPops: 1}); got != want {
+		t.Fatalf("window 1 counts %+v, want %+v", got, want)
+	}
+
+	// Window 2: a ready head blocked on a full sink stalls the switch
+	// every cycle, scanned at 3 and dormant at 4; the credit return wakes
+	// the router and it grants (a pop of a non-full FIFO, so no
+	// backpressure release).
+	sink.setFull(true, 3)
+	r.Port(0).Push(tx(3, 0), 3, 3)
+	r.Tick(3)
+	r.Tick(4)
+	sink.setFull(false, 5)
+	r.Tick(5)
+	if got, want := window(), (counts{forwarded: 1, stalls: 2, fullPops: 0}); got != want {
+		t.Fatalf("window 2 counts %+v, want %+v", got, want)
+	}
+	if len(sink.got) != 3 {
+		t.Fatalf("sink accepted %d packets, want 3", len(sink.got))
 	}
 }
 

@@ -67,6 +67,10 @@ type sinkFunc func(t *txn.Transaction, now sim.Cycle)
 func (f sinkFunc) CanAccept(*txn.Transaction) bool          { return true }
 func (f sinkFunc) Accept(t *txn.Transaction, now sim.Cycle) { f(t, now) }
 
+// OnCredit implements noc.Sink; a sink that is never full never returns
+// a credit.
+func (f sinkFunc) OnCredit(noc.Waker) {}
+
 func region() Region { return Region{Base: 0, Size: 1 << 22} }
 
 func TestFrameSourceCompletesFrames(t *testing.T) {

@@ -360,23 +360,21 @@ func TestParallelRunSegmentation(t *testing.T) {
 	compareParSnapshots(t, "segmented", one, cut)
 }
 
-// TestParallelFallback: unpartitionable configs and the serial default
-// build the serial System — one domain owning every channel, with the
+// TestParallelFallback: unpartitionable configs and plain Build build
+// the serial System — one domain owning every channel, with the
 // single-root Fig. 1 topology — and the partitioned build has no single
 // kernel.
 func TestParallelFallback(t *testing.T) {
 	// Hop latency pushes the lookahead past the response latency: a
 	// completion could outrun the barrier, so Partition refuses.
-	unpart := sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(4))
+	unpart := sara.Camcorder(sara.CaseA)
 	unpart.NoC.HopLatency = unpart.NoC.RespLatency // lookahead = resp+1 > resp
 	for _, tc := range []struct {
 		name string
 		sys  *sara.System
 	}{
-		{"unpartitionable", sara.Build(unpart)},
-		{"unpartitionable/BuildParallel", sara.BuildParallel(unpart, 4)},
-		// DomainWorkers <= 1 selects the serial System outright.
-		{"DomainWorkers=1", sara.Build(sara.Camcorder(sara.CaseA, sara.WithDomainWorkers(1)))},
+		{"unpartitionable", sara.BuildParallel(unpart, 4)},
+		{"Build", sara.Build(sara.Camcorder(sara.CaseA))},
 	} {
 		sys := tc.sys
 		if sys.Domains() != 1 || sys.DomainWorkers() != 1 {

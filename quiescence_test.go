@@ -28,11 +28,10 @@ func TestNoMissedGrantWindows(t *testing.T) {
 	reproOnFailure(t, "TestNoMissedGrantWindows")
 	const horizon = sara.Cycle(25000)
 	prop := func(seed uint64) bool {
-		cfg, desc := fuzzConfig(seed)
 		// This property replays the serial kernel's modes (the stepped
 		// reference needs sys.Kernel(), nil on domain-parallel builds);
 		// the fuzz pool's parallel differential covers the domain kernel.
-		cfg.DomainWorkers = 0
+		cfg, desc, _ := fuzzConfig(seed)
 
 		// Event-driven run: record every sleep window and every grant.
 		windows := map[string][]sleepWindow{}

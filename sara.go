@@ -89,7 +89,7 @@ type Unit = core.Unit
 // commands); subscribe it to one System with System.Probe.
 type Probes = core.Probes
 
-// Build assembles a System from a Config.
+// Build assembles the serial System (one domain) from a Config.
 func Build(cfg Config) *System { return core.Build(cfg) }
 
 // BuildParallel assembles the domain-parallel System: one domain per
@@ -164,8 +164,6 @@ var (
 	WithAgingT = config.WithAgingT
 	// WithAdaptInterval overrides the adaptation period.
 	WithAdaptInterval = config.WithAdaptInterval
-	// WithDomainWorkers selects the domain-parallel kernel (>= 2 workers).
-	WithDomainWorkers = config.WithDomainWorkers
 )
 
 // Experiments re-exports the per-figure harness.
@@ -244,11 +242,12 @@ var (
 // monitor (see README "Observability").
 
 // Analyzer aggregates windowed occupancy/backpressure/stall-attribution
-// statistics for one System; attach with AttachAnalyzer before running.
+// statistics for one System from the counters its components keep;
+// attach with AttachAnalyzer before running.
 type Analyzer = analysis.Analyzer
 
-// AnalysisOptions configures an Analyzer: aggregation window, whether the
-// System's trace edges are tapped, and an optional live publisher.
+// AnalysisOptions configures an Analyzer: aggregation window and an
+// optional live publisher.
 type AnalysisOptions = analysis.Options
 
 // AnalysisReport is the serialized outcome of one analyzed run.
