@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sara/internal/dram"
 	"sara/internal/sim"
@@ -15,8 +16,12 @@ import (
 // and it grows with queue depth rather than with actual activity. The
 // buckets below replace it: every queued entry is indexed by its bank
 // (bankKey = rank*banks+bank), and each bucket carries a cached lower
-// bound on the earliest cycle any of its entries could issue. A scan then
-// touches only banks whose readiness could have changed since the last
+// bound on the earliest cycle any of its entries could issue. Two bank
+// bitmaps, 64 banks to a word so any geometry fits, say which buckets a
+// scan must look at: the live mask marks the non-empty buckets and the
+// dirty mask the buckets to re-probe whatever their cached bound. A scan
+// walks only the live banks (bits.TrailingZeros64 over the words) and
+// probes only banks whose readiness could have changed since the last
 // event — clean buckets parked in the future contribute their cached
 // cycle to the dormancy window (nextTry, and through it the controller's
 // sim.Idler hint) without probing a single entry.
@@ -24,7 +29,8 @@ import (
 // # Invalidation contract
 //
 // bucket.readyAt must remain a LOWER bound on the true earliest-issuable
-// cycle of every entry in the bucket for as long as the bucket is clean.
+// cycle of every entry in the bucket for as long as the bucket is clean
+// (its bit in the dirty mask is clear).
 // Probing too early is always safe (the scan re-probes and goes back to
 // sleep); probing too late would miss a command and break skip-vs-step
 // equivalence. The bound stays sound because every input of probeScan is
@@ -35,19 +41,21 @@ import (
 //   - command issue on a bank (CAS, PRE, ACT — transaction or refresh
 //     drain): the bank's row state, reservation, timing gates and queued
 //     row-hit picture all changed; issue() and issueRefreshPre call
-//     bankChanged, which marks the bucket dirty and rebuilds its cached
+//     bankChanged, which sets the bank's dirty bit and rebuilds its cached
 //     row-hit priority against the freshly patched dram.ScanState.
 //   - CAS release: the served entry leaves its bucket (bucketRemove in
 //     issueCAS) before bankChanged rebuilds the hit cache, so the
 //     open-page guard (allowPrecharge) unblocks followers the same cycle.
+//     The entry that empties a bucket clears the bank's live bit.
 //   - REF issue: the rank's forced-drain gate (ScanState.RefBlocked)
 //     clears and every activate gate of the rank moved; issueRefresh
-//     calls dirtyRank. The opposite transitions (a drain starting, gates
-//     moving later) only delay entries and need no invalidation.
+//     calls dirtyRank, which sets the dirty bits of the rank's banks.
+//     The opposite transitions (a drain starting, gates moving later)
+//     only delay entries and need no invalidation.
 //   - enqueue: the new entry may be issuable immediately; Enqueue pushes
-//     it into its bucket, marks the bucket dirty and raises the cached
-//     row-hit priority if the entry hits the open row. (nextTry is also
-//     reset to zero, as before, so the next Tick scans.)
+//     it into its bucket, sets the bank's live and dirty bits and raises
+//     the cached row-hit priority if the entry hits the open row.
+//     (nextTry is also reset to zero, as before, so the next Tick scans.)
 //
 // Entry attributes the probe reads (Priority, Urgent, Enqueue, ID,
 // decoded Location) are stamped at injection and immutable while queued,
@@ -69,14 +77,23 @@ import (
 
 // bucket indexes the queued entries of one bank.
 type bucket struct {
-	entries []entry
+	// head and tail are the bank's first and last entries in arrival
+	// order, as slots linked through Controller.next; -1 when empty.
+	head, tail int32
 	// readyAt is the cached lower bound on the earliest cycle any entry in
-	// this bucket could issue; neverTry when the bucket is empty or every
-	// entry is blocked on a queue-shape change rather than a timing gate.
+	// this bucket could issue; neverTry when every entry is blocked on a
+	// queue-shape change rather than a timing gate. It is meaningless
+	// while the bank's dirty bit is set or its live bit is clear.
 	readyAt sim.Cycle
-	// dirty forces a re-probe on the next scan regardless of readyAt.
-	dirty bool
 }
+
+// bankMask is a bitmap over bank keys, 64 banks to a word.
+type bankMask []uint64
+
+func newBankMask(n int) bankMask { return make(bankMask, (n+63)/64) }
+
+func (m bankMask) set(k int)   { m[k>>6] |= 1 << (k & 63) }
+func (m bankMask) clear(k int) { m[k>>6] &^= 1 << (k & 63) }
 
 // entryHit is THE queued row-hit-priority rule: the entry's priority
 // offset by one when a CAS would hit the bank's open row (so zero means
@@ -91,49 +108,66 @@ func entryHit(bs *dram.BankScan, e *entry) uint16 {
 	return uint16(e.t.Priority) + 1
 }
 
-// bucketPush adds e to its bank's bucket and marks it for re-probing.
-// When the entry hits the bank's open row it also raises the cached
-// row-hit priority (it can only raise it: lowering happens exclusively
-// through bankChanged after an issue on the bank).
-func (c *Controller) bucketPush(e entry) {
+// bucketPush appends slot s to its bank's bucket and marks it for
+// re-probing. When the entry hits the bank's open row it also raises the
+// cached row-hit priority (it can only raise it: lowering happens
+// exclusively through bankChanged after an issue on the bank).
+func (c *Controller) bucketPush(s int32) {
+	e := &c.slots[s]
 	key := c.bankKey(e.loc)
 	b := &c.buckets[key]
-	b.entries = append(b.entries, e) //sara:alloc-ok bucket capacity amortizes to steady state (0 allocs/op bench gate)
-	b.dirty = true
+	c.next[s] = -1
+	if b.tail < 0 {
+		b.head = s
+	} else {
+		c.next[b.tail] = s
+	}
+	b.tail = s
+	c.live.set(key)
+	c.dirty.set(key)
 	if c.rowAware {
-		if p := entryHit(&c.scan.Banks[key], &e); p > c.bankHit[key] {
+		if p := entryHit(&c.scan.Banks[key], e); p > c.bankHit[key] {
 			c.bankHit[key] = p
 		}
 	}
 }
 
-// bucketRemove deletes the entry holding transaction id from bank key.
-func (c *Controller) bucketRemove(key int, id uint64) {
-	es := c.buckets[key].entries
-	for i := range es {
-		if es[i].t.ID == id {
-			copy(es[i:], es[i+1:])
-			es[len(es)-1] = entry{}
-			c.buckets[key].entries = es[:len(es)-1]
-			return
+// bucketRemove unlinks slot s from bank key's bucket.
+func (c *Controller) bucketRemove(key int, s int32) {
+	b := &c.buckets[key]
+	prev := int32(-1)
+	for at := b.head; at >= 0; prev, at = at, c.next[at] {
+		if at != s {
+			continue
 		}
+		if prev < 0 {
+			b.head = c.next[s]
+		} else {
+			c.next[prev] = c.next[s]
+		}
+		if b.tail == s {
+			b.tail = prev
+		}
+		if b.head < 0 {
+			c.live.clear(key)
+		}
+		return
 	}
-	panic(fmt.Sprintf("memctrl: bucket remove of unknown txn %d", id))
+	panic(fmt.Sprintf("memctrl: bucket remove of unknown slot %d", s))
 }
 
 // bankChanged records that a command was issued to bank key: the bucket
 // must be re-probed, and for row-aware policies the cached best queued
 // row-hit priority is rebuilt against the just-patched scan snapshot.
 func (c *Controller) bankChanged(key int) {
-	b := &c.buckets[key]
-	b.dirty = true
+	c.dirty.set(key)
 	if !c.rowAware {
 		return
 	}
 	hit := uint16(0)
 	bs := &c.scan.Banks[key]
-	for i := range b.entries {
-		if p := entryHit(bs, &b.entries[i]); p > hit {
+	for s := c.buckets[key].head; s >= 0; s = c.next[s] {
+		if p := entryHit(bs, &c.slots[s]); p > hit {
 			hit = p
 		}
 	}
@@ -144,6 +178,55 @@ func (c *Controller) bankChanged(key int) {
 // the rank's forced-drain gate and moved its activate gates).
 func (c *Controller) dirtyRank(r int) {
 	for b := r * c.nBanks; b < (r+1)*c.nBanks; b++ {
-		c.buckets[b].dirty = true
+		c.dirty.set(b)
+	}
+}
+
+// collectBuckets is the incremental scan: clean buckets parked in the
+// future contribute their cached bound without any per-entry work; dirty
+// or due buckets are re-probed and their bound refreshed. Empty buckets
+// are not visited at all: the scan walks the set bits of the live mask,
+// in ascending bank order, so candidates are collected in the order a
+// walk over every bucket would collect them. It is only valid while no
+// queued transaction is over the aging limit (the caller checks),
+// because aging changes the candidate rule globally.
+//
+//sara:hotpath
+func (c *Controller) collectBuckets(now sim.Cycle) {
+	c.scratch = c.scratch[:0]
+	c.agedPass = false
+	tryAt := neverTry
+	for w, live := range c.live {
+		for live != 0 {
+			bit := bits.TrailingZeros64(live)
+			live &= live - 1
+			k := w<<6 | bit
+			b := &c.buckets[k]
+			if c.dirty[w]&(1<<bit) == 0 && b.readyAt > now {
+				if b.readyAt < tryAt {
+					tryAt = b.readyAt
+				}
+				continue
+			}
+			c.dirty[w] &^= 1 << bit
+			at := neverTry
+			for s := b.head; s >= 0; s = c.next[s] {
+				e := &c.slots[s]
+				ok, rowHit, eAt, eOK := c.probeScan(e, c.allowPrecharge(e), now)
+				if ok {
+					c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
+				}
+				if eOK && eAt < at {
+					at = eAt
+				}
+			}
+			b.readyAt = at
+			if at < tryAt {
+				tryAt = at
+			}
+		}
+	}
+	if len(c.scratch) == 0 {
+		c.parkEmptyScan(now, tryAt)
 	}
 }

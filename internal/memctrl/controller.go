@@ -106,9 +106,21 @@ type Controller struct {
 	// rowAware marks policies that consult bankHit, gating its upkeep.
 	rowAware bool
 
-	// buckets index the queued entries by bank; see bucket.go for the
-	// incremental-maintenance and invalidation contract.
-	buckets []bucket
+	// buckets index the queued entries by bank; live and dirty are the
+	// bank bitmaps that mark non-empty buckets and buckets to re-probe.
+	// See bucket.go for the incremental-maintenance and invalidation
+	// contract.
+	buckets     []bucket
+	live, dirty bankMask
+
+	// slots holds every queued entry once, sized to the queue capacity in
+	// New; the class queues and the bank buckets index into it. next
+	// links each slot to the next one of its bucket, or, for a free slot,
+	// to the next free slot after free (-1 ends either list). So neither
+	// an enqueue nor a bucket push ever grows a slice.
+	slots []entry
+	next  []int32
+	free  int32
 
 	// npending caches the total queued-transaction count across the five
 	// class queues; Pending is on the controller's activity-hint path,
@@ -177,13 +189,16 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 		panic(fmt.Sprintf("memctrl: channel %d out of range", cfg.Channel))
 	}
 	geo := d.Config().Geometry
+	nb := geo.Ranks * geo.Banks
 	c := &Controller{
 		cfg:       cfg,
 		dram:      d,
 		mapper:    d.Mapper(),
-		bankHit:   make([]uint16, geo.Ranks*geo.Banks),
+		bankHit:   make([]uint16, nb),
 		rowAware:  cfg.Policy == FRFCFS || cfg.Policy == QoSRB,
-		buckets:   make([]bucket, geo.Ranks*geo.Banks),
+		buckets:   make([]bucket, nb),
+		live:      newBankMask(nb),
+		dirty:     newBankMask(nb),
 		nBanks:    geo.Banks,
 		nRanks:    geo.Ranks,
 		refreshOn: d.RefreshEnabled(),
@@ -193,8 +208,21 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 		c.rankPending = make([]int, geo.Ranks)
 		c.rankIdleFrom = make([]sim.Cycle, geo.Ranks)
 	}
-	for i := range c.queues {
-		c.queues[i] = classQueue{class: txn.Class(i), cap: cfg.QueueCaps[i]}
+	total := cfg.QueueCaps.Total()
+	queued := make([]int32, total)
+	for i, off := 0, 0; i < len(c.queues); i++ {
+		n := cfg.QueueCaps[i]
+		c.queues[i] = classQueue{class: txn.Class(i), cap: n, slots: queued[off : off : off+n]}
+		off += n
+	}
+	c.slots = make([]entry, total)
+	c.next = make([]int32, total)
+	c.free = -1
+	for s := total - 1; s >= 0; s-- {
+		c.next[s], c.free = c.free, int32(s)
+	}
+	for k := range c.buckets {
+		c.buckets[k].head, c.buckets[k].tail = -1, -1
 	}
 	d.InitScan(&c.scan)
 	// The snapshot is filled once and patched after every issued command;
@@ -217,7 +245,7 @@ func (c *Controller) SpaceFor(class txn.Class) bool {
 
 // Occupancy reports the number of queued transactions in class.
 func (c *Controller) Occupancy(class txn.Class) int {
-	return len(c.queues[class].entries)
+	return len(c.queues[class].slots)
 }
 
 // Enqueue admits t at cycle now. The caller must have checked SpaceFor.
@@ -232,10 +260,16 @@ func (c *Controller) Enqueue(t *txn.Transaction, now sim.Cycle) {
 	t.Enqueue = now
 	t.RowPath = neededNothing
 	wasEmpty := c.npending == 0
-	e := entry{t: t, loc: loc}
-	c.queues[t.Class].push(e)
+	q := &c.queues[t.Class]
+	if q.full() {
+		panic(fmt.Sprintf("memctrl: queue %s overflow", q.class))
+	}
+	s := c.free
+	c.free = c.next[s]
+	c.slots[s] = entry{t: t, loc: loc}
+	q.slots = append(q.slots, s) //sara:alloc-ok New sizes every queue to its depth
 	c.npending++
-	c.bucketPush(e)
+	c.bucketPush(s)
 	c.stats.Enqueued++
 	if c.refreshOn {
 		c.rankPending[loc.Rank]++
@@ -514,7 +548,7 @@ func (c *Controller) collectCandidates(now sim.Cycle) {
 	hasAged := false
 	if c.cfg.AgingT > 0 {
 		for qi := range c.queues {
-			if es := c.queues[qi].entries; len(es) > 0 && now >= es[0].t.Enqueue+c.cfg.AgingT {
+			if qs := c.queues[qi].slots; len(qs) > 0 && now >= c.slots[qs[0]].t.Enqueue+c.cfg.AgingT {
 				hasAged = true
 				break
 			}
@@ -525,48 +559,6 @@ func (c *Controller) collectCandidates(now sim.Cycle) {
 		return
 	}
 	c.collectBuckets(now)
-}
-
-// collectBuckets is the incremental scan: clean buckets parked in the
-// future contribute their cached bound without any per-entry work; dirty
-// or due buckets are re-probed and their bound refreshed. It is only
-// valid while no queued transaction is over the aging limit (the caller
-// checks), because aging changes the candidate rule globally.
-func (c *Controller) collectBuckets(now sim.Cycle) {
-	c.scratch = c.scratch[:0]
-	c.agedPass = false
-	tryAt := neverTry
-	for k := range c.buckets {
-		b := &c.buckets[k]
-		if len(b.entries) == 0 {
-			continue
-		}
-		if !b.dirty && b.readyAt > now {
-			if b.readyAt < tryAt {
-				tryAt = b.readyAt
-			}
-			continue
-		}
-		b.dirty = false
-		at := neverTry
-		for i := range b.entries {
-			e := &b.entries[i]
-			ok, rowHit, eAt, eOK := c.probeScan(e, c.allowPrecharge(e), now)
-			if ok {
-				c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
-			}
-			if eOK && eAt < at {
-				at = eAt
-			}
-		}
-		b.readyAt = at
-		if at < tryAt {
-			tryAt = at
-		}
-	}
-	if len(c.scratch) == 0 {
-		c.parkEmptyScan(now, tryAt)
-	}
 }
 
 // collectFull is the legacy full rescan: every queued entry of every
@@ -580,9 +572,8 @@ func (c *Controller) collectFull(now sim.Cycle, hasAged bool) {
 	c.refreshBankHits()
 	if hasAged {
 		for qi := range c.queues {
-			entries := c.queues[qi].entries
-			for i := range entries {
-				e := &entries[i]
+			for _, qs := range c.queues[qi].slots {
+				e := &c.slots[qs]
 				if now < e.t.Enqueue+c.cfg.AgingT {
 					continue
 				}
@@ -598,9 +589,8 @@ func (c *Controller) collectFull(now sim.Cycle, hasAged bool) {
 	}
 	tryAt := neverTry
 	for qi := range c.queues {
-		entries := c.queues[qi].entries
-		for i := range entries {
-			e := &entries[i]
+		for _, qs := range c.queues[qi].slots {
+			e := &c.slots[qs]
 			ok, rowHit, at, atOK := c.probeScan(e, c.allowPrecharge(e), now)
 			if ok {
 				c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
@@ -632,9 +622,8 @@ func (c *Controller) collectFull(now sim.Cycle, hasAged bool) {
 func (c *Controller) parkEmptyScan(now, tryAt sim.Cycle) {
 	if c.cfg.AgingT > 0 {
 		for qi := range c.queues {
-			entries := c.queues[qi].entries
-			for i := range entries {
-				if deadline := entries[i].t.Enqueue + c.cfg.AgingT; deadline > now {
+			for _, qs := range c.queues[qi].slots {
+				if deadline := c.slots[qs].t.Enqueue + c.cfg.AgingT; deadline > now {
 					if deadline < tryAt {
 						tryAt = deadline
 					}
@@ -703,9 +692,8 @@ func (c *Controller) refreshBankHits() {
 		c.bankHit[k] = 0
 	}
 	for qi := range c.queues {
-		entries := c.queues[qi].entries
-		for i := range entries {
-			e := &entries[i]
+		for _, qs := range c.queues[qi].slots {
+			e := &c.slots[qs]
 			key := c.bankKey(e.loc)
 			if p := entryHit(&c.scan.Banks[key], e); p > c.bankHit[key] {
 				c.bankHit[key] = p
@@ -793,9 +781,12 @@ func (c *Controller) issueCAS(e entry, now sim.Cycle) {
 	c.dram.Release(e.loc, e.t.ID)
 	q := &c.queues[e.t.Class]
 	wasFull := q.full()
-	q.remove(e.t.ID)
+	s := q.remove(c.slots, e.t.ID)
 	c.npending--
-	c.bucketRemove(c.bankKey(e.loc), e.t.ID)
+	c.bucketRemove(c.bankKey(e.loc), s)
+	c.slots[s] = entry{}
+	c.next[s] = c.free
+	c.free = s
 	if wasFull && c.OnRelease != nil {
 		c.OnRelease(e.t.Class, now)
 	}

@@ -20,30 +20,24 @@ type entry struct {
 	loc dram.Location
 }
 
-// classQueue is one of the five transaction queues.
+// classQueue is one of the five transaction queues: the slots (indices
+// into the controller's slot table) of its entries, in arrival order.
 type classQueue struct {
-	class   txn.Class
-	cap     int
-	entries []entry
+	class txn.Class
+	cap   int
+	slots []int32
 }
 
-func (q *classQueue) full() bool { return len(q.entries) >= q.cap }
+func (q *classQueue) full() bool { return len(q.slots) >= q.cap }
 
-func (q *classQueue) push(e entry) {
-	if q.full() {
-		panic(fmt.Sprintf("memctrl: queue %s overflow", q.class))
-	}
-	q.entries = append(q.entries, e) //sara:alloc-ok queue backing array amortizes to its configured depth
-}
-
-// remove deletes the entry holding transaction id, preserving order.
-func (q *classQueue) remove(id uint64) {
-	for i := range q.entries {
-		if q.entries[i].t.ID == id {
-			copy(q.entries[i:], q.entries[i+1:])
-			q.entries[len(q.entries)-1] = entry{}
-			q.entries = q.entries[:len(q.entries)-1]
-			return
+// remove deletes the entry holding transaction id, preserving order, and
+// returns its slot.
+func (q *classQueue) remove(slots []entry, id uint64) int32 {
+	for i, s := range q.slots {
+		if slots[s].t.ID == id {
+			copy(q.slots[i:], q.slots[i+1:])
+			q.slots = q.slots[:len(q.slots)-1]
+			return s
 		}
 	}
 	panic(fmt.Sprintf("memctrl: remove of unknown txn %d", id))

@@ -21,6 +21,14 @@
 // credit return (a full FIFO pop, or a memory-controller queue release) —
 // so a router stays dormant between grants even while the rest of the
 // system keeps executing cycles.
+//
+// A scan that does run buckets the arbitrable heads by routed output once,
+// as lists of port indices, and each output's selection walks only its own
+// list, reading the head packets in place from the FIFOs. A root router
+// with one output per DRAM channel therefore pays for each ready head once
+// per scan, not once per output. Every arbitration policy breaks its ties
+// down to a total order (round-robin distance, or arrival then
+// transaction ID), so the order of a list never changes a grant.
 package noc
 
 import (
@@ -302,10 +310,12 @@ type Router struct {
 	route func(*txn.Transaction) int
 	rrPtr int
 
-	// ready is per-cycle scratch: the arbitrable head of every port,
-	// collected once per scan so the per-output selection loops do not
-	// re-read FIFOs and re-route packets.
-	ready []readyHead
+	// heads is per-scan scratch: heads[o] lists the ports whose
+	// arbitrable head routes to output o, so the per-output selection
+	// walks only its own heads and no packet is routed twice. A port's
+	// head sits in at most one list, so every list has room for all ports;
+	// NewRouter carves the lists out of one backing array.
+	heads [][]int32
 	// queued is the live packet count across all input ports.
 	queued int
 
@@ -417,13 +427,6 @@ func (r *Router) FlushSleep(now sim.Cycle) {
 // cannot grant without an external event (nextGrantAt).
 const never = ^sim.Cycle(0)
 
-// readyHead is one port's arbitrable head packet with its routed output.
-type readyHead struct {
-	idx int
-	out int
-	pk  packet
-}
-
 // NewRouter builds a router with nports input ports. route may be nil when
 // there is exactly one output. Every output is wired to wake the router
 // on credit returns.
@@ -444,6 +447,11 @@ func NewRouter(name string, params Params, nports int, outputs []Sink, route fun
 		r.ports[i] = NewPort(params.PortDepth)
 		r.ports[i].owner = r
 		r.ports[i].idx = i
+	}
+	slab := make([]int32, len(outputs)*nports)
+	r.heads = make([][]int32, len(outputs))
+	for o := range r.heads {
+		r.heads[o] = slab[o*nports : o*nports : (o+1)*nports]
 	}
 	for _, out := range outputs {
 		out.OnCredit(r)
@@ -561,9 +569,10 @@ func (r *Router) accrueStallGap(now sim.Cycle) {
 // Tick performs one cycle of switch allocation: at most one grant per
 // output. Strictly before the dormancy window opens it only settles stall
 // accounting in O(1); at or after the window it runs the full scan: the
-// arbitrable heads are collected (and routed) once; after a grant, the
-// popped port's next head joins the pool for the remaining outputs,
-// matching the per-output re-read of a straightforward nested scan.
+// arbitrable heads are collected (and routed) once into per-output lists;
+// after a grant, the popped port's next head joins the list of its output
+// when that output is still to be served this cycle, matching the
+// per-output re-read of a straightforward nested scan.
 //
 //sara:hotpath
 func (r *Router) Tick(now sim.Cycle) {
@@ -594,14 +603,19 @@ func (r *Router) Tick(now sim.Cycle) {
 	r.accrueStallGap(now)
 	r.lastTick = now
 	r.lastScan = now
-	r.ready = r.ready[:0]
+	for o := range r.heads {
+		r.heads[o] = r.heads[o][:0]
+	}
+	ready := false
 	oldest := now
 	for i, p := range r.ports {
 		if len(p.fifo) == 0 {
 			continue // zero buffered flits: nothing to collect or route
 		}
-		if pk := p.fifo[0]; pk.readyAt <= now {
-			r.ready = append(r.ready, readyHead{idx: i, out: r.headOut(p), pk: pk}) //sara:alloc-ok ready list is reused each tick; capacity amortizes to port count
+		if pk := &p.fifo[0]; pk.readyAt <= now {
+			o := r.headOut(p)
+			r.heads[o] = append(r.heads[o], int32(i)) //sara:alloc-ok NewRouter sizes every list to the port count
+			ready = true
 			if pk.arrived < oldest {
 				oldest = pk.arrived
 			}
@@ -611,27 +625,28 @@ func (r *Router) Tick(now sim.Cycle) {
 	aging := r.params.AgingT > 0 && now >= oldest+r.params.AgingT
 	granted := false
 	for out := range r.outputs {
-		sel := r.selectReady(out, now, aging)
-		if sel < 0 {
+		idx := r.selectReady(out, now, aging)
+		if idx < 0 {
 			continue
 		}
-		h := r.ready[sel]
-		pk := r.ports[h.idx].pop(now)
+		p := r.ports[idx]
+		pk := p.pop(now)
 		if r.trace.Grant != nil {
-			r.trace.Grant(r.name, now, h.idx, out, pk.t.ID)
+			r.trace.Grant(r.name, now, idx, out, pk.t.ID)
 		}
 		r.outputs[out].Accept(pk.t, now)
 		r.forwarded++
 		granted = true
-		r.rrPtr = (h.idx + 1) % len(r.ports)
-		// Refresh the granted port's cached head for later outputs.
-		if p := r.ports[h.idx]; len(p.fifo) > 0 && p.fifo[0].readyAt <= now {
-			r.ready[sel] = readyHead{idx: h.idx, out: r.headOut(p), pk: p.fifo[0]}
-		} else {
-			r.ready = append(r.ready[:sel], r.ready[sel+1:]...) //sara:alloc-ok in-place removal; never grows the backing array
+		r.rrPtr = (idx + 1) % len(r.ports)
+		// The popped port's next head competes this cycle only for an
+		// output still to be served: outputs up to out are done.
+		if len(p.fifo) > 0 && p.fifo[0].readyAt <= now {
+			if o := r.headOut(p); o > out {
+				r.heads[o] = append(r.heads[o], int32(idx)) //sara:alloc-ok idx is in no unserved list yet, so list o has room
+			}
 		}
 	}
-	if !granted && len(r.ready) > 0 {
+	if !granted && ready {
 		// Some head was ready but nothing fit downstream.
 		r.stalls++
 		if r.trace.Stall != nil {
@@ -678,32 +693,40 @@ func (r *Router) headOut(p *Port) int {
 	return int(pk.out)
 }
 
-// selectReady picks the index in r.ready to grant for output out, or -1.
+// selectReady picks the port to grant for output out among the heads
+// bucketed for it, or -1.
+//
+//sara:hotpath
 func (r *Router) selectReady(out int, now sim.Cycle, aging bool) int {
+	heads := r.heads[out]
+	if len(heads) == 0 {
+		return -1
+	}
+	sink := r.outputs[out]
 	sel := -1
+	var best *packet
 	// Aging pass: any over-age head is served oldest-first.
 	if aging {
-		for i, h := range r.ready {
-			if h.out != out || now < h.pk.arrived+r.params.AgingT {
+		for _, i := range heads {
+			pk := &r.ports[i].fifo[0]
+			if now < pk.arrived+r.params.AgingT || !sink.CanAccept(pk.t) {
 				continue
 			}
-			if !r.outputs[out].CanAccept(h.pk.t) {
-				continue
-			}
-			if sel < 0 || fcfsBefore(h.pk, r.ready[sel].pk) {
-				sel = i
+			if best == nil || fcfsBefore(pk, best) {
+				sel, best = int(i), pk
 			}
 		}
 		if sel >= 0 {
 			return sel
 		}
 	}
-	for i, h := range r.ready {
-		if h.out != out || !r.outputs[out].CanAccept(h.pk.t) {
+	for _, i := range heads {
+		pk := &r.ports[i].fifo[0]
+		if !sink.CanAccept(pk.t) {
 			continue
 		}
-		if sel < 0 || r.better(h.pk, h.idx, r.ready[sel].pk, r.ready[sel].idx, now) {
-			sel = i
+		if best == nil || r.better(pk, int(i), best, sel) {
+			sel, best = int(i), pk
 		}
 	}
 	return sel
@@ -711,7 +734,7 @@ func (r *Router) selectReady(out int, now sim.Cycle, aging bool) int {
 
 // better reports whether candidate (pk, idx) beats the incumbent under the
 // router's arbitration policy.
-func (r *Router) better(pk packet, idx int, inc packet, incIdx int, now sim.Cycle) bool {
+func (r *Router) better(pk *packet, idx int, inc *packet, incIdx int) bool {
 	switch r.params.Arb {
 	case ArbFCFS:
 		return fcfsBefore(pk, inc)
@@ -732,7 +755,7 @@ func (r *Router) better(pk packet, idx int, inc packet, incIdx int, now sim.Cycl
 	}
 }
 
-func fcfsBefore(a, b packet) bool {
+func fcfsBefore(a, b *packet) bool {
 	if a.arrived != b.arrived {
 		return a.arrived < b.arrived
 	}

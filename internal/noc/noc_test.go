@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"sara/internal/sim"
@@ -391,4 +392,281 @@ func ids(ts []*txn.Transaction) []uint64 {
 		out = append(out, t.ID)
 	}
 	return out
+}
+
+// --- selection oracle: per-output head lists against the nested scan ---
+
+// classSink accepts every transaction whose class is not in its refused
+// mask. Changing the mask is a credit return when it lets a class through
+// again, so setRefused wakes the router then.
+type classSink struct {
+	refused uint8
+	got     []*txn.Transaction
+	w       Waker
+}
+
+func (s *classSink) CanAccept(t *txn.Transaction) bool { return s.refused&(1<<t.Class) == 0 }
+func (s *classSink) Accept(t *txn.Transaction, now sim.Cycle) {
+	s.got = append(s.got, t)
+}
+func (s *classSink) OnCredit(w Waker) { s.w = w }
+
+func (s *classSink) setRefused(mask uint8, now sim.Cycle) {
+	if s.refused&^mask != 0 && s.w != nil {
+		s.w.Wake(now)
+	}
+	s.refused = mask
+}
+
+// grantRec is one grant: cycle, input port, output and transaction.
+type grantRec struct {
+	at        sim.Cycle
+	port, out int
+	id        uint64
+}
+
+// oracleHead is one port's arbitrable head with its routed output, as
+// the nested scan collects them.
+type oracleHead struct {
+	idx, out int
+	pk       packet
+}
+
+// oracleStats counts what an oracle run exercised: grants made in an
+// aging pass, heads passed over because their sink refused them, and,
+// for a granted port whose next head was ready, whether that head
+// routed to a later, an earlier or the same output.
+type oracleStats struct {
+	aged, refused        int
+	later, earlier, same int
+}
+
+// oracleScan is the outputs × ready-heads nested scan the router's
+// per-output head lists replace: collect every arbitrable head once,
+// then for each output rescan all of them, and after a grant re-read the
+// popped port's next head in place. It pops through Port.pop like the
+// router and returns the grants it made at cycle now.
+func oracleScan(r *Router, now sim.Cycle, st *oracleStats) []grantRec {
+	var ready []oracleHead
+	oldest := now
+	for i, p := range r.ports {
+		if len(p.fifo) == 0 || p.fifo[0].readyAt > now {
+			continue
+		}
+		ready = append(ready, oracleHead{i, r.headOut(p), p.fifo[0]})
+		if p.fifo[0].arrived < oldest {
+			oldest = p.fifo[0].arrived
+		}
+	}
+	aging := r.params.AgingT > 0 && now >= oldest+r.params.AgingT
+	var grants []grantRec
+	for out := range r.outputs {
+		sel := -1
+		if aging {
+			for i, h := range ready {
+				if h.out != out || now < h.pk.arrived+r.params.AgingT || !r.outputs[out].CanAccept(h.pk.t) {
+					continue
+				}
+				if sel < 0 || fcfsBefore(&h.pk, &ready[sel].pk) {
+					sel = i
+				}
+			}
+			if sel >= 0 {
+				st.aged++
+			}
+		}
+		if sel < 0 {
+			for i, h := range ready {
+				if h.out != out {
+					continue
+				}
+				if !r.outputs[out].CanAccept(h.pk.t) {
+					st.refused++
+					continue
+				}
+				if sel < 0 || r.better(&h.pk, h.idx, &ready[sel].pk, ready[sel].idx) {
+					sel = i
+				}
+			}
+		}
+		if sel < 0 {
+			continue
+		}
+		h := ready[sel]
+		pk := r.ports[h.idx].pop(now)
+		r.outputs[out].Accept(pk.t, now)
+		r.rrPtr = (h.idx + 1) % len(r.ports)
+		grants = append(grants, grantRec{now, h.idx, out, pk.t.ID})
+		if p := r.ports[h.idx]; len(p.fifo) > 0 && p.fifo[0].readyAt <= now {
+			next := oracleHead{h.idx, r.headOut(p), p.fifo[0]}
+			switch {
+			case next.out > out:
+				st.later++
+			case next.out < out:
+				st.earlier++
+			default:
+				st.same++
+			}
+			ready[sel] = next
+		} else {
+			ready = append(ready[:sel], ready[sel+1:]...)
+		}
+	}
+	return grants
+}
+
+// TestSelectionMatchesNestedScan drives a router and a twin through the
+// same randomized states — ports, outputs, hop delays, priorities,
+// urgency, classes, sinks refusing by class — and requires the router's
+// grants to equal, cycle by cycle, the grants of the nested scan run on
+// the twin. The reference kernel mode does not bypass output selection,
+// so this is the check that sees a selection bug.
+func TestSelectionMatchesNestedScan(t *testing.T) {
+	t.Parallel()
+	var total oracleStats
+	for _, arb := range []ArbKind{ArbFCFS, ArbRR, ArbPriority, ArbFrameRate} {
+		for _, aging := range []bool{false, true} {
+			for seed := uint64(1); seed <= 25; seed++ {
+				rng := sim.NewRand(seed*8 + uint64(arb)*2)
+				pr := params(arb)
+				pr.PortDepth = 1 + rng.Intn(6)
+				if aging {
+					pr.AgingT = sim.Cycle(5 + rng.Intn(40))
+				}
+				nports, nout := 1+rng.Intn(8), 1+rng.Intn(8)
+				if seed%5 == 0 {
+					nout = 8
+				}
+				route := func(t *txn.Transaction) int { return int(t.Addr) }
+				build := func() (*Router, []*classSink) {
+					sinks := make([]*classSink, nout)
+					outs := make([]Sink, nout)
+					for i := range sinks {
+						sinks[i] = &classSink{}
+						outs[i] = sinks[i]
+					}
+					return NewRouter("t", pr, nports, outs, route), sinks
+				}
+				r, rSinks := build()
+				o, oSinks := build()
+				var got []grantRec
+				r.SetTrace(Trace{Grant: func(_ string, now sim.Cycle, port, out int, id uint64) {
+					got = append(got, grantRec{now, port, out, id})
+				}})
+				id := uint64(0)
+				for now := sim.Cycle(0); now < 400; now++ {
+					for i := range rSinks {
+						if rng.Bool(0.1) {
+							mask := uint8(rng.Intn(1 << txn.NumClasses))
+							if rng.Bool(0.5) {
+								mask = 0
+							}
+							rSinks[i].setRefused(mask, now)
+							oSinks[i].setRefused(mask, now)
+						}
+					}
+					for p := 0; p < nports; p++ {
+						if !rng.Bool(0.35) || !r.Port(p).CanAccept() {
+							continue
+						}
+						id++
+						tr := &txn.Transaction{ID: id, Addr: txn.Addr(rng.Intn(nout)),
+							Class: txn.Class(rng.Intn(txn.NumClasses)), Priority: txn.Priority(rng.Intn(8)),
+							Urgent: rng.Bool(0.2)}
+						hop := sim.Cycle(rng.Intn(4))
+						r.Port(p).Push(tr, now, now+hop)
+						o.Port(p).Push(tr, now, now+hop)
+					}
+					before := len(got)
+					r.Tick(now)
+					want := oracleScan(o, now, &total)
+					if fmt.Sprint(got[before:]) != fmt.Sprint(want) {
+						t.Fatalf("%v aging=%v seed %d (%d ports, %d outputs) cycle %d: grants %v, nested scan %v",
+							arb, aging, seed, nports, nout, now, got[before:], want)
+					}
+				}
+			}
+		}
+	}
+	if total.aged == 0 || total.refused == 0 || total.later == 0 || total.earlier == 0 || total.same == 0 {
+		t.Fatalf("vacuous run: %+v", total)
+	}
+	t.Logf("exercised: %+v", total)
+}
+
+// benchRouter builds an 8-port, 8-output router with 4-deep ports whose
+// packets route by Addr, and a pool of transactions to refill it from.
+func benchRouter() (*Router, []*classSink, []*txn.Transaction) {
+	const nports, nout = 8, 8
+	sinks := make([]*classSink, nout)
+	outs := make([]Sink, nout)
+	for i := range sinks {
+		sinks[i] = &classSink{got: make([]*txn.Transaction, 0, 1)} // one grant per output per tick
+		outs[i] = sinks[i]
+	}
+	pr := params(ArbPriority)
+	pr.AgingT = 10000
+	r := NewRouter("bench", pr, nports, outs, func(t *txn.Transaction) int { return int(t.Addr) })
+	pool := make([]*txn.Transaction, 64)
+	for i := range pool {
+		pool[i] = &txn.Transaction{ID: uint64(i + 1), Addr: txn.Addr(i * 5 % nout), Priority: txn.Priority(i % 8)}
+	}
+	return r, sinks, pool
+}
+
+// BenchmarkRouterTick prices one router tick on the root router's shape
+// (8 inputs, 8 outputs) in the three states a loaded run sees: dormant
+// (heads still on their links, so the tick only settles stall
+// accounting), backpressured (every head ready but every sink refusing;
+// a credit wake each cycle forces the full scan), and granting (every
+// port refilled to its depth each cycle, so each scan grants on several
+// outputs; the refill is part of the measured loop).
+func BenchmarkRouterTick(b *testing.B) {
+	fill := func(r *Router, pool []*txn.Transaction, next *int, now, readyAt sim.Cycle) {
+		for p := 0; p < r.NPorts(); p++ {
+			for r.Port(p).CanAccept() {
+				r.Port(p).Push(pool[*next%len(pool)], now, readyAt)
+				*next++
+			}
+		}
+	}
+	b.Run("Dormant", func(b *testing.B) {
+		r, _, pool := benchRouter()
+		next := 0
+		fill(r, pool, &next, 0, never-1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Tick(sim.Cycle(i + 1))
+		}
+	})
+	b.Run("Backpressured", func(b *testing.B) {
+		r, sinks, pool := benchRouter()
+		for _, s := range sinks {
+			s.refused = 1<<txn.NumClasses - 1
+		}
+		next := 0
+		fill(r, pool, &next, 0, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now := sim.Cycle(i + 1)
+			r.Wake(now)
+			r.Tick(now)
+		}
+	})
+	b.Run("Granting", func(b *testing.B) {
+		r, sinks, pool := benchRouter()
+		next := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now := sim.Cycle(i + 1)
+			fill(r, pool, &next, now, now)
+			r.Tick(now)
+			for _, s := range sinks {
+				s.got = s.got[:0]
+			}
+		}
+	})
 }

@@ -53,7 +53,10 @@
 // execute the same cycles' work in the same order.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a point in simulated time, measured in DRAM command-clock cycles.
 type Cycle uint64
@@ -384,8 +387,18 @@ type Kernel struct {
 	// horizon so end-of-run statistics are exact even when the active
 	// list left a component un-ticked over a trailing dormant stretch.
 	settlers []Settler
-	opaque   bool
-	noSkip   bool
+	// due is stepActive's due set, one bit per idler id: the wake-heap
+	// descent marks every entry with at <= now, and a same-cycle re-arm
+	// of an id at or after dueFrom joins it mid-walk. dueFrom is the id
+	// after the one being ticked, and len(idlers) outside the walk, so a
+	// re-arm from an event or from outside Run never touches the set.
+	// stack is the descent's scratch. Register sizes due and stack, so
+	// the walk never allocates.
+	due     []uint64
+	dueFrom int
+	stack   []int32
+	opaque  bool
+	noSkip  bool
 	// reference is the SetReference switch: stepped execution with every
 	// component's dormancy caches bypassed.
 	reference bool
@@ -457,6 +470,13 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 	h := WakeHandle{k: k, id: len(k.idlers)}
 	k.idlers = append(k.idlers, id)
 	k.wakes.add(h.id)
+	k.dueFrom = len(k.idlers)
+	if h.id>>6 == len(k.due) {
+		k.due = append(k.due, 0)
+	}
+	if len(k.idlers) > cap(k.stack) {
+		k.stack = make([]int32, 0, 2*len(k.idlers))
+	}
 	if wb, ok := t.(WakeBinder); ok {
 		wb.BindWake(h)
 	}
@@ -468,10 +488,12 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 
 // Rearm lowers idler id's cached wake cycle to at (a decrease-key; see
 // wakeHeap.rearm); a cached wake at or before at is left untouched.
-// Components normally call this through their WakeHandle. An out-of-range
-// id panics with an *InvariantError: a dropped re-arm is a silently
-// missed wake — the simulation would diverge, not fail — so bad wiring
-// must die loudly instead.
+// During stepActive's walk, a re-arm at or before the current cycle of an
+// id the walk has not reached yet also adds the id to the due set — the
+// same-cycle forward edge. Components normally call this through their
+// WakeHandle. An out-of-range id panics with an *InvariantError: a
+// dropped re-arm is a silently missed wake — the simulation would
+// diverge, not fail — so bad wiring must die loudly instead.
 func (k *Kernel) Rearm(id int, at Cycle) {
 	if id < 0 || id >= len(k.wakes.at) {
 		panic(invariant(fmt.Sprintf(
@@ -479,6 +501,9 @@ func (k *Kernel) Rearm(id int, at Cycle) {
 			id, len(k.wakes.at))))
 	}
 	k.wakes.rearm(id, at)
+	if id >= k.dueFrom && at <= k.now {
+		k.due[id>>6] |= 1 << (id & 63)
+	}
 }
 
 // At schedules fn to run at cycle at, before that cycle's tickers. If at is
@@ -543,35 +568,74 @@ func (k *Kernel) Step() {
 	k.now++
 }
 
-// stepActive is Step's tick loop in active-list mode: walk the tickers in
-// registration order, tick only those whose cached wake is due, and
-// re-key each ticked entry to its exact next activity. Reading the wake
-// bound live (not a snapshot) makes same-cycle forward edges work — a
-// source enqueueing into a dormant engine re-arms the engine's entry, and
-// the engine, registered later, sees the lowered bound when the walk
-// reaches it. Backward same-cycle edges need no tick: a stepped run's
-// earlier-registered component had already ticked when the edge fired, so
-// both modes first act on it the next cycle (every backward edge re-arms
-// at now+1 or via a pre-tick event). Because every ticked entry is
-// re-keyed from a live NextActivity query, the heap bounds are exact
-// after each active step, and the fast-forward probe computes the same
-// skip targets as a linear sweep over every hint.
+// stepActive is Step's tick loop in active-list mode: tick every due
+// ticker — cached wake at or before now — in registration order, and
+// re-key each ticked entry to its exact next activity. The due set is read
+// off the wake heap, not off every registered ticker: a descent from the
+// root, pruned at the first entry in the future, marks the due ids in a
+// bitset (markDue), and the walk visits the set bits in ascending id
+// order, which is registration order. So an executed cycle costs the due
+// tickers plus the heap entries bounding them, not the whole roster.
+//
+// Same-cycle forward edges join the set mid-walk: a source enqueueing
+// into a dormant engine, or a router into a dormant controller, re-arms
+// the receiver at now, and Rearm sets the receiver's bit because its id
+// lies after the one being ticked; the walk re-reads the bitset word after
+// every tick, so it reaches the receiver this cycle. Backward same-cycle
+// edges need no tick: a stepped run's earlier-registered component had
+// already ticked when the edge fired, so both modes first act on it the
+// next cycle (every backward edge re-arms at now+1 or via a pre-tick
+// event, and the next descent finds it). Because every ticked entry is
+// re-keyed from a live NextActivity query, the heap bounds are exact after
+// each active step, and the fast-forward probe computes the same skip
+// targets as a linear sweep over every hint.
 //
 //sara:hotpath
 func (k *Kernel) stepActive() {
 	now := k.now
-	at := k.wakes.at
-	for i, t := range k.tickers {
-		if at[i] > now {
-			continue
+	k.markDue(now)
+	for w := range k.due {
+		for k.due[w] != 0 {
+			b := bits.TrailingZeros64(k.due[w])
+			k.due[w] &^= 1 << b
+			i := w<<6 | b
+			k.dueFrom = i + 1
+			k.tickers[i].Tick(now)
+			next, ok := k.idlers[i].NextActivity(now + 1)
+			if !ok {
+				next = never
+			}
+			k.wakes.fix(i, next)
 		}
-		t.Tick(now)
-		next, ok := k.idlers[i].NextActivity(now + 1)
-		if !ok {
-			next = never
-		}
-		k.wakes.fix(i, next)
 	}
+	k.dueFrom = len(k.idlers)
+}
+
+// markDue sets the due bit of every wake-heap entry with at <= now. The
+// heap order makes those entries a subtree hanging off the root, so a
+// depth-first descent that stops at every future entry visits each due
+// entry once and only their children besides.
+//
+//sara:hotpath
+func (k *Kernel) markDue(now Cycle) {
+	q := k.wakes.entries
+	if len(q) == 0 || q[0].at > now {
+		return
+	}
+	st := append(k.stack[:0], 0) //sara:alloc-ok Register sizes the stack to the idler count, which bounds the due subtree
+	for len(st) > 0 {
+		i := st[len(st)-1]
+		st = st[:len(st)-1]
+		id := q[i].id
+		k.due[id>>6] |= 1 << (id & 63)
+		if l := 2*i + 1; int(l) < len(q) && q[l].at <= now {
+			st = append(st, l) //sara:alloc-ok bounded by the idler count (see above)
+		}
+		if r := 2*i + 2; int(r) < len(q) && q[r].at <= now {
+			st = append(st, r) //sara:alloc-ok bounded by the idler count (see above)
+		}
+	}
+	k.stack = st
 }
 
 // Run advances the simulation until the clock reaches horizon (exclusive).
