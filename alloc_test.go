@@ -100,11 +100,12 @@ func TestSteadyStateAllocationsParallel(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocationsReference pins the cycle-stepped reference
-// path too: allocation freedom must not depend on idle skipping.
+// TestSteadyStateAllocationsReference pins the stepped reference path
+// (SetReference: every component ticked every cycle, controller buckets
+// bypassed) too: allocation freedom must not depend on idle skipping.
 func TestSteadyStateAllocationsReference(t *testing.T) {
 	sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithPolicy(sara.QoS)))
-	sys.Kernel().SetIdleSkip(false)
+	sys.Kernel().SetReference(true)
 	sys.RunFrames(1)
 
 	if allocs := allocsPer1000(sys, 20); allocs > 0 {

@@ -296,11 +296,11 @@ func BenchmarkLoadedPhaseThroughputParallel(b *testing.B) {
 }
 
 // BenchmarkLoadedPhaseThroughputReference is the loaded-phase measurement
-// with idle skipping disabled — the cycle-stepped floor the event-driven
-// NoC is compared against.
+// on the stepped reference (SetReference) — the cycle-stepped floor the
+// event-driven kernel is compared against.
 func BenchmarkLoadedPhaseThroughputReference(b *testing.B) {
 	sys := sara.Build(sara.Saturated())
-	sys.Kernel().SetIdleSkip(false)
+	sys.Kernel().SetReference(true)
 	sys.RunFrames(1)
 	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()
@@ -310,13 +310,13 @@ func BenchmarkLoadedPhaseThroughputReference(b *testing.B) {
 	b.ReportMetric(1000, "cycles/op")
 }
 
-// BenchmarkSimulatorThroughputReference measures the same system with
-// idle skipping disabled — the cycle-stepped reference path the
-// equivalence tests compare against. The gap between this and
+// BenchmarkSimulatorThroughputReference measures the same system on the
+// stepped reference (SetReference) — the path the equivalence tests
+// compare against. The gap between this and
 // BenchmarkSimulatorThroughput is what event-driven execution buys.
 func BenchmarkSimulatorThroughputReference(b *testing.B) {
 	sys := sara.Build(sara.Camcorder(sara.CaseA))
-	sys.Kernel().SetIdleSkip(false)
+	sys.Kernel().SetReference(true)
 	sys.RunFrames(1) // pools, heaps and queues reach steady capacity
 	growSeries(sys, sara.Cycle(b.N)*1000)
 	b.ResetTimer()

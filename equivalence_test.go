@@ -11,7 +11,7 @@ import (
 // policy with the default seed.
 func buildCaseA(policy sara.Policy, skip bool) *sara.System {
 	sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithPolicy(policy)))
-	sys.Kernel().SetIdleSkip(skip)
+	sys.Kernel().SetReference(!skip)
 	return sys
 }
 
@@ -39,7 +39,7 @@ func TestIdleSkipEquivalence(t *testing.T) {
 				t.Fatal("idle-skipping run skipped no cycles; the fast path did not engage")
 			}
 			if got := ref.Kernel().SkippedCycles(); got != 0 {
-				t.Fatalf("reference run skipped %d cycles; SetIdleSkip(false) did not disable skipping", got)
+				t.Fatalf("reference run skipped %d cycles; SetReference(true) did not disable skipping", got)
 			}
 
 			refDRAM, fastDRAM := ref.DRAM().Stats(), fast.DRAM().Stats()
@@ -109,7 +109,7 @@ func TestIdleSkipEquivalenceRefresh(t *testing.T) {
 	build := func(policy sara.Policy, skip bool) *sara.System {
 		sys := sara.Build(sara.Camcorder(sara.CaseA,
 			sara.WithPolicy(policy), sara.WithRefresh(true)))
-		sys.Kernel().SetIdleSkip(skip)
+		sys.Kernel().SetReference(!skip)
 		return sys
 	}
 	for _, policy := range []sara.Policy{sara.QoS, sara.QoSRB, sara.FRFCFS} {

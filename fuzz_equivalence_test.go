@@ -182,10 +182,10 @@ type diffResult struct {
 }
 
 // captureRun executes cfg for the given horizon in one of the two
-// differential modes: the cycle-stepped force-scan reference (skip=false:
-// the kernel's SetReference mode, with every dormancy cache — router
-// grant windows, controller buckets, DMA injection wakes — bypassed) or
-// the event-driven idle-skipping run (skip=true). The mode lives on the
+// differential modes: the cycle-stepped reference (skip=false: the
+// kernel's SetReference mode, every component ticked every cycle and the
+// controller buckets bypassed) or the event-driven idle-skipping run
+// (skip=true). The mode lives on the
 // System's kernel, so concurrent captures never see each other's mode.
 func captureRun(cfg sara.Config, skip bool, horizon sara.Cycle) diffResult {
 	var res diffResult

@@ -365,11 +365,7 @@ func (p *parRun) checkWatchdog(now sim.Cycle) error {
 	if now < p.nextCheckAt {
 		return nil
 	}
-	every := wd.CheckEvery
-	if every == 0 {
-		every = 4096
-	}
-	p.nextCheckAt = now + sim.Cycle(every)
+	p.nextCheckAt = now + sim.Cycle(wd.Interval())
 	//sara:wallclock the watchdog's deadline check is about the host clock by design
 	if !wd.Deadline.IsZero() && time.Now().After(wd.Deadline) {
 		return p.deadlock(now, executed, fmt.Sprintf("wall-clock deadline exceeded (%s)", wd.Deadline.Format(time.RFC3339)))

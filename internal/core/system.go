@@ -44,8 +44,8 @@ type System struct {
 	ctrls   []*memctrl.Controller
 	byLabel map[string]*Unit
 
-	// probes are the trace-edge subscribers installed through Probe.
-	probes []*Probes
+	// probed records that Probe installed the System's one subscriber.
+	probed bool
 
 	domains []*domain
 	epochs  *parRun // advances the domains (see parRun.run)
@@ -326,15 +326,14 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 	// DMAs inject, aggregation routers forward, the root router delivers
 	// (through the channel ingress router, with several domains) into
 	// the controllers, and the controllers issue DRAM commands. Every
-	// component is registered directly (not through TickFunc) so it
-	// carries its sim.Idler hint and the kernel can fast-forward over
-	// quiescence. Registration also binds the push-based wake wiring:
-	// engines, routers and controllers receive their kernel wake handles
-	// through sim.WakeBinder, and each engine additionally gets its
-	// source's handle — the engine is the component that observes the
-	// two events that can move a source's next activity earlier (a
-	// pending-queue pop from full, a completion delivery), so it owns
-	// those re-arms.
+	// component carries its sim.Idler hint, so the kernel can
+	// fast-forward over quiescence. Registration also binds the
+	// push-based wake wiring: engines, routers and controllers receive
+	// their kernel wake handles through sim.WakeBinder, and each engine
+	// additionally gets its source's handle — the engine is the
+	// component that observes the two events that can move a source's
+	// next activity earlier (a pending-queue pop from full, a completion
+	// delivery), so it owns those re-arms.
 	for _, dom := range s.domains {
 		k := dom.kernel
 		srcWakes := make([]sim.WakeHandle, len(dom.units))

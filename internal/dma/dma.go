@@ -6,19 +6,15 @@
 // completion notifications back to the source and the performance meter.
 //
 // Injection is event-driven: the engine caches its next-injection cycle
-// (wakeAt) instead of inspecting its queue, window and port every cycle.
-// The three events that can make an injection possible earlier each
-// re-arm the cache and the kernel's wake heap: a source enqueue
-// (Enqueue, kernel entry only — the live-queue Tick gate needs no cache
-// update), a completion freeing a window slot (Deliver), and a credit
-// return from the NoC port it injects into (Wake, wired through
-// noc.Port.OnCredit). Under the kernel's active-ticker list a dormant
-// engine is not ticked at all; with idle skipping off, ticks strictly
-// before wakeAt settle the batched stall accounting in O(1), and
-// SettleRun flushes the same accounting at the run horizon. A kernel in
-// reference mode (sim.Kernel.SetReference) makes the engine ignore wakeAt
-// and inspect its queue, window and port every cycle, the per-cycle
-// reference the differential suites compare the cached wake against.
+// (wakeAt) and reports it as its next activity, so the kernel does not
+// tick it every cycle to inspect its queue, window and port. The three
+// events that can make an injection possible earlier each re-arm the
+// cache and the kernel's wake heap: a source enqueue (Enqueue, kernel
+// entry only — Tick reads the live queue, so the cache needs no update),
+// a completion freeing a window slot (Deliver), and a credit return from
+// the NoC port it injects into (Wake, wired through noc.Port.OnCredit). A
+// dormant engine is not ticked at all: its stall accounting is batched,
+// settled on its next tick and, by SettleRun, at the run horizon.
 package dma
 
 import (
@@ -42,12 +38,11 @@ type InjectFn = func(now sim.Cycle, source int, id uint64, addr uint64)
 // WakeFn observes one injection-wake re-arm of the cached next-injection
 // cycle: which engine re-armed to at, and why — 'D' for a completion
 // delivery, 'C' for a port credit return. The enqueue edge re-arms only
-// the kernel's wake entry, never the cache — the Tick gate reads the
-// live queue — so it has no wake to trace. The re-arm stream is a
-// function of the simulated behavior alone, so it must be bit-identical
-// between the idle-skipping run and the stepped force-scan reference — a
-// stale or missing wake diverges this trace instead of silently stalling
-// a core.
+// the kernel's wake entry, never the cache — Tick reads the live queue —
+// so it has no wake to trace. The re-arm stream is a function of the
+// simulated behavior alone, so it must be bit-identical between the
+// idle-skipping run and the stepped reference — a stale or missing wake
+// diverges this trace instead of silently stalling a core.
 type WakeFn = func(source int, at sim.Cycle, cause byte)
 
 // Trace is one engine's set of trace probes; nil fields are disabled.
@@ -125,19 +120,18 @@ type Engine struct {
 	outstanding int
 	nextID      *uint64
 
-	// wakeAt is the cached next-injection cycle: Tick runs the injection
-	// loop only at or after it, and parks it at never on exit (every way
-	// the loop can stop — queue empty, window full, port full — is
-	// un-stuck only by a re-arming event). It sits with the other
-	// tick-gate fields so the dormant fast path touches one cache line.
+	// wakeAt is the cached next-injection cycle, the engine's
+	// NextActivity answer. Tick parks it at never (every way the
+	// injection loop can stop — queue empty, window full, port full — is
+	// un-stuck only by a re-arming event).
 	wakeAt sim.Cycle
 
 	// lastTick and stalled batch the InjectStalls accounting across
-	// cycles the injection loop did not run (kernel-skipped or dormant):
-	// a stalled engine's blockers (full window, full port) cannot change
-	// without one of the re-arming events, each of which forces the loop
-	// to run on its cycle, so every loop-free cycle in between stalled as
-	// well and is counted in one step.
+	// cycles the kernel did not tick the engine: a stalled engine's
+	// blockers (full window, full port) cannot change without one of the
+	// re-arming events, each of which forces the loop to run on its
+	// cycle, so every loop-free cycle in between stalled as well and is
+	// counted in one step.
 	lastTick sim.Cycle
 	stalled  bool
 
@@ -260,13 +254,12 @@ func (e *Engine) Wake(at sim.Cycle) {
 
 // Enqueue adds a request to the pending queue. It reports false when the
 // queue is full, letting rate-based sources retry without losing the
-// tokens. The cached injection wake needs no re-arm — the engine's Tick
-// gate reads the live queue state, so once the engine IS ticked this
-// cycle the request is injected (or the stall latched) regardless of
-// wakeAt. What the active-ticker list does need is the kernel entry: the
-// source enqueues during its own tick, the engine walks later in the
-// same cycle, and without a due kernel bound it would not be ticked at
-// all. The re-arm is gated on !stalled — a stalled engine's blockers
+// tokens. The cached injection wake needs no re-arm — Tick reads the live
+// queue state, so once the engine IS ticked this cycle the request is
+// injected (or the stall latched) regardless of wakeAt. What the
+// active-ticker list does need is the kernel entry: the source enqueues
+// during its own tick, the engine walks later in the same cycle, and
+// without a due kernel bound it would not be ticked at all. The re-arm is gated on !stalled — a stalled engine's blockers
 // (full window, full port) are untouched by an enqueue, its stall
 // accounting is settled lazily, and the clearing event re-arms the
 // kernel itself — so the saturated hot path stays one flag test.
@@ -312,30 +305,10 @@ func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 }
 
 // Tick injects pending requests into the NoC port while the outstanding
-// window and port space allow. Strictly before the cached injection wake
-// it only settles stall accounting in O(1): the blockers provably cannot
-// have changed, because every event that clears one re-arms the wake onto
-// its own cycle.
+// window and port space allow.
 //
 //sara:hotpath
 func (e *Engine) Tick(now sim.Cycle) {
-	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !e.kern.Reference() {
-		// Idle, or dormant while blocked. The live pending check is the
-		// enqueue edge: fresh requests on an un-stalled engine can only
-		// appear on this very cycle (the source ticked just before), so
-		// they route to the injection loop without any re-arm; once the
-		// loop has latched a blocker, only the re-arming edges clear it.
-		if e.stalled {
-			// This cycle stalls too, plus any kernel-skipped stretch
-			// since the last settled tick.
-			if now > e.lastTick+1 {
-				e.stats.InjectStalls += uint64(now - e.lastTick - 1)
-			}
-			e.stats.InjectStalls++
-			e.lastTick = now
-		}
-		return
-	}
 	e.wakeAt = never
 	if len(e.pending) == 0 && !e.stalled {
 		return // nothing to inject, no stall accounting to carry
@@ -441,9 +414,9 @@ func (e *Engine) Deliver(t *txn.Transaction, now sim.Cycle) {
 
 // SettleRun implements sim.Settler: when the run horizon cuts a dormant
 // stalled stretch short, flush the batched InjectStalls accounting up to
-// the last simulated cycle (end-1), exactly as a dormant tick there would
-// have. No-op when the engine is not stalled, or when the final cycle was
-// ticked normally (stepped and force-poll modes, or an active engine).
+// the last simulated cycle (end-1), exactly as a tick there would have.
+// No-op when the engine is not stalled, or when the final cycle was
+// ticked (the stepped reference, or an active engine).
 func (e *Engine) SettleRun(end sim.Cycle) {
 	if !e.stalled || end == 0 || e.lastTick >= end-1 {
 		return

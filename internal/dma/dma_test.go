@@ -187,18 +187,27 @@ func TestNextActivityIsCachedWake(t *testing.T) {
 	}
 }
 
+// everyCycle is an always-busy test ticker: the kernel runs it on every
+// cycle in its registration slot.
+type everyCycle func(now sim.Cycle)
+
+func (f everyCycle) Tick(now sim.Cycle) { f(now) }
+
+func (f everyCycle) NextActivity(now sim.Cycle) (sim.Cycle, bool) { return now, true }
+
 // TestInjectionWakeDifferential scripts a scenario that exercises all
 // three injection blockers — port full, window full, queue empty — and
-// their re-arming events, and requires the event-driven engine to match
-// the per-cycle reference — the same engine and router registered with a
-// reference-mode kernel — injection-for-injection and stall-for-stall.
+// their re-arming events, and requires the event-driven engine — ticked
+// by the kernel's active list only when its wake comes due — to match the
+// per-cycle reference — the same engine on a reference-mode kernel —
+// injection-for-injection and stall-for-stall.
 func TestInjectionWakeDifferential(t *testing.T) {
 	t.Parallel()
 	type inj struct {
 		now sim.Cycle
 		id  uint64
 	}
-	run := func(force bool) (Stats, []inj) {
+	run := func(reference bool) (Stats, []inj) {
 		var injs []inj
 
 		var id uint64
@@ -208,16 +217,14 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
 		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8},
 			0, &id, router.Port(0), 0)
-		var k sim.Kernel
-		k.SetReference(force)
-		k.Register(engine)
-		k.Register(router)
 		engine.SetTrace(Trace{Inject: func(now sim.Cycle, _ int, id uint64, _ uint64) {
 			injs = append(injs, inj{now, id})
 		}})
 
+		// The script ticks every cycle ahead of the engine, and the drain
+		// behind it; the router itself stays off the kernel.
 		delivered := 0
-		for now := sim.Cycle(0); now < 40; now++ {
+		script := func(now sim.Cycle) {
 			switch now {
 			case 0:
 				for i := 0; i < 5; i++ {
@@ -231,26 +238,33 @@ func TestInjectionWakeDifferential(t *testing.T) {
 				engine.Deliver(out[delivered], now)
 				delivered++
 			}
-			engine.Tick(now)
+		}
+		drain := func(now sim.Cycle) {
 			if now >= 5 && now%3 == 0 {
 				// The router drains sporadically, returning port credits.
 				router.Tick(now)
 			}
 		}
+		var k sim.Kernel
+		k.SetReference(reference)
+		k.Register(everyCycle(script))
+		k.Register(engine)
+		k.Register(everyCycle(drain))
+		k.Run(40)
 		return engine.Stats(), injs
 	}
 
 	refStats, refInjs := run(true)
 	fastStats, fastInjs := run(false)
 	if refStats != fastStats {
-		t.Fatalf("stats differ:\n  force-scan: %+v\n  event-driven: %+v", refStats, fastStats)
+		t.Fatalf("stats differ:\n  reference: %+v\n  event-driven: %+v", refStats, fastStats)
 	}
 	if len(refInjs) != len(fastInjs) {
 		t.Fatalf("injection counts differ: %d vs %d", len(refInjs), len(fastInjs))
 	}
 	for i := range refInjs {
 		if refInjs[i] != fastInjs[i] {
-			t.Fatalf("injection %d differs: force-scan %+v, event-driven %+v", i, refInjs[i], fastInjs[i])
+			t.Fatalf("injection %d differs: reference %+v, event-driven %+v", i, refInjs[i], fastInjs[i])
 		}
 	}
 	if refStats.InjectStalls == 0 || refStats.Injected != 6 || refStats.Completed == 0 {

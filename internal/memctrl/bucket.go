@@ -68,12 +68,12 @@ import (
 // scan leaves the cached bounds untouched; they remain sound because
 // aged-pass issues dirty their banks like any other issue.
 //
-// The kernel's reference mode keeps the contract honest: when the
-// controller's wake handle reports Reference, it re-derives candidates
-// from scratch every tick — no nextTry dormancy, no bucket caches, full
-// bankHit recompute, refresh machine polled every cycle — giving the
-// differential suites a stepped reference that any stale bound or missed
-// invalidation diverges from.
+// The kernel's reference mode keeps the contract honest: it ticks the
+// controller every cycle, and the controller, whose wake handle then
+// reports Reference, re-derives candidates from scratch every tick — no
+// bucket caches, full bankHit recompute, refresh machine polled every
+// cycle — giving the differential suites a stepped reference that any
+// stale bound or missed invalidation diverges from.
 
 // bucket indexes the queued entries of one bank.
 type bucket struct {

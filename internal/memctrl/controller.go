@@ -131,9 +131,10 @@ type Controller struct {
 	// command. After a scan finds nothing issuable, the blockers are pure
 	// DRAM timing (plus aging thresholds), both of which are exactly
 	// predictable, and nothing outside this controller mutates its
-	// channel's state — so Tick sleeps until nextTry or the next Enqueue
-	// instead of re-scanning every cycle. neverTry means no queued
-	// transaction can ever issue without a queue change.
+	// channel's state — so the controller reports nextTry as its next
+	// activity and sleeps until then or the next Enqueue instead of
+	// re-scanning every cycle. neverTry means no queued transaction can
+	// ever issue without a queue change.
 	nextTry sim.Cycle
 
 	// scan is the per-scan snapshot of the channel's DRAM timing state;
@@ -347,9 +348,6 @@ func (c *Controller) Tick(now sim.Cycle) {
 		if c.tickRefresh(now) {
 			return // the refresh machine consumed this cycle's command slot
 		}
-	}
-	if now < c.nextTry && !c.wake.Reference() {
-		return
 	}
 	c.collectCandidates(now)
 	if len(c.scratch) == 0 {

@@ -14,13 +14,13 @@
 //
 // Arbitration is fully event-driven: every router caches nextGrantAt, the
 // exact earliest cycle at which a grant could occur given its head-flit
-// arrival times, per-output credit state and arbiter inputs, and its Tick
-// short-circuits in O(1) on every cycle before that. The cache is re-armed
-// from outside by the two events that can make a grant possible earlier —
-// an upstream injection into one of its ports (Port.Push) and a downstream
-// credit return (a full FIFO pop, or a memory-controller queue release) —
-// so a router stays dormant between grants even while the rest of the
-// system keeps executing cycles.
+// arrival times, per-output credit state and arbiter inputs, and reports
+// it as its next activity, so the kernel does not tick it before then.
+// The cache is re-armed from outside by the two events that can make a
+// grant possible earlier — an upstream injection into one of its ports
+// (Port.Push) and a downstream credit return (a full FIFO pop, or a
+// memory-controller queue release) — so a router stays dormant between
+// grants even while the rest of the system keeps executing cycles.
 //
 // A scan that does run buckets the arbitrable heads by routed output once,
 // as lists of port indices, and each output's selection walks only its own
@@ -323,14 +323,14 @@ type Router struct {
 	// absent any external wake, this router could grant. Each full scan
 	// recomputes it exactly from head readyAt times and per-output credit
 	// state; Push and credit returns re-arm it earlier. never means no
-	// grant is possible without an external event. Ticks strictly before
-	// nextGrantAt only settle stall accounting and skip the scan.
+	// grant is possible without an external event. It is the router's
+	// NextActivity answer; Tick itself always scans.
 	nextGrantAt sim.Cycle
 
 	// lastTick and stallFrom batch the stall accounting across cycles the
-	// scan did not run (kernel-skipped or dormant). stallFrom is the first
-	// cycle at which, absent any activity, a ready head exists — from then
-	// on every scan-free cycle stalls, because a grantable head would have
+	// kernel did not tick the router. stallFrom is the first cycle at
+	// which, absent any activity, a ready head exists — from then on
+	// every scan-free cycle stalls, because a grantable head would have
 	// re-armed nextGrantAt and forced a scan. It starts at a head's future
 	// readyAt when the head is still traversing its link, which a boolean
 	// "stalled last tick" flag could not express. lastScan tracks the last
@@ -352,21 +352,19 @@ type Router struct {
 	// is forwarded through it into the kernel's wake heap, so the
 	// active-ticker list knows to tick the router without polling
 	// NextActivity. Scan-end increases of nextGrantAt are reconciled by
-	// the kernel's post-tick re-key. Under the kernel's reference mode
-	// (wake.Reference) Tick ignores nextGrantAt and runs the full
-	// ready-head scan every cycle.
+	// the kernel's post-tick re-key.
 	wake sim.WakeHandle
 }
 
 // The trace edges below are per-router probes: each Router holds one
 // nil-checked function field per edge, installed through SetTrace (the
-// SoC assembly does it for a whole System through core.System.Probe,
-// which multiplexes several subscribers onto one field). With no
-// subscriber the field is nil and the disabled path costs one load and a
-// nil test (the steady-state alloc gates cover it). Install probes only
-// while the router is not running; a probe runs on the goroutine that
-// ticks the router, so under the domain-parallel kernel probes of one
-// System may run concurrently and must synchronize shared state.
+// SoC assembly does it for a whole System through core.System.Probe).
+// With no subscriber the field is nil and the disabled path costs one
+// load and a nil test (the steady-state alloc gates cover it). Install
+// probes only while the router is not running; a probe runs on the
+// goroutine that ticks the router, so under the domain-parallel kernel
+// probes of one System may run concurrently and must synchronize shared
+// state.
 
 // StallFn observes a stall accrual: name's router stalled for n cycles
 // ending at now. Stalls are batched across dormant stretches, so one call
@@ -529,12 +527,11 @@ func (r *Router) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 }
 
 // SettleRun implements sim.Settler: flush the batched stall accounting at
-// the end of a Run segment by mimicking a dormant tick at end-1 (the last
-// simulated cycle). Under the active-ticker list a router that stays
-// dormant to the horizon is never ticked again, so without this its
-// backfilled stalls for the trailing stretch would be lost. Idempotent,
-// and a no-op in the stepped and force-poll modes, where the tick at
-// end-1 already ran this exact accounting.
+// the end of a Run segment through end-1 (the last simulated cycle). Under
+// the active-ticker list a router that stays dormant to the horizon is
+// never ticked again, so without this its backfilled stalls for the
+// trailing stretch would be lost. Idempotent, and a no-op in the stepped
+// reference, where the tick at end-1 already ran this exact accounting.
 func (r *Router) SettleRun(end sim.Cycle) {
 	if r.queued == 0 || end == 0 || r.lastTick >= end-1 {
 		return
@@ -567,35 +564,15 @@ func (r *Router) accrueStallGap(now sim.Cycle) {
 }
 
 // Tick performs one cycle of switch allocation: at most one grant per
-// output. Strictly before the dormancy window opens it only settles stall
-// accounting in O(1); at or after the window it runs the full scan: the
-// arbitrable heads are collected (and routed) once into per-output lists;
-// after a grant, the popped port's next head joins the list of its output
-// when that output is still to be served this cycle, matching the
-// per-output re-read of a straightforward nested scan.
+// output. The arbitrable heads are collected (and routed) once into
+// per-output lists; after a grant, the popped port's next head joins the
+// list of its output when that output is still to be served this cycle,
+// matching the per-output re-read of a straightforward nested scan.
 //
 //sara:hotpath
 func (r *Router) Tick(now sim.Cycle) {
 	if r.queued == 0 {
 		return // stallFrom is never: the scan that popped the last packet reset it
-	}
-	// No kernel sync is needed here: every lowering of nextGrantAt
-	// (Port.Push, Wake) re-arms the kernel bound at its source, and the
-	// scan-end recompute below only raises the window relative to the
-	// post-tick re-key the active list performs.
-	if now < r.nextGrantAt && !r.wake.Reference() {
-		// Dormant: the window proves no grant can occur this cycle, so
-		// the only per-cycle work is the stall accounting the reference
-		// scan would have done.
-		r.accrueStallGap(now)
-		if r.stallFrom <= now {
-			r.stalls++
-			if r.trace.Stall != nil {
-				r.trace.Stall(r.name, now, 1, false)
-			}
-		}
-		r.lastTick = now
-		return
 	}
 	if r.trace.Sleep != nil && now > r.lastScan+1 {
 		r.trace.Sleep(r.name, r.lastScan+1, now)

@@ -280,10 +280,11 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 }
 
 // TestDormantMatchesForceScan drives the same randomized push/drain
-// schedule through a dormant router and a force-scan router — one
-// registered with a reference-mode kernel, which scans every cycle — and
-// requires identical grants, stalls and forwarded counts: the unit-level
-// version of the skip-vs-step differential.
+// schedule through a router ticked every cycle, as the stepped reference
+// does, and through a dormant one ticked only on the cycles its
+// NextActivity reports due, as the kernel's active list does (its batched
+// stall accounting settled at the end), and requires identical grants and
+// stalls: the unit-level version of the skip-vs-step differential.
 func TestDormantMatchesForceScan(t *testing.T) {
 	t.Parallel()
 	type result struct {
@@ -291,16 +292,13 @@ func TestDormantMatchesForceScan(t *testing.T) {
 		cycles  []sim.Cycle
 		stalls  uint64
 	}
-	run := func(force bool) result {
+	run := func(stepped bool) result {
 		rng := sim.NewRand(99)
 		sink := &collectSink{}
 		pr := params(ArbPriority)
 		pr.PortDepth = 3
 		pr.AgingT = 40
 		r := NewRouter("t", pr, 3, []Sink{sink}, nil)
-		var k sim.Kernel
-		k.SetReference(force)
-		k.Register(r)
 		id := uint64(0)
 		var res result
 		for c := sim.Cycle(0); c < 3000; c++ {
@@ -313,12 +311,15 @@ func TestDormantMatchesForceScan(t *testing.T) {
 				}
 			}
 			before := len(sink.got)
-			r.Tick(c)
+			if at, ok := r.NextActivity(c); stepped || ok && at <= c {
+				r.Tick(c)
+			}
 			for _, g := range sink.got[before:] {
 				res.granted = append(res.granted, g.ID)
 				res.cycles = append(res.cycles, c)
 			}
 		}
+		r.SettleRun(3000)
 		res.stalls = r.Stalls()
 		return res
 	}
@@ -327,7 +328,7 @@ func TestDormantMatchesForceScan(t *testing.T) {
 		t.Fatal("reference run granted nothing; schedule too weak")
 	}
 	if len(ref.granted) != len(fast.granted) || ref.stalls != fast.stalls {
-		t.Fatalf("grants %d/%d stalls %d/%d differ between force-scan and dormant",
+		t.Fatalf("grants %d/%d stalls %d/%d differ between stepped and dormant",
 			len(ref.granted), len(fast.granted), ref.stalls, fast.stalls)
 	}
 	for i := range ref.granted {
@@ -615,12 +616,11 @@ func benchRouter() (*Router, []*classSink, []*txn.Transaction) {
 }
 
 // BenchmarkRouterTick prices one router tick on the root router's shape
-// (8 inputs, 8 outputs) in the three states a loaded run sees: dormant
-// (heads still on their links, so the tick only settles stall
-// accounting), backpressured (every head ready but every sink refusing;
-// a credit wake each cycle forces the full scan), and granting (every
-// port refilled to its depth each cycle, so each scan grants on several
-// outputs; the refill is part of the measured loop).
+// (8 inputs, 8 outputs) in the two states a loaded run ticks it in:
+// backpressured (every head ready but every sink refusing; a credit wake
+// each cycle makes the router due) and granting (every port refilled to
+// its depth each cycle, so each scan grants on several outputs; the
+// refill is part of the measured loop).
 func BenchmarkRouterTick(b *testing.B) {
 	fill := func(r *Router, pool []*txn.Transaction, next *int, now, readyAt sim.Cycle) {
 		for p := 0; p < r.NPorts(); p++ {
@@ -630,16 +630,6 @@ func BenchmarkRouterTick(b *testing.B) {
 			}
 		}
 	}
-	b.Run("Dormant", func(b *testing.B) {
-		r, _, pool := benchRouter()
-		next := 0
-		fill(r, pool, &next, 0, never-1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Tick(sim.Cycle(i + 1))
-		}
-	})
 	b.Run("Backpressured", func(b *testing.B) {
 		r, sinks, pool := benchRouter()
 		for _, s := range sinks {

@@ -106,7 +106,7 @@ func runLinear(k *Kernel, horizon Cycle) {
 				continue
 			}
 			t.Tick(now)
-			next, ok := k.idlers[i].NextActivity(now + 1)
+			next, ok := t.NextActivity(now + 1)
 			if !ok {
 				next = never
 			}
@@ -219,7 +219,7 @@ func TestDueSetSameCycleEdges(t *testing.T) {
 	for _, skip := range []bool{true, false} {
 		t.Run(fmt.Sprintf("skip=%v", skip), func(t *testing.T) {
 			var k Kernel
-			k.SetIdleSkip(skip)
+			k.SetReference(!skip)
 			var log []dueTick
 			ts := make([]*edgeTicker, n)
 			for i := range ts {

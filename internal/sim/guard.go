@@ -24,7 +24,7 @@ import (
 // containment (which RunChecked provides with a nil watchdog too).
 type Watchdog struct {
 	// MaxExecuted aborts the run after this many executed (non-skipped)
-	// cycles. With idle skipping active, executed cycles measure actual
+	// cycles. Outside the reference mode, executed cycles measure actual
 	// work, so a run that should be mostly quiescent but spins busy every
 	// cycle trips this budget long before its horizon.
 	MaxExecuted uint64
@@ -54,14 +54,22 @@ type Watchdog struct {
 	ProgressBudget uint64
 }
 
-// defaultCheckEvery is the periodic-check cadence when CheckEvery is 0.
-const defaultCheckEvery = 4096
+// Interval reports the number of executed cycles between the periodic
+// checks: CheckEvery, or 4096 when it is 0. Every run loop that honors a
+// watchdog (the serial kernel's and the domain-parallel epoch loop's)
+// reads its cadence here.
+func (wd *Watchdog) Interval() uint64 {
+	if wd.CheckEvery == 0 {
+		return 4096
+	}
+	return wd.CheckEvery
+}
 
 // IdlerState is one registered idler's wake state in a DeadlockError
 // diagnostic dump: its cached wake-heap bound and its live NextActivity
 // answer at the moment the watchdog tripped.
 type IdlerState struct {
-	// ID is the idler's wake-heap id (registration order among idlers).
+	// ID is the idler's wake-heap id (its registration order).
 	ID int
 	// Name labels the component: its Name() or Label() if it has one,
 	// otherwise its Go type.
@@ -193,11 +201,8 @@ func (k *Kernel) RunForChecked(n Cycle) error { return k.RunChecked(k.now + n) }
 // check before declaring the horizon reached.
 func (k *Kernel) runGuarded(horizon Cycle) error {
 	wd := k.wd
-	every := wd.CheckEvery
-	if every == 0 {
-		every = defaultCheckEvery
-	}
-	skip := k.IdleSkipActive()
+	every := wd.Interval()
+	skip := !k.reference
 	for k.now < horizon {
 		k.Step()
 		k.executed++
@@ -257,7 +262,7 @@ func (k *Kernel) checkParked() error {
 		}
 	}
 	if n := wd.Outstanding(); n > 0 {
-		return k.deadlock(fmt.Sprintf("all %d idlers parked with %d transactions outstanding", len(k.idlers), n))
+		return k.deadlock(fmt.Sprintf("all %d idlers parked with %d transactions outstanding", len(k.tickers), n))
 	}
 	return nil
 }
@@ -279,11 +284,11 @@ func (k *Kernel) deadlock(reason string) *DeadlockError {
 // idlerDump snapshots every idler's cached wake bound and live hint.
 // Error path only; allocation here is fine.
 func (k *Kernel) idlerDump() []IdlerState {
-	out := make([]IdlerState, len(k.idlers))
-	for i, id := range k.idlers {
-		st := IdlerState{ID: i, Name: idlerName(id), CachedWake: k.wakes.at[i]}
+	out := make([]IdlerState, len(k.tickers))
+	for i, t := range k.tickers {
+		st := IdlerState{ID: i, Name: idlerName(t), CachedWake: k.wakes.at[i]}
 		st.Parked = st.CachedWake == never
-		st.Hint, st.HintOK = id.NextActivity(k.now)
+		st.Hint, st.HintOK = t.NextActivity(k.now)
 		out[i] = st
 	}
 	return out

@@ -8,25 +8,25 @@
 // the LCD panel draining its read buffer in wall-clock time) are expressed
 // as rates converted to bytes-per-cycle at configuration time.
 //
-// The kernel is event-driven with idle skipping: components that implement
-// the optional Idler interface report when they next have work, and the
-// kernel fast-forwards the clock over stretches where every component is
-// quiescent and no event is due, instead of stepping cycle by cycle
-// through dead time.
+// The kernel is event-driven with idle skipping: every registered
+// component reports when it next has work (a Ticker is also an Idler),
+// and the kernel fast-forwards the clock over stretches where every
+// component is quiescent and no event is due, instead of stepping cycle
+// by cycle through dead time.
 //
 // Wake scheduling is push-based: the kernel keeps an indexed min-heap of
-// per-idler cached wake cycles, components re-arm their heap entry through
-// the WakeHandle returned by Register whenever an external action moves
-// their next activity to an earlier cycle, and the fast-forward target is
-// read off the heap top instead of polling every idler's hint each
-// executed cycle.
+// per-ticker cached wake cycles, components re-arm their heap entry
+// through the WakeHandle returned by Register whenever an external action
+// moves their next activity to an earlier cycle, and the fast-forward
+// target is read off the heap top instead of polling every ticker's hint
+// each executed cycle.
 //
 // Executed cycles use the same heap as an active-ticker list: a component
 // is ticked iff its cached wake is at or before the current cycle, and its
 // entry is re-keyed to its exact next activity right after the tick, so
-// dormant components are not even called. This changes the Ticker contract
-// from "ticked every executed cycle" to "ticked every cycle it may act",
-// which imposes two obligations on components:
+// dormant components are not even called. The Ticker contract is
+// therefore "ticked every cycle it may act", not "ticked every executed
+// cycle", which imposes two obligations on components:
 //
 //   - Every external action that could make a dormant component act this
 //     cycle or earlier than its cached wake must re-arm the kernel entry
@@ -39,14 +39,13 @@
 //     and, because a run can end mid-dormancy, also settled at the run
 //     horizon via the optional Settler interface.
 //
-// Two settings select the reference the differential suites compare the
-// default mode against. SetIdleSkip(false) restores full cycle-by-cycle
-// stepping: every ticker ticked every cycle, in registration order.
-// SetReference(true) does the same and also tells every component, through
-// WakeHandle.Reference, to bypass its own dormancy caches (router grant
-// windows, controller buckets, DMA injection wakes), so a stale cached
-// bound diverges the run instead of being shared by both sides. Both
-// settings live on the Kernel, so concurrent simulations in one process
+// SetReference(true) selects the reference the differential suites compare
+// the default mode against: full cycle-by-cycle stepping, every ticker
+// ticked every cycle in registration order, so every tick re-derives its
+// work from the component's live state and no cached wake decides
+// anything. A component whose cache also narrows what a tick scans reads
+// the switch through WakeHandle.Reference and scans everything instead.
+// The switch lives on the Kernel, so concurrent simulations in one process
 // never see each other's mode. Among co-due tickers the active list
 // preserves registration order — the SoC pipeline order sources -> DMA ->
 // NoC -> MC -> DRAM -> adapters — so the stepped and skipping modes
@@ -61,18 +60,20 @@ import (
 // Cycle is a point in simulated time, measured in DRAM command-clock cycles.
 type Cycle uint64
 
-// never marks an unarmed wake-heap entry: the idler reported it will not
+// never marks an unarmed wake-heap entry: the ticker reported it will not
 // act again without external input, so only a Rearm can revive it.
 const never = ^Cycle(0)
 
-// Ticker is a component that advances by one cycle at a time.
+// Ticker is a component that advances by one cycle at a time. Every
+// ticker is an Idler: it reports its next activity, which is what lets the
+// kernel skip it while it is dormant.
 type Ticker interface {
-	// Tick advances the component to cycle now. With idle skipping off
-	// (SetIdleSkip(false) or SetReference(true)) the kernel calls Tick
-	// exactly once per ticker per cycle, in registration order. In the
-	// default active-list mode a ticker is only called on cycles its
-	// cached wake covers (wake <= now); dormant components are skipped
-	// entirely.
+	Idler
+	// Tick advances the component to cycle now. In the reference mode
+	// (SetReference(true)) the kernel calls Tick exactly once per ticker
+	// per cycle, in registration order. In the default active-list mode a
+	// ticker is only called on cycles its cached wake covers (wake <=
+	// now); dormant components are skipped entirely.
 	// Components must therefore derive elapsed time from now rather than
 	// counting Tick calls, and must keep their cached wake a sound lower
 	// bound on their next action (see Idler).
@@ -94,25 +95,25 @@ type Settler interface {
 	SettleRun(end Cycle)
 }
 
-// Idler is an optional Ticker extension that enables idle skipping. A
-// ticker that implements it promises that, absent any new input from the
-// rest of the system (events, other components' actions), its Tick will
-// not act on the system — enqueue requests, forward packets, issue
-// commands, or mutate externally observable counters — at any cycle
-// strictly before the reported activity cycle.
+// Idler is the activity half of the Ticker contract. A ticker promises
+// that, absent any new input from the rest of the system (events, other
+// components' actions), its Tick will not act on the system — enqueue
+// requests, forward packets, issue commands, or mutate externally
+// observable counters — at any cycle strictly before the reported
+// activity cycle.
 //
-// The contract is push-based. The kernel caches each idler's most recent
+// The contract is push-based. The kernel caches each ticker's most recent
 // hint in an indexed wake heap and does NOT re-query every hint after
-// every executed cycle; it re-queries an idler only right after ticking
+// every executed cycle; it re-queries a ticker only right after ticking
 // it (the active-list re-key) or when its cached entry reaches the heap
 // top during a fast-forward probe. The cached entry is therefore required
-// to be a sound LOWER bound on the idler's true next activity at all
+// to be a sound LOWER bound on the ticker's true next activity at all
 // times — doubly important under the active list, where a too-late bound
 // does not merely skip a cycle but skips the component's Tick on cycles
 // other components execute. The responsibility splits in two:
 //
 //   - Re-arm is mandatory on external wakes. Whenever another component's
-//     action could advance this idler's next action to an EARLIER cycle
+//     action could advance this ticker's next action to an EARLIER cycle
 //     than its cached entry — an upstream injection landing in its queue
 //     mid-sleep, a downstream credit return unblocking it, a completion
 //     freeing its window — the component performing the action (or the
@@ -124,11 +125,11 @@ type Settler interface {
 //     to re-arm lets the kernel skip past the action and breaks
 //     simulation equivalence.
 //
-//   - Lazy increase is always safe. When an idler's next activity moves
+//   - Lazy increase is always safe. When a ticker's next activity moves
 //     LATER (it consumed its queue, its tokens drained), it does not need
 //     to tell the kernel: the stale too-early entry merely surfaces at
 //     the heap top, the kernel re-queries NextActivity once, and the
-//     entry sinks to its correct place. An idler that reports ok=false
+//     entry sinks to its correct place. A ticker that reports ok=false
 //     parks at the heap bottom but is never unregistered — a later Rearm
 //     revives it.
 //
@@ -153,7 +154,7 @@ type Idler interface {
 	NextActivity(now Cycle) (at Cycle, ok bool)
 }
 
-// WakeBinder is an optional interface for Idlers that participate in
+// WakeBinder is an optional interface for tickers that participate in
 // push-based wake scheduling: Register hands the component its WakeHandle
 // so the component (and the wiring around it) can re-arm its kernel wake
 // when an external action moves its next activity earlier.
@@ -162,7 +163,7 @@ type WakeBinder interface {
 	BindWake(h WakeHandle)
 }
 
-// WakeHandle re-arms one registered idler's cached wake cycle in the
+// WakeHandle re-arms one registered ticker's cached wake cycle in the
 // kernel's wake heap and reports the kernel's reference mode. The zero
 // value is inert (Rearm is a no-op, Reference reads false), so components
 // can hold a handle unconditionally and be driven either by a kernel or
@@ -172,7 +173,7 @@ type WakeHandle struct {
 	id int
 }
 
-// Rearm lowers the idler's cached wake to at if the cached value is
+// Rearm lowers the ticker's cached wake to at if the cached value is
 // later (decrease-key). Raising a cached wake is impossible by design:
 // increases are reconciled lazily when the entry reaches the heap top,
 // so a spurious early Rearm can cost an uneventful executed cycle but
@@ -187,19 +188,11 @@ func (h WakeHandle) Rearm(at Cycle) {
 }
 
 // Reference reports whether the handle's kernel runs as the stepped
-// reference (see Kernel.SetReference): the component must then bypass its
-// dormancy caches and re-derive its work from scratch every tick.
+// reference (see Kernel.SetReference): a component whose cache narrows
+// what its tick scans must then scan everything.
 //
 //sara:hotpath
 func (h WakeHandle) Reference() bool { return h.k != nil && h.k.reference }
-
-// TickFunc adapts a function to the Ticker interface. It does not
-// implement Idler, so registering one disables idle skipping for the
-// whole kernel (the kernel cannot prove anything about opaque functions).
-type TickFunc func(now Cycle)
-
-// Tick calls f(now).
-func (f TickFunc) Tick(now Cycle) { f(now) }
 
 // event is a scheduled callback. Exactly one of fn and argFn is set;
 // argFn carries a caller-supplied payload so hot paths (transaction
@@ -267,7 +260,7 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// wakeEntry is one idler's slot in the wake heap; keys live inline so
+// wakeEntry is one ticker's slot in the wake heap; keys live inline so
 // sift compares and swaps stay within one contiguous array.
 type wakeEntry struct {
 	at Cycle
@@ -286,7 +279,7 @@ type wakeHeap struct {
 	pos []int32
 }
 
-// add registers a new idler with an immediately-due wake (cycle 0), so
+// add registers a new ticker with an immediately-due wake (cycle 0), so
 // the first fast-forward probe validates every hint once. The new entry
 // is sifted into place so the invariant holds even when entries were
 // re-keyed between adds.
@@ -372,35 +365,31 @@ func (h *wakeHeap) siftDown(i int) {
 }
 
 // Kernel owns the clock, the ordered ticker list, the event queue and the
-// wake heap. The zero value is ready to use, with idle skipping enabled.
+// wake heap. The zero value is ready to use, with idle skipping enabled
+// (the reference mode off).
 type Kernel struct {
-	now     Cycle
+	now Cycle
+	// tickers are the registered components in registration order, indexed
+	// by wake-heap id.
 	tickers []Ticker
-	// idlers holds the Idler view of every registered ticker, indexed by
-	// wake-heap id. If any ticker does not implement Idler the kernel
-	// cannot prove quiescence and opaque is set, which disables skipping
-	// entirely.
-	idlers []Idler
-	wakes  wakeHeap
+	wakes   wakeHeap
 	// settlers are the registered tickers that batch dormant-cycle
 	// bookkeeping; Run calls SettleRun on each when it reaches its
 	// horizon so end-of-run statistics are exact even when the active
 	// list left a component un-ticked over a trailing dormant stretch.
 	settlers []Settler
-	// due is stepActive's due set, one bit per idler id: the wake-heap
+	// due is stepActive's due set, one bit per ticker id: the wake-heap
 	// descent marks every entry with at <= now, and a same-cycle re-arm
 	// of an id at or after dueFrom joins it mid-walk. dueFrom is the id
-	// after the one being ticked, and len(idlers) outside the walk, so a
+	// after the one being ticked, and len(tickers) outside the walk, so a
 	// re-arm from an event or from outside Run never touches the set.
 	// stack is the descent's scratch. Register sizes due and stack, so
 	// the walk never allocates.
 	due     []uint64
 	dueFrom int
 	stack   []int32
-	opaque  bool
-	noSkip  bool
-	// reference is the SetReference switch: stepped execution with every
-	// component's dormancy caches bypassed.
+	// reference is the SetReference switch: stepped execution, every
+	// ticker ticked every cycle.
 	reference bool
 	// poll replaces the active list and the heap-driven fast-forward
 	// with the linear NextActivity sweep. Only this package's tests set
@@ -431,21 +420,12 @@ func (k *Kernel) Now() Cycle { return k.now }
 // started at cycle 0.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 
-// SetIdleSkip enables or disables idle skipping (enabled by default).
-// Disabling it forces the reference cycle-by-cycle execution, which the
-// equivalence tests compare against.
-func (k *Kernel) SetIdleSkip(on bool) { k.noSkip = !on }
-
 // SetReference switches the kernel into the stepped reference the
-// differential suites compare against (off by default): idle skipping is
-// off, and every component registered with this kernel reads the switch
-// through WakeHandle.Reference and bypasses its dormancy caches.
+// differential suites compare against (off by default): no cycle is
+// skipped, every ticker is ticked every cycle, and every component
+// registered with this kernel reads the switch through
+// WakeHandle.Reference.
 func (k *Kernel) SetReference(on bool) { k.reference = on }
-
-// IdleSkipActive reports whether Run may fast-forward: skipping must be
-// enabled, the kernel must not be the reference, and every registered
-// ticker must implement Idler.
-func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.reference && !k.opaque }
 
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
@@ -453,29 +433,22 @@ func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.reference && !k.
 // MC -> DRAM -> responses -> adapters; the wake heap orders itself by
 // cached wake cycle, so registration order never affects fast-forward
 // targets. If t implements WakeBinder the handle is also pushed into the
-// component here, so assemblies get push wiring for free. Tickers that do
-// not implement Idler receive an inert handle (and disable skipping).
-// Register panics if the simulation has already started, because
-// inserting a ticker mid-run would silently skip its earlier cycles.
+// component here, so assemblies get push wiring for free. Register
+// panics if the simulation has already started, because inserting a
+// ticker mid-run would silently skip its earlier cycles.
 func (k *Kernel) Register(t Ticker) WakeHandle {
 	if k.started {
 		panic(invariant("sim: Register after simulation started"))
 	}
+	h := WakeHandle{k: k, id: len(k.tickers)}
 	k.tickers = append(k.tickers, t)
-	id, ok := t.(Idler)
-	if !ok {
-		k.opaque = true
-		return WakeHandle{}
-	}
-	h := WakeHandle{k: k, id: len(k.idlers)}
-	k.idlers = append(k.idlers, id)
 	k.wakes.add(h.id)
-	k.dueFrom = len(k.idlers)
+	k.dueFrom = len(k.tickers)
 	if h.id>>6 == len(k.due) {
 		k.due = append(k.due, 0)
 	}
-	if len(k.idlers) > cap(k.stack) {
-		k.stack = make([]int32, 0, 2*len(k.idlers))
+	if len(k.tickers) > cap(k.stack) {
+		k.stack = make([]int32, 0, 2*len(k.tickers))
 	}
 	if wb, ok := t.(WakeBinder); ok {
 		wb.BindWake(h)
@@ -486,7 +459,7 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 	return h
 }
 
-// Rearm lowers idler id's cached wake cycle to at (a decrease-key; see
+// Rearm lowers ticker id's cached wake cycle to at (a decrease-key; see
 // wakeHeap.rearm); a cached wake at or before at is left untouched.
 // During stepActive's walk, a re-arm at or before the current cycle of an
 // id the walk has not reached yet also adds the id to the due set — the
@@ -497,7 +470,7 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 func (k *Kernel) Rearm(id int, at Cycle) {
 	if id < 0 || id >= len(k.wakes.at) {
 		panic(invariant(fmt.Sprintf(
-			"sim: Rearm of unregistered idler id %d (%d idlers registered)",
+			"sim: Rearm of unregistered ticker id %d (%d tickers registered)",
 			id, len(k.wakes.at))))
 	}
 	k.wakes.rearm(id, at)
@@ -543,9 +516,8 @@ func (k *Kernel) Every(period Cycle, fn func(now Cycle)) {
 
 // Step advances the simulation by exactly one cycle: due events first,
 // then the registered tickers. In the default active-list mode only due
-// tickers — cached wake at or before the current cycle — are called; with
-// idle skipping off (SetIdleSkip(false), SetReference(true) or an opaque
-// ticker) every ticker is ticked. Step never skips a cycle.
+// tickers — cached wake at or before the current cycle — are called; in
+// the reference mode every ticker is ticked. Step never skips a cycle.
 //
 //sara:hotpath
 func (k *Kernel) Step() {
@@ -558,12 +530,12 @@ func (k *Kernel) Step() {
 			e.argFn(k.now, e.arg)
 		}
 	}
-	if k.IdleSkipActive() && !k.poll {
-		k.stepActive()
-	} else {
+	if k.reference || k.poll {
 		for _, t := range k.tickers {
 			t.Tick(k.now)
 		}
+	} else {
+		k.stepActive()
 	}
 	k.now++
 }
@@ -600,15 +572,16 @@ func (k *Kernel) stepActive() {
 			k.due[w] &^= 1 << b
 			i := w<<6 | b
 			k.dueFrom = i + 1
-			k.tickers[i].Tick(now)
-			next, ok := k.idlers[i].NextActivity(now + 1)
+			t := k.tickers[i]
+			t.Tick(now)
+			next, ok := t.NextActivity(now + 1)
 			if !ok {
 				next = never
 			}
 			k.wakes.fix(i, next)
 		}
 	}
-	k.dueFrom = len(k.idlers)
+	k.dueFrom = len(k.tickers)
 }
 
 // markDue sets the due bit of every wake-heap entry with at <= now. The
@@ -622,30 +595,30 @@ func (k *Kernel) markDue(now Cycle) {
 	if len(q) == 0 || q[0].at > now {
 		return
 	}
-	st := append(k.stack[:0], 0) //sara:alloc-ok Register sizes the stack to the idler count, which bounds the due subtree
+	st := append(k.stack[:0], 0) //sara:alloc-ok Register sizes the stack to the ticker count, which bounds the due subtree
 	for len(st) > 0 {
 		i := st[len(st)-1]
 		st = st[:len(st)-1]
 		id := q[i].id
 		k.due[id>>6] |= 1 << (id & 63)
 		if l := 2*i + 1; int(l) < len(q) && q[l].at <= now {
-			st = append(st, l) //sara:alloc-ok bounded by the idler count (see above)
+			st = append(st, l) //sara:alloc-ok bounded by the ticker count (see above)
 		}
 		if r := 2*i + 2; int(r) < len(q) && q[r].at <= now {
-			st = append(st, r) //sara:alloc-ok bounded by the idler count (see above)
+			st = append(st, r) //sara:alloc-ok bounded by the ticker count (see above)
 		}
 	}
 	k.stack = st
 }
 
 // Run advances the simulation until the clock reaches horizon (exclusive).
-// When idle skipping is active, quiescent stretches — no event due and
+// Outside the reference mode, quiescent stretches — no event due and
 // every ticker's cached wake strictly in the future — are fast-forwarded
 // instead of executed. On reaching the horizon Run settles every
 // registered Settler, so statistics batched across dormant stretches are
 // exact even for components the active list never ticked again.
 func (k *Kernel) Run(horizon Cycle) {
-	skip := k.IdleSkipActive()
+	skip := !k.reference
 	for k.now < horizon {
 		k.Step()
 		if skip && k.now < horizon {
@@ -664,7 +637,7 @@ func (k *Kernel) Run(horizon Cycle) {
 func (k *Kernel) Settle() { k.settleRun() }
 
 // settleRun flushes batched dormant-cycle bookkeeping at the end of a Run
-// segment. It runs in every mode: in the stepped modes the final executed
+// segment. It runs in every mode: in the stepped reference the final executed
 // cycle ticked everyone, so each SettleRun is an idempotent no-op there.
 func (k *Kernel) settleRun() {
 	for _, s := range k.settlers {
@@ -672,19 +645,11 @@ func (k *Kernel) settleRun() {
 	}
 }
 
-// NextWake reports the cycle Run would fast-forward to from the current
-// clock — the next due event or the earliest ticker activity — capped at
-// horizon. It does not move the clock and always uses the linear poll
-// sweep over the live hints, so it audits what the wake heap's cached
-// bounds (which may never be later) stand for.
-func (k *Kernel) NextWake(horizon Cycle) Cycle {
-	return k.nextWakePoll(horizon)
-}
-
-// nextWakePoll computes the fast-forward target by the legacy linear
-// sweep: the next due event or the earliest ticker activity, capped at
-// horizon; k.now means something is due immediately. It serves the
-// NextWake audit and the poll field this package's tests set.
+// nextWakePoll computes the fast-forward target by the linear sweep over
+// every live hint: the next due event or the earliest ticker activity,
+// capped at horizon; k.now means something is due immediately. It serves
+// the poll field this package's tests set, as the oracle for the wake
+// heap's cached bounds (which may never be later).
 func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 	target := horizon
 	if len(k.events) > 0 {
@@ -696,8 +661,8 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 			target = at
 		}
 	}
-	for _, id := range k.idlers {
-		next, ok := id.NextActivity(k.now)
+	for _, t := range k.tickers {
+		next, ok := t.NextActivity(k.now)
 		if !ok {
 			continue
 		}
@@ -741,14 +706,14 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 		top := h.entries[0]
 		if top.at > k.now {
 			// No busy suspicion left: the heap minimum bounds every
-			// idler's next activity from below.
+			// ticker's next activity from below.
 			if top.at < target {
 				target = top.at
 			}
 			break
 		}
 		id := int(top.id)
-		at, ok := k.idlers[id].NextActivity(k.now)
+		at, ok := k.tickers[id].NextActivity(k.now)
 		if !ok {
 			h.fix(id, never)
 			continue
@@ -765,11 +730,10 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 
 // fastForward advances the clock to the earliest upcoming activity —
 // the next due event or the earliest cached wake — capped at horizon-1 so
-// the run's final cycle always executes: in the stepped modes that last
-// cycle ticks every component and settles bookkeeping accrued over a
-// trailing quiescent stretch (the active list instead settles via
-// Settler at the horizon, and keeps the same cap so every mode executes —
-// and counts as skipped — the same cycles). It returns without moving the
+// the run's final cycle always executes, whether the heap or the poll
+// sweep picks the target, so both execute — and count as skipped — the
+// same cycles (bookkeeping accrued over a trailing quiescent stretch is
+// settled via Settler at the horizon). It returns without moving the
 // clock if anything is due now.
 func (k *Kernel) fastForward(horizon Cycle) {
 	var target Cycle

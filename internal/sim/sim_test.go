@@ -5,12 +5,20 @@ import (
 	"testing/quick"
 )
 
+// busyFunc is an always-busy Ticker: it reports activity every cycle, so
+// the kernel ticks it on every executed cycle and never skips one.
+type busyFunc func(now Cycle)
+
+func (f busyFunc) Tick(now Cycle) { f(now) }
+
+func (f busyFunc) NextActivity(now Cycle) (Cycle, bool) { return now, true }
+
 func TestKernelTickOrder(t *testing.T) {
 	var k Kernel
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.Register(TickFunc(func(Cycle) { order = append(order, i) }))
+		k.Register(busyFunc(func(Cycle) { order = append(order, i) }))
 	}
 	k.Step()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -26,7 +34,7 @@ func TestKernelRegisterAfterStartPanics(t *testing.T) {
 			t.Fatal("expected panic on Register after start")
 		}
 	}()
-	k.Register(TickFunc(func(Cycle) {}))
+	k.Register(busyFunc(func(Cycle) {}))
 }
 
 func TestKernelEventsFireInOrder(t *testing.T) {
@@ -47,7 +55,7 @@ func TestKernelEventsFireInOrder(t *testing.T) {
 func TestKernelEventBeforeTickers(t *testing.T) {
 	var k Kernel
 	var log []string
-	k.Register(TickFunc(func(Cycle) { log = append(log, "tick") }))
+	k.Register(busyFunc(func(Cycle) { log = append(log, "tick") }))
 	k.At(0, func(Cycle) { log = append(log, "event") })
 	k.Step()
 	if log[0] != "event" || log[1] != "tick" {
@@ -229,9 +237,6 @@ func TestKernelIdleSkipJumpsToNextActivity(t *testing.T) {
 	var k Kernel
 	f := &fakeIdler{wakes: []Cycle{3, 100, 5000}}
 	k.Register(f)
-	if !k.IdleSkipActive() {
-		t.Fatal("idle skip should be active with only Idler tickers")
-	}
 	k.Run(10000)
 	if k.Now() != 10000 {
 		t.Fatalf("final cycle %d, want 10000", k.Now())
@@ -266,23 +271,12 @@ func TestKernelIdleSkipBoundedByEvents(t *testing.T) {
 	}
 }
 
-func TestKernelOpaqueTickerDisablesSkip(t *testing.T) {
-	var k Kernel
-	k.Register(&fakeIdler{})
-	k.Register(TickFunc(func(Cycle) {}))
-	if k.IdleSkipActive() {
-		t.Fatal("TickFunc is opaque; skipping must be disabled")
-	}
-	k.Run(100)
-	if k.SkippedCycles() != 0 {
-		t.Fatalf("skipped %d cycles with an opaque ticker registered", k.SkippedCycles())
-	}
-}
-
+// TestKernelSetIdleSkipOff pins that the stepped mode skips no cycle even
+// when the only ticker has work just once.
 func TestKernelSetIdleSkipOff(t *testing.T) {
 	var k Kernel
 	k.Register(&fakeIdler{wakes: []Cycle{50}})
-	k.SetIdleSkip(false)
+	k.SetReference(true)
 	k.Run(100)
 	if k.SkippedCycles() != 0 {
 		t.Fatalf("skipped %d cycles with skipping disabled", k.SkippedCycles())
@@ -304,8 +298,10 @@ func (p *refProbe) Tick(now Cycle) {
 }
 
 // TestKernelSetReference pins the per-kernel reference switch: it turns
-// idle skipping off and is visible to every registered component through
-// its wake handle, while a second kernel and an inert handle read false.
+// idle skipping off — no cycle skipped, the ticker ticked on every one of
+// them although it has work only at cycle 50 — and is visible to every
+// registered component through its wake handle, while a second kernel and
+// an inert handle read false.
 func TestKernelSetReference(t *testing.T) {
 	var ref, fast Kernel
 	pr := &refProbe{fakeIdler: fakeIdler{wakes: []Cycle{50}}}
@@ -313,9 +309,6 @@ func TestKernelSetReference(t *testing.T) {
 	ref.Register(pr)
 	fast.Register(pf)
 	ref.SetReference(true)
-	if ref.IdleSkipActive() {
-		t.Fatal("reference kernel reports idle skipping active")
-	}
 	ref.Run(100)
 	fast.Run(100)
 	if ref.SkippedCycles() != 0 || len(pr.seen) != 100 {
@@ -368,15 +361,15 @@ func TestKernelNextWake(t *testing.T) {
 	var k Kernel
 	k.Register(&fakeIdler{wakes: []Cycle{40}})
 	k.At(25, func(Cycle) {})
-	if got := k.NextWake(1000); got != 25 {
-		t.Fatalf("NextWake = %d, want 25 (event before ticker wake)", got)
+	if got := k.nextWakePoll(1000); got != 25 {
+		t.Fatalf("nextWakePoll = %d, want 25 (event before ticker wake)", got)
 	}
 	k.Run(30)
-	if got := k.NextWake(1000); got != 40 {
-		t.Fatalf("NextWake = %d, want 40 (ticker wake)", got)
+	if got := k.nextWakePoll(1000); got != 40 {
+		t.Fatalf("nextWakePoll = %d, want 40 (ticker wake)", got)
 	}
-	if got := k.NextWake(35); got != 35 {
-		t.Fatalf("NextWake = %d, want horizon cap 35", got)
+	if got := k.nextWakePoll(35); got != 35 {
+		t.Fatalf("nextWakePoll = %d, want horizon cap 35", got)
 	}
 }
 
@@ -436,7 +429,7 @@ func TestKernelReArmedWakeHonored(t *testing.T) {
 		// second injection at 300 arms a fresh wake.
 		k.At(50, func(now Cycle) { s.Rearm(now + 5) })
 		k.At(300, func(now Cycle) { s.Rearm(now + 10) })
-		k.SetIdleSkip(skip)
+		k.SetReference(!skip)
 		k.Run(1000)
 		return s.acted
 	}
@@ -488,7 +481,7 @@ func TestKernelBusyBurst(t *testing.T) {
 		var k Kernel
 		b := &busyBurst{busyUntil: 100, lateWake: 5000}
 		k.Register(b)
-		k.SetIdleSkip(skip)
+		k.SetReference(!skip)
 		k.Run(6000)
 		return b.acted, k.SkippedCycles()
 	}
@@ -627,7 +620,7 @@ func TestActiveListSkipsDormantTickers(t *testing.T) {
 		dormant := &tickCounter{fakeIdler: fakeIdler{wakes: []Cycle{200, 600}}}
 		k.Register(busy)
 		k.Register(dormant)
-		k.SetIdleSkip(skip)
+		k.SetReference(!skip)
 		k.Run(1000)
 		return dormant.ticked, dormant.ticks
 	}
@@ -681,7 +674,7 @@ func TestActiveListPreservesRegistrationOrder(t *testing.T) {
 		for tag := 0; tag < 3; tag++ {
 			k.Register(&orderIdler{wakes: []Cycle{100, 500}, tag: tag, log: &log})
 		}
-		k.SetIdleSkip(skip)
+		k.SetReference(!skip)
 		k.Run(1000)
 		return log
 	}
@@ -714,7 +707,7 @@ func TestKernelSettlesOnRunExit(t *testing.T) {
 		var k Kernel
 		s := &settleRecorder{fakeIdler: fakeIdler{wakes: []Cycle{10}}}
 		k.Register(s)
-		k.SetIdleSkip(skip)
+		k.SetReference(!skip)
 		k.Run(100)
 		k.RunFor(50)
 		if len(s.settles) != 2 || s.settles[0] != 100 || s.settles[1] != 150 {
@@ -839,7 +832,7 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 	run := func(seed uint64, m mode) (acted [][]Cycle, skipped uint64, now Cycle) {
 		rng := NewRand(seed)
 		var k Kernel
-		k.SetIdleSkip(m != stepped)
+		k.SetReference(m == stepped)
 		k.poll = m == pollSkip
 
 		nFake := 1 + rng.Intn(4)

@@ -125,3 +125,17 @@ func TestCloseReleasesDomainWorkers(t *testing.T) {
 	serial.Close()
 	serial.Run(1000)
 }
+
+// TestProbeSecondSubscriptionPanics pins the one-subscriber contract: a
+// System's trace edges hold one probe set, and a second Probe call panics
+// instead of silently replacing the first.
+func TestProbeSecondSubscriptionPanics(t *testing.T) {
+	sys := sara.Build(sara.Camcorder(sara.CaseA))
+	sys.Probe(sara.Probes{Grant: func(string, sim.Cycle, int, int, uint64) {}})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Probe on one System did not panic")
+		}
+	}()
+	sys.Probe(sara.Probes{})
+}

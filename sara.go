@@ -84,9 +84,9 @@ type System = core.System
 // Unit is one assembled DMA with its engine, source, meter and adapter.
 type Unit = core.Unit
 
-// Probes is one subscriber's set of trace-edge observers (NoC grants,
-// credits, stalls and sleep windows, DMA injections and wakes, DRAM
-// commands); subscribe it to one System with System.Probe.
+// Probes is a System's set of trace-edge observers (NoC grants, credits,
+// stalls and sleep windows, DMA injections and wakes, DRAM commands);
+// install it once per System with System.Probe.
 type Probes = core.Probes
 
 // Build assembles the serial System (one domain) from a Config.

@@ -67,10 +67,9 @@ type traces struct {
 
 // runTraced runs case A under policy and records every trace stream. With
 // reference set it is the cycle-stepped reference (the kernel's
-// SetReference mode): idle skipping off and every dormancy cache
-// bypassed (router grant windows, controller buckets, DMA injection
-// wakes), so a stale cached bound diverges the trace instead of being
-// shared by both modes. Without it it is the production path, idle
+// SetReference mode): idle skipping off, every component ticked every
+// cycle and the controller buckets bypassed, so a stale cached bound
+// diverges the trace instead of being shared by both modes. Without it it is the production path, idle
 // skipping driven by the kernel's wake heap.
 func runTraced(policy sara.Policy, reference, refresh bool, cycles sim.Cycle) traces {
 	var tr traces
@@ -254,7 +253,7 @@ func TestIdleSkipStallAccounting(t *testing.T) {
 		sys.Probe(sara.Probes{Stall: func(name string, now sim.Cycle, n uint64, backfill bool) {
 			out[name] = append(out[name], ev{now, n, backfill})
 		}})
-		sys.Kernel().SetIdleSkip(skip)
+		sys.Kernel().SetReference(!skip)
 		sys.RunFrames(2)
 		return out
 	}
