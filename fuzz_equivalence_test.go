@@ -279,7 +279,7 @@ func compareDiff(t *testing.T, seed uint64, ref, fast diffResult) {
 // TestRandomizedSkipVsStepDifferential fuzzes the skip-vs-step boundary
 // across 50 randomized configurations. Every config must produce an
 // identical NoC grant trace, credit trace and aggregate statistics in
-// the cycle-stepped force-scan reference and the wake-heap idle-skipping
+// the cycle-stepped force-scan reference and the wake-wheel idle-skipping
 // run. Across the pool, the event-driven runs must actually have skipped
 // cycles and granted packets (the harness must not pass vacuously). The
 // configs run as parallel subtests; the pool totals are collected under

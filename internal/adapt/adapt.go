@@ -97,7 +97,7 @@ type PrioritySetter interface {
 // time-at-level histogram that Fig. 7 reports.
 //
 // Adapters ride the kernel's event heap (a periodic sim.Kernel.Every
-// schedule), not the wake heap: they are not Idlers, need no WakeHandle,
+// schedule), not the wake wheel: they are not Idlers, need no WakeHandle,
 // and a priority change never moves any component's next-activity cycle
 // — it only reorders arbitration among already-scheduled work — so the
 // push-based wake contract does not apply to them.

@@ -9,7 +9,7 @@
 // channels: their controllers, a full-geometry DRAM instance (only the
 // owned channels see commands, so rank refresh phases match the device
 // layout and the other channels' counters stay zero), and a subset of the
-// DMA roster. Each domain runs its own sim.Kernel — wake heap,
+// DMA roster. Each domain runs its own sim.Kernel — wake wheel,
 // active-ticker list, idle skipping, all unchanged.
 //
 // A domain's root router has one output per channel, routed by the
@@ -382,7 +382,7 @@ func (p *parRun) checkWatchdog(now sim.Cycle) error {
 }
 
 // deadlock builds the watchdog trip error (no per-idler dump: the wake
-// heaps live across several kernels; the reason plus counts identify
+// wheels live across several kernels; the reason plus counts identify
 // the trip, and a serial re-run of the repro line gives the full dump).
 func (p *parRun) deadlock(now sim.Cycle, executed uint64, reason string) error {
 	e := &sim.DeadlockError{Reason: reason, Now: now, Executed: executed}

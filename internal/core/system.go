@@ -637,13 +637,16 @@ func (s *System) BandwidthOverWindowGBps(before dram.Stats, from, to sim.Cycle) 
 }
 
 // SkippedCycles reports how many cycles idle skipping fast-forwarded
-// over, summed across domains.
+// over: the mean over the domains' kernels, rounded down, so it lies in
+// [0, Now()] like a one-domain System's count (which is its kernel's
+// exactly). Every domain kernel runs the same Now() cycles, so a sum would
+// overstate the skipped share by up to the domain count.
 func (s *System) SkippedCycles() uint64 {
 	var n uint64
 	for _, dom := range s.domains {
 		n += dom.kernel.SkippedCycles()
 	}
-	return n
+	return n / uint64(len(s.domains))
 }
 
 // Close releases the worker goroutines of a domain-parallel System, which
@@ -714,7 +717,7 @@ func (s *System) SetWatchdog(wd *sim.Watchdog) {
 
 // Outstanding counts transactions that are in flight somewhere in the
 // system — generated but not yet completed, including requests still in
-// DMA pending queues. A fully parked wake heap with Outstanding > 0 is
+// DMA pending queues. A fully parked wake wheel with Outstanding > 0 is
 // a deadlock (a component dropped a transaction); the kernel watchdog
 // uses this probe to detect it.
 func (s *System) Outstanding() uint64 {

@@ -9,7 +9,7 @@
 // (wakeAt) and reports it as its next activity, so the kernel does not
 // tick it every cycle to inspect its queue, window and port. The three
 // events that can make an injection possible earlier each re-arm the
-// cache and the kernel's wake heap: a source enqueue (Enqueue, kernel
+// cache and the kernel's wake wheel: a source enqueue (Enqueue, kernel
 // entry only — Tick reads the live queue, so the cache needs no update),
 // a completion freeing a window slot (Deliver), and a credit return from
 // the NoC port it injects into (Wake, wired through noc.Port.OnCredit). A
@@ -138,7 +138,7 @@ type Engine struct {
 	onComplete []CompletionFunc
 	stats      Stats
 
-	// kern and srcWake push re-arms into the kernel wake heap, for this
+	// kern and srcWake push re-arms into the kernel's wake wheel, for this
 	// engine and for the traffic source feeding it: a source blocked on
 	// a full pending queue, or waiting on completions (display/camera
 	// in-flight accounting), would otherwise never be re-validated under
@@ -146,7 +146,7 @@ type Engine struct {
 	// activity hint reads completion-mutated state: only those need a
 	// source re-arm per delivery; other sources' hints cannot move
 	// earlier on a completion, and skipping the re-arm keeps the
-	// per-completion path off the wake heap.
+	// per-completion path off the wake wheel.
 	kern             sim.WakeHandle
 	srcWake          sim.WakeHandle
 	srcWakeOnDeliver bool
@@ -219,7 +219,7 @@ func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
 }
 
 // rearm records an injection-wake re-arm: the cached cycle, the wake
-// trace, and the engine's kernel wake-heap entry. Both callers must reach
+// trace, and the engine's kernel cached wake. Both callers must reach
 // the kernel under the active-ticker list: a port credit return lands
 // after the engine's tick and re-arms the NEXT cycle, and a delivery
 // fires before this cycle's ticks on an engine that may be dormant — in
@@ -271,7 +271,7 @@ func (e *Engine) Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool {
 	e.stats.Generated++
 	if !e.stalled {
 		// First pending work on an un-blocked engine: make it due now.
-		// (Repeat enqueues this cycle hit the heap's O(1) early drop.)
+		// (Repeat enqueues this cycle hit the wheel's O(1) early drop.)
 		e.kern.Rearm(0)
 	}
 	return true

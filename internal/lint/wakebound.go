@@ -10,7 +10,7 @@ import (
 // soundness rule requires NextActivity answers to be absolute: a
 // component whose lazy integration lags `now` must anchor its bound at
 // its cursor (cursor + steps - 1, clamped up to now), never return
-// `now + f(cursor)` — the heap-top probe RAISES cached entries from these
+// `now + f(cursor)` — the due-wake probe RAISES cached wakes from these
 // answers, so a now-relative bound computed from a stale cursor parks the
 // component past its true wake and the active-ticker list never recovers.
 //

@@ -124,7 +124,7 @@ type Controller struct {
 
 	// npending caches the total queued-transaction count across the five
 	// class queues; Pending is on the controller's activity-hint path,
-	// which the kernel's wake-heap validation queries per probe.
+	// which the kernel's due-wake validation queries per probe.
 	npending int
 
 	// nextTry is the next cycle a queue scan can possibly yield a
@@ -170,7 +170,7 @@ type Controller struct {
 	// Enqueue from the NoC side (everything else — DRAM timing gates,
 	// refresh cadence — is this controller's own state machine), so
 	// Enqueue is the one place that pushes a re-arm into the kernel's
-	// wake heap; self-inflicted later wakes are reconciled lazily.
+	// wake wheel; self-inflicted later wakes are reconciled lazily.
 	wake sim.WakeHandle
 }
 

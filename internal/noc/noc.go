@@ -108,7 +108,7 @@ func (p Params) CrossDomainLatency() sim.Cycle { return p.HopLatency + 1 }
 // contract: a component that caches its next-grant cycle implements Waker
 // so the events that could make a grant possible earlier — an upstream
 // injection landing mid-sleep, a downstream credit return — can re-arm the
-// cached wake. Under the kernel's push-based wake heap the receiver must
+// cached wake. Under the kernel's push-based wake wheel the receiver must
 // forward the re-arm to its sim.WakeHandle as well (the kernel no longer
 // polls hints per executed cycle); the Router does so in Wake. Re-arming
 // earlier than necessary is always safe (the component scans, finds
@@ -349,7 +349,7 @@ type Router struct {
 
 	// wake is the router's kernel wake handle: every lowering of
 	// nextGrantAt — upstream pushes (Port.Push) and credit wakes (Wake) —
-	// is forwarded through it into the kernel's wake heap, so the
+	// is forwarded through it into the kernel's wake wheel, so the
 	// active-ticker list knows to tick the router without polling
 	// NextActivity. Scan-end increases of nextGrantAt are reconciled by
 	// the kernel's post-tick re-key.
@@ -478,14 +478,14 @@ func (r *Router) FullPops() uint64 { return r.fullPops }
 
 // BindWake implements sim.WakeBinder: the kernel hands the router its
 // wake handle at registration, so Wake can push external re-arms into
-// the kernel's wake heap.
+// the kernel's wake wheel.
 func (r *Router) BindWake(h sim.WakeHandle) { r.wake = h }
 
 // Wake implements Waker: re-arm the router to scan no later than cycle at.
 // Earlier than necessary is safe — the scan finds nothing grantable and
 // recomputes the window. Pushes wake at the packet's readyAt; credit
 // returns wake at the cycle after the pop or queue release. The re-arm is
-// forwarded to the kernel's wake heap, which is what lets the kernel skip
+// forwarded to the kernel's wake wheel, which is what lets the kernel skip
 // to this router's next grant without polling it.
 //
 //sara:hotpath

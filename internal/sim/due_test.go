@@ -110,7 +110,7 @@ func runLinear(k *Kernel, horizon Cycle) {
 			if !ok {
 				next = never
 			}
-			k.wakes.fix(i, next)
+			k.wakes.set(i, next, now)
 		}
 		k.now++
 		if k.now < horizon {
@@ -120,11 +120,19 @@ func runLinear(k *Kernel, horizon Cycle) {
 	k.settleRun()
 }
 
+// dueDrive selects how runDueNodes runs its three segments.
+type dueDrive int
+
+const (
+	driveActive   dueDrive = iota // Run throughout
+	driveLinear                   // runLinear throughout
+	driveSwitched                 // the middle segment as the stepped reference
+)
+
 // runDueNodes builds n randomized dueNodes with scripted work and
 // event-driven pokes, and runs them to horizon in three segments, poking
-// a random node from outside Run between segments. linear selects the
-// reference walk.
-func runDueNodes(seed uint64, n int, linear bool) ([]dueTick, dueEdges) {
+// a random node from outside Run between segments.
+func runDueNodes(seed uint64, n int, drive dueDrive) ([]dueTick, dueEdges) {
 	const horizon = 2000
 	rng := NewRand(seed)
 	var k Kernel
@@ -149,9 +157,10 @@ func runDueNodes(seed uint64, n int, linear bool) ([]dueTick, dueEdges) {
 		})
 	}
 	for seg := Cycle(1); seg <= 3; seg++ {
-		if linear {
+		if drive == driveLinear {
 			runLinear(&k, seg*horizon/3)
 		} else {
+			k.SetReference(drive == driveSwitched && seg == 2)
 			k.Run(seg * horizon / 3)
 		}
 		nodes[rng.Intn(n)].poke(k.Now())
@@ -169,8 +178,8 @@ func TestDueSetMatchesLinearWalk(t *testing.T) {
 	var total dueEdges
 	for _, n := range []int{3, 64, 70, 171} {
 		for seed := uint64(1); seed <= 12; seed++ {
-			want, _ := runDueNodes(seed, n, true)
-			got, edges := runDueNodes(seed, n, false)
+			want, _ := runDueNodes(seed, n, driveLinear)
+			got, edges := runDueNodes(seed, n, driveActive)
 			total.forward += edges.forward
 			total.backward += edges.backward
 			total.events += edges.events
@@ -190,6 +199,36 @@ func TestDueSetMatchesLinearWalk(t *testing.T) {
 	}
 	if total.forward == 0 || total.backward == 0 || total.events == 0 {
 		t.Fatalf("vacuous run: %+v same-cycle edges and event re-arms", total)
+	}
+}
+
+// TestReferenceSwitchedOffMidRun pins SetReference(false) after a
+// stepped segment: the stepped run advances the clock without re-keying
+// any cached wake, so the keys it passed must be re-filed as due, or the
+// wheel would leave their tickers unticked until their stale slots come
+// round again. Acting ticks must match an uninterrupted active-list run.
+func TestReferenceSwitchedOffMidRun(t *testing.T) {
+	acts := func(log []dueTick) []dueTick {
+		var out []dueTick
+		for _, e := range log {
+			if e.acted {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for _, n := range []int{5, 70, 171} {
+		for seed := uint64(1); seed <= 12; seed++ {
+			ref, _ := runDueNodes(seed, n, driveActive)
+			got, _ := runDueNodes(seed, n, driveSwitched)
+			want, have := acts(ref), acts(got)
+			for i := range max(len(want), len(have)) {
+				if i >= len(want) || i >= len(have) || have[i] != want[i] {
+					t.Fatalf("n=%d seed %d: act %d differs: switched run %v, uninterrupted %v",
+						n, seed, i, have[i:min(i+4, len(have))], want[i:min(i+4, len(want))])
+				}
+			}
+		}
 	}
 }
 
@@ -266,28 +305,38 @@ func (b *benchTicker) NextActivity(now Cycle) (Cycle, bool) {
 }
 
 // BenchmarkStepActive prices one executed cycle of the active list: 171
-// registered tickers, the SoC's roster size, with about 4 due per cycle
-// (phases spread over a 43-cycle period). In the rearm leg each scheduled
-// ticker also re-arms a dormant ticker registered after it at the same
-// cycle: the forward edge, costing a wake-heap decrease-key, a due-set
-// insertion and one more tick per re-arm.
+// registered tickers, the SoC's roster size. In the due4 leg about 4 are
+// due per cycle (phases spread over a 43-cycle period). In the rearm leg
+// each scheduled ticker also re-arms a dormant ticker registered after it
+// at the same cycle: the forward edge, costing a wake-wheel decrease-key
+// into the soon set and one more tick per re-arm. In the far leg every
+// ticker sleeps 100 to 5,000 cycles between acts, so its re-key lands
+// beyond the wheel's window and later steps migrate it back in.
 func BenchmarkStepActive(b *testing.B) {
-	for _, rearm := range []bool{false, true} {
-		name := "due4"
-		if rearm {
-			name = "due4+rearm"
-		}
-		b.Run(name, func(b *testing.B) {
-			const n, period = 171, 43
+	legs := []struct {
+		name   string
+		period func(i int) Cycle
+		rearm  bool
+	}{
+		{"due4", func(int) Cycle { return 43 }, false},
+		{"due4+rearm", func(int) Cycle { return 43 }, true},
+		{"far", func(i int) Cycle { return Cycle(100 + i*29) }, false},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			const n = 171
 			var k Kernel
+			maxPeriod := Cycle(0)
 			for i := 0; i < n; i++ {
-				t := &benchTicker{k: &k, period: period, phase: Cycle(i % period), poke: -1}
-				if rearm && i+period/2 < n {
-					t.poke = i + period/2
+				p := leg.period(i)
+				maxPeriod = max(maxPeriod, p)
+				t := &benchTicker{k: &k, period: p, phase: Cycle(i) % p, poke: -1}
+				if leg.rearm && i+int(p/2) < n {
+					t.poke = i + int(p/2)
 				}
 				k.Register(t)
 			}
-			for i := 0; i < 2*period; i++ {
+			for i := Cycle(0); i < 2*maxPeriod; i++ {
 				k.Step()
 			}
 			b.ReportAllocs()

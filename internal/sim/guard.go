@@ -39,7 +39,7 @@ type Watchdog struct {
 	CheckEvery uint64
 	// Outstanding reports how much work is still in flight (for a SoC
 	// run: transactions generated but not yet completed). When it is
-	// non-nil and reports > 0 while the wake heap is fully parked at
+	// non-nil and reports > 0 while every cached wake is parked at
 	// never with no events pending, the run can provably never act
 	// again — the watchdog aborts with a DeadlockError instead of
 	// fast-forwarding to the horizon and returning silently-truncated
@@ -66,15 +66,15 @@ func (wd *Watchdog) Interval() uint64 {
 }
 
 // IdlerState is one registered idler's wake state in a DeadlockError
-// diagnostic dump: its cached wake-heap bound and its live NextActivity
+// diagnostic dump: its cached wake bound and its live NextActivity
 // answer at the moment the watchdog tripped.
 type IdlerState struct {
-	// ID is the idler's wake-heap id (its registration order).
+	// ID is the idler's ticker id (its registration order).
 	ID int
 	// Name labels the component: its Name() or Label() if it has one,
 	// otherwise its Go type.
 	Name string
-	// CachedWake is the wake heap's cached lower bound; Parked means the
+	// CachedWake is the wake wheel's cached lower bound; Parked means the
 	// entry sits at never (the component reported it will not act again
 	// without external input).
 	CachedWake Cycle
@@ -97,7 +97,7 @@ type DeadlockError struct {
 	// Outstanding is the watchdog's Outstanding() answer at the trip
 	// (0 if no probe was configured).
 	Outstanding uint64
-	// Idlers is the wake-state dump, in wake-heap id order.
+	// Idlers is the wake-state dump, in ticker id order.
 	Idlers []IdlerState
 }
 

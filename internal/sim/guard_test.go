@@ -66,7 +66,7 @@ func TestWatchdogParkedDeadlock(t *testing.T) {
 		t.Fatalf("idler dump %+v, want one parked entry", de.Idlers)
 	}
 
-	// Same system with nothing outstanding: the parked heap is a normal
+	// Same system with nothing outstanding: every wake parked is a normal
 	// end of activity, not a deadlock.
 	var k2 Kernel
 	p2 := &parker{outstanding: 0}

@@ -14,17 +14,19 @@
 // component is quiescent and no event is due, instead of stepping cycle
 // by cycle through dead time.
 //
-// Wake scheduling is push-based: the kernel keeps an indexed min-heap of
-// per-ticker cached wake cycles, components re-arm their heap entry
-// through the WakeHandle returned by Register whenever an external action
-// moves their next activity to an earlier cycle, and the fast-forward
-// target is read off the heap top instead of polling every ticker's hint
-// each executed cycle.
+// Wake scheduling is push-based: the kernel keeps per-ticker cached wake
+// cycles in a 64-slot timing wheel of ticker-id bitmaps (wakes under 64
+// cycles away sit in the slot of their cycle, later ones in one far set),
+// components re-arm their cached wake through the WakeHandle returned by
+// Register whenever an external action moves their next activity to an
+// earlier cycle, and the fast-forward target is read off the wheel's
+// occupancy word instead of polling every ticker's hint each executed
+// cycle.
 //
-// Executed cycles use the same heap as an active-ticker list: a component
-// is ticked iff its cached wake is at or before the current cycle, and its
-// entry is re-keyed to its exact next activity right after the tick, so
-// dormant components are not even called. The Ticker contract is
+// Executed cycles use the wheel's current slot as the active-ticker list:
+// a component is ticked iff its cached wake is at or before the current
+// cycle, and its wake is re-keyed to its exact next activity right after
+// the tick, so dormant components are not even called. The Ticker contract is
 // therefore "ticked every cycle it may act", not "ticked every executed
 // cycle", which imposes two obligations on components:
 //
@@ -60,8 +62,8 @@ import (
 // Cycle is a point in simulated time, measured in DRAM command-clock cycles.
 type Cycle uint64
 
-// never marks an unarmed wake-heap entry: the ticker reported it will not
-// act again without external input, so only a Rearm can revive it.
+// never marks an unarmed cached wake: the ticker reported it will not act
+// again without external input, so only a Rearm can revive it.
 const never = ^Cycle(0)
 
 // Ticker is a component that advances by one cycle at a time. Every
@@ -73,7 +75,8 @@ type Ticker interface {
 	// (SetReference(true)) the kernel calls Tick exactly once per ticker
 	// per cycle, in registration order. In the default active-list mode a
 	// ticker is only called on cycles its cached wake covers (wake <=
-	// now); dormant components are skipped entirely.
+	// now: it sits in the wake wheel's current slot or its soon set);
+	// dormant components are skipped entirely.
 	// Components must therefore derive elapsed time from now rather than
 	// counting Tick calls, and must keep their cached wake a sound lower
 	// bound on their next action (see Idler).
@@ -103,10 +106,10 @@ type Settler interface {
 // activity cycle.
 //
 // The contract is push-based. The kernel caches each ticker's most recent
-// hint in an indexed wake heap and does NOT re-query every hint after
-// every executed cycle; it re-queries a ticker only right after ticking
-// it (the active-list re-key) or when its cached entry reaches the heap
-// top during a fast-forward probe. The cached entry is therefore required
+// hint in its wake wheel and does NOT re-query every hint after every
+// executed cycle; it re-queries a ticker only right after ticking it (the
+// active-list re-key) or when its cached wake is due (at or before the
+// current cycle) during a fast-forward probe. The cached wake is therefore required
 // to be a sound LOWER bound on the ticker's true next activity at all
 // times — doubly important under the active list, where a too-late bound
 // does not merely skip a cycle but skips the component's Tick on cycles
@@ -127,21 +130,21 @@ type Settler interface {
 //
 //   - Lazy increase is always safe. When a ticker's next activity moves
 //     LATER (it consumed its queue, its tokens drained), it does not need
-//     to tell the kernel: the stale too-early entry merely surfaces at
-//     the heap top, the kernel re-queries NextActivity once, and the
-//     entry sinks to its correct place. A ticker that reports ok=false
-//     parks at the heap bottom but is never unregistered — a later Rearm
+//     to tell the kernel: the stale too-early wake merely comes due, the
+//     kernel re-queries NextActivity once, and the wake moves to its
+//     correct slot. A ticker that reports ok=false is parked at never,
+//     outside the wheel, but is never unregistered — a later Rearm
 //     revives it.
 //
 // NextActivity itself must remain cheap and pure: it is the validation
-// query for the heap top and the active list's post-tick re-key.
+// query for due wakes and the active list's post-tick re-key.
 // Components that cache their wake cycle should answer from the cache in
 // O(1). The answer must be sound in ABSOLUTE time: a
 // component whose lazy integration lags `now` (a token bucket whose
 // funded cursor is behind, a buffer whose drain cursor is behind) must
 // anchor its bound at that cursor — e.g. cursor + steps - 1, clamped up
-// to now — never `now + steps` computed from stale state. The heap-top
-// probe RAISES entries from these answers; a bound even one cycle too
+// to now — never `now + steps` computed from stale state. The due-wake
+// probe RAISES cached wakes from these answers; a bound even one cycle too
 // late starves the component permanently. This rule is enforced
 // statically: the wakebound analyzer in cmd/saravet flags NextActivity
 // and Wake implementations that add mutable receiver state to `now`,
@@ -164,7 +167,7 @@ type WakeBinder interface {
 }
 
 // WakeHandle re-arms one registered ticker's cached wake cycle in the
-// kernel's wake heap and reports the kernel's reference mode. The zero
+// kernel's wake wheel and reports the kernel's reference mode. The zero
 // value is inert (Rearm is a no-op, Reference reads false), so components
 // can hold a handle unconditionally and be driven either by a kernel or
 // standalone in unit tests.
@@ -175,8 +178,8 @@ type WakeHandle struct {
 
 // Rearm lowers the ticker's cached wake to at if the cached value is
 // later (decrease-key). Raising a cached wake is impossible by design:
-// increases are reconciled lazily when the entry reaches the heap top,
-// so a spurious early Rearm can cost an uneventful executed cycle but
+// increases are reconciled lazily when the cached wake comes due, so a
+// spurious early Rearm can cost an uneventful executed cycle but
 // can never lose a wake.
 //
 //sara:hotpath
@@ -260,140 +263,26 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// wakeEntry is one ticker's slot in the wake heap; keys live inline so
-// sift compares and swaps stay within one contiguous array.
-type wakeEntry struct {
-	at Cycle
-	id int32
-}
-
-type wakeHeap struct {
-	// entries is the heap itself; keys live inline so sift compares and
-	// swaps stay within one contiguous array instead of chasing three.
-	entries []wakeEntry
-	// at mirrors each id's cached wake and pos tracks each id's index in
-	// entries, making rearm an O(1) no-op test and fix an O(log n)
-	// position-tracked sift instead of a duplicate-entry push (which
-	// would allocate on the steady-state wake path).
-	at  []Cycle
-	pos []int32
-}
-
-// add registers a new ticker with an immediately-due wake (cycle 0), so
-// the first fast-forward probe validates every hint once. The new entry
-// is sifted into place so the invariant holds even when entries were
-// re-keyed between adds.
-func (h *wakeHeap) add(id int) {
-	h.at = append(h.at, 0)
-	h.entries = append(h.entries, wakeEntry{at: 0, id: int32(id)})
-	h.pos = append(h.pos, int32(len(h.entries)-1))
-	h.siftUp(len(h.entries) - 1)
-}
-
-// rearm lowers id's cached wake (decrease-key); at values at or above
-// the cached bound are dropped without touching the heap.
-func (h *wakeHeap) rearm(id int, at Cycle) {
-	if at >= h.at[id] {
-		return
-	}
-	h.fix(id, at)
-}
-
-// fix sets id's cached wake and restores heap order in the appropriate
-// direction. The probe's validation pass uses it on an integrated heap.
-func (h *wakeHeap) fix(id int, c Cycle) {
-	old := h.at[id]
-	h.at[id] = c
-	h.entries[h.pos[id]].at = c
-	if c < old {
-		h.siftUp(int(h.pos[id]))
-	} else if c > old {
-		h.siftDown(int(h.pos[id]))
-	}
-}
-
-// Rearm buffering note: an earlier revision deferred these sifts into a
-// dirty list integrated at probe time; property fuzzing showed one
-// siftUp per dirty id cannot restore the invariant under simultaneous
-// decreases (a displaced ancestor can land above an already-settled
-// dirty entry), so re-arms sift immediately and correctness stays local
-// to the two classic operations.
-
-func (h *wakeHeap) siftUp(i int) {
-	q := h.entries
-	e := q[i]
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if e.at >= q[p].at {
-			break
-		}
-		q[i] = q[p]
-		h.pos[q[i].id] = int32(i)
-		i = p
-		moved = true
-	}
-	if moved {
-		q[i] = e
-		h.pos[e.id] = int32(i)
-	}
-}
-
-func (h *wakeHeap) siftDown(i int) {
-	q := h.entries
-	n := len(q)
-	e := q[i]
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		at := e.at
-		if l < n && q[l].at < at {
-			s, at = l, q[l].at
-		}
-		if r < n && q[r].at < at {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i] = q[s]
-		h.pos[q[i].id] = int32(i)
-		q[s] = e
-		h.pos[e.id] = int32(s)
-		i = s
-	}
-}
-
 // Kernel owns the clock, the ordered ticker list, the event queue and the
-// wake heap. The zero value is ready to use, with idle skipping enabled
+// wake wheel. The zero value is ready to use, with idle skipping enabled
 // (the reference mode off).
 type Kernel struct {
 	now Cycle
 	// tickers are the registered components in registration order, indexed
-	// by wake-heap id.
+	// by ticker id.
 	tickers []Ticker
-	wakes   wakeHeap
+	wakes   wakeWheel
 	// settlers are the registered tickers that batch dormant-cycle
 	// bookkeeping; Run calls SettleRun on each when it reaches its
 	// horizon so end-of-run statistics are exact even when the active
 	// list left a component un-ticked over a trailing dormant stretch.
 	settlers []Settler
-	// due is stepActive's due set, one bit per ticker id: the wake-heap
-	// descent marks every entry with at <= now, and a same-cycle re-arm
-	// of an id at or after dueFrom joins it mid-walk. dueFrom is the id
-	// after the one being ticked, and len(tickers) outside the walk, so a
-	// re-arm from an event or from outside Run never touches the set.
-	// stack is the descent's scratch. Register sizes due and stack, so
-	// the walk never allocates.
-	due     []uint64
-	dueFrom int
-	stack   []int32
 	// reference is the SetReference switch: stepped execution, every
 	// ticker ticked every cycle.
 	reference bool
-	// poll replaces the active list and the heap-driven fast-forward
+	// poll replaces the active list and the wheel-driven fast-forward
 	// with the linear NextActivity sweep. Only this package's tests set
-	// it, to check the heap against the sweep target for target.
+	// it, to check the wheel against the sweep target for target.
 	poll    bool
 	events  eventHeap
 	seq     uint64
@@ -425,12 +314,22 @@ func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 // skipped, every ticker is ticked every cycle, and every component
 // registered with this kernel reads the switch through
 // WakeHandle.Reference.
-func (k *Kernel) SetReference(on bool) { k.reference = on }
+//
+// Switching the reference off re-files every cached wake by the current
+// clock: the stepped run advanced it without re-keying any wake, so keys
+// it passed would otherwise sit in slots of the wake wheel that now
+// stand for future cycles.
+func (k *Kernel) SetReference(on bool) {
+	k.reference = on
+	if !on {
+		k.wakes.reseat(k.now)
+	}
+}
 
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
 // assembly uses to realize the pipeline order sources -> DMAs -> NoC ->
-// MC -> DRAM -> responses -> adapters; the wake heap orders itself by
+// MC -> DRAM -> responses -> adapters; the wake wheel files tickers by
 // cached wake cycle, so registration order never affects fast-forward
 // targets. If t implements WakeBinder the handle is also pushed into the
 // component here, so assemblies get push wiring for free. Register
@@ -442,14 +341,7 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 	}
 	h := WakeHandle{k: k, id: len(k.tickers)}
 	k.tickers = append(k.tickers, t)
-	k.wakes.add(h.id)
-	k.dueFrom = len(k.tickers)
-	if h.id>>6 == len(k.due) {
-		k.due = append(k.due, 0)
-	}
-	if len(k.tickers) > cap(k.stack) {
-		k.stack = make([]int32, 0, 2*len(k.tickers))
-	}
+	k.wakes.add(h.id, k.now)
 	if wb, ok := t.(WakeBinder); ok {
 		wb.BindWake(h)
 	}
@@ -460,23 +352,21 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 }
 
 // Rearm lowers ticker id's cached wake cycle to at (a decrease-key; see
-// wakeHeap.rearm); a cached wake at or before at is left untouched.
-// During stepActive's walk, a re-arm at or before the current cycle of an
-// id the walk has not reached yet also adds the id to the due set — the
-// same-cycle forward edge. Components normally call this through their
-// WakeHandle. An out-of-range id panics with an *InvariantError: a
-// dropped re-arm is a silently missed wake — the simulation would
-// diverge, not fail — so bad wiring must die loudly instead.
+// wakeWheel.rearm); a cached wake at or before at is left untouched. A
+// re-arm at or before the current cycle files the id in the wheel's soon
+// set, which stepActive's walk reads, so during the walk an id it has not
+// reached yet ticks this cycle — the same-cycle forward edge. Components
+// normally call this through their WakeHandle. An out-of-range id panics
+// with an *InvariantError: a dropped re-arm is a silently missed wake —
+// the simulation would diverge, not fail — so bad wiring must die loudly
+// instead.
 func (k *Kernel) Rearm(id int, at Cycle) {
 	if id < 0 || id >= len(k.wakes.at) {
 		panic(invariant(fmt.Sprintf(
 			"sim: Rearm of unregistered ticker id %d (%d tickers registered)",
 			id, len(k.wakes.at))))
 	}
-	k.wakes.rearm(id, at)
-	if id >= k.dueFrom && at <= k.now {
-		k.due[id>>6] |= 1 << (id & 63)
-	}
+	k.wakes.rearm(id, at, k.now)
 }
 
 // At schedules fn to run at cycle at, before that cycle's tickers. If at is
@@ -538,77 +428,59 @@ func (k *Kernel) Step() {
 		k.stepActive()
 	}
 	k.now++
+	k.wakes.advanced(k.now)
 }
 
 // stepActive is Step's tick loop in active-list mode: tick every due
 // ticker — cached wake at or before now — in registration order, and
-// re-key each ticked entry to its exact next activity. The due set is read
-// off the wake heap, not off every registered ticker: a descent from the
-// root, pruned at the first entry in the future, marks the due ids in a
-// bitset (markDue), and the walk visits the set bits in ascending id
-// order, which is registration order. So an executed cycle costs the due
-// tickers plus the heap entries bounding them, not the whole roster.
+// re-key each ticked id to its exact next activity. The due set is the
+// wake wheel's current slot plus its soon set, not every registered
+// ticker: the walk visits the ids of soon | slot[now] one bitmap word at a
+// time in ascending id order, which is registration order. So an executed
+// cycle costs the due tickers, not the whole roster.
 //
 // Same-cycle forward edges join the set mid-walk: a source enqueueing
 // into a dormant engine, or a router into a dormant controller, re-arms
-// the receiver at now, and Rearm sets the receiver's bit because its id
-// lies after the one being ticked; the walk re-reads the bitset word after
-// every tick, so it reaches the receiver this cycle. Backward same-cycle
-// edges need no tick: a stepped run's earlier-registered component had
-// already ticked when the edge fired, so both modes first act on it the
-// next cycle (every backward edge re-arms at now+1 or via a pre-tick
-// event, and the next descent finds it). Because every ticked entry is
-// re-keyed from a live NextActivity query, the heap bounds are exact after
-// each active step, and the fast-forward probe computes the same skip
-// targets as a linear sweep over every hint.
+// the receiver at now, Rearm files it in soon, and because the walk
+// re-reads the word after every tick, masking only the ids at or below
+// the one just ticked, it reaches the receiver this cycle. Backward
+// same-cycle edges need no tick: a stepped run's earlier-registered
+// component had already ticked when the edge fired, so both modes first
+// act on it the next cycle (the mask hides it now, and soon keeps it for
+// the next walk). Every ticked id is re-keyed from a live NextActivity
+// query to a cycle after now, so the current slot is empty after the walk,
+// the wheel's keys are exact, and the fast-forward probe computes the same
+// skip targets as a linear sweep over every hint.
 //
 //sara:hotpath
 func (k *Kernel) stepActive() {
 	now := k.now
-	k.markDue(now)
-	for w := range k.due {
-		for k.due[w] != 0 {
-			b := bits.TrailingZeros64(k.due[w])
-			k.due[w] &^= 1 << b
-			i := w<<6 | b
-			k.dueFrom = i + 1
+	w := &k.wakes
+	s := int(now & wheelMask)
+	slot := w.slots[s*w.words : (s+1)*w.words]
+	for wd := range slot {
+		mask := ^uint64(0)
+		for {
+			m := (w.soon[wd] | slot[wd]) & mask
+			if m == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(m)
+			mask = ^uint64(0) << (b + 1)
+			w.soon[wd] &^= 1 << b
+			slot[wd] &^= 1 << b
+			i := wd<<6 | b
 			t := k.tickers[i]
 			t.Tick(now)
 			next, ok := t.NextActivity(now + 1)
 			if !ok {
 				next = never
 			}
-			k.wakes.fix(i, next)
+			w.link(i, next, now)
 		}
 	}
-	k.dueFrom = len(k.tickers)
-}
-
-// markDue sets the due bit of every wake-heap entry with at <= now. The
-// heap order makes those entries a subtree hanging off the root, so a
-// depth-first descent that stops at every future entry visits each due
-// entry once and only their children besides.
-//
-//sara:hotpath
-func (k *Kernel) markDue(now Cycle) {
-	q := k.wakes.entries
-	if len(q) == 0 || q[0].at > now {
-		return
-	}
-	st := append(k.stack[:0], 0) //sara:alloc-ok Register sizes the stack to the ticker count, which bounds the due subtree
-	for len(st) > 0 {
-		i := st[len(st)-1]
-		st = st[:len(st)-1]
-		id := q[i].id
-		k.due[id>>6] |= 1 << (id & 63)
-		if l := 2*i + 1; int(l) < len(q) && q[l].at <= now {
-			st = append(st, l) //sara:alloc-ok bounded by the ticker count (see above)
-		}
-		if r := 2*i + 2; int(r) < len(q) && q[r].at <= now {
-			st = append(st, r) //sara:alloc-ok bounded by the ticker count (see above)
-		}
-	}
-	k.stack = st
+	w.cnt[s] = 0
+	w.occ &^= 1 << s
 }
 
 // Run advances the simulation until the clock reaches horizon (exclusive).
@@ -649,7 +521,7 @@ func (k *Kernel) settleRun() {
 // every live hint: the next due event or the earliest ticker activity,
 // capped at horizon; k.now means something is due immediately. It serves
 // the poll field this package's tests set, as the oracle for the wake
-// heap's cached bounds (which may never be later).
+// wheel's cached bounds (which may never be later).
 func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 	target := horizon
 	if len(k.events) > 0 {
@@ -676,61 +548,60 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 	return target
 }
 
-// nextWakeHeap computes the fast-forward target from the wake heap: the
-// next due event or the heap top, capped at horizon. Only entries whose
-// cached wake is at or before the current cycle are re-queried — they
-// are either genuinely busy (probe answers "now") or consumed wakes,
-// which the query raises to their exact next cycle or parks at never.
-// A FUTURE cached wake is trusted without a query: every cached wake is
-// a sound lower bound, so skipping to the heap minimum can never skip
-// past real activity — at worst a stale-early bound wakes the kernel
-// for one uneventful executed cycle, whose probe then raises it. That
-// trade (a rare extra cycle instead of validating every future bound
-// per probe) is what keeps the probe O(1) once the due entries are
-// resolved; the linear sweep instead computes the exact swept minimum,
-// so it may skip slightly more while observable behavior stays
-// bit-identical.
-func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
+// nextWake computes the fast-forward target from the wake wheel: the
+// next due event or the smallest cached wake, capped at horizon. Only the
+// due ids — soon and the current slot — are re-queried: each is either
+// genuinely busy (the probe answers "now", and its stale-low key stays, a
+// sound lower bound) or a consumed wake, which the query raises to its
+// exact next cycle or parks at never. A FUTURE cached wake is trusted
+// without a query: every cached wake is a sound lower bound, so skipping
+// to the wheel minimum can never skip past real activity — at worst a
+// stale-early bound wakes the kernel for one uneventful executed cycle,
+// whose probe then raises it. That trade (a rare extra cycle instead of
+// validating every future bound per probe) keeps the probe O(due ids);
+// the linear sweep instead computes the exact swept minimum, so it may
+// skip slightly more while observable behavior stays bit-identical.
+//
+//sara:hotpath
+func (k *Kernel) nextWake(horizon Cycle) Cycle {
+	now := k.now
 	target := horizon
 	if len(k.events) > 0 {
 		at := k.events[0].at
-		if at <= k.now {
-			return k.now
+		if at <= now {
+			return now
 		}
 		if at < target {
 			target = at
 		}
 	}
-	h := &k.wakes
-	for len(h.entries) > 0 {
-		top := h.entries[0]
-		if top.at > k.now {
-			// No busy suspicion left: the heap minimum bounds every
-			// ticker's next activity from below.
-			if top.at < target {
-				target = top.at
+	w := &k.wakes
+	s := int(now & wheelMask)
+	slot := w.slots[s*w.words : (s+1)*w.words]
+	for wd := range slot {
+		for m := w.soon[wd] | slot[wd]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			i := wd<<6 | b
+			at, ok := k.tickers[i].NextActivity(now)
+			if !ok {
+				at = never
+			} else if at <= now {
+				// Immediately busy. Its stale-low key stays: it is still
+				// a sound lower bound, and the ids after it stay due.
+				return now
 			}
-			break
+			w.set(i, at, now)
 		}
-		id := int(top.id)
-		at, ok := k.tickers[id].NextActivity(k.now)
-		if !ok {
-			h.fix(id, never)
-			continue
-		}
-		if at <= k.now {
-			// Immediately busy. The stale-low key is left in place: it
-			// is still a sound lower bound.
-			return k.now
-		}
-		h.fix(id, at)
+	}
+	if at := w.next(now); at < target {
+		target = at
 	}
 	return target
 }
 
 // fastForward advances the clock to the earliest upcoming activity —
 // the next due event or the earliest cached wake — capped at horizon-1 so
-// the run's final cycle always executes, whether the heap or the poll
+// the run's final cycle always executes, whether the wheel or the poll
 // sweep picks the target, so both execute — and count as skipped — the
 // same cycles (bookkeeping accrued over a trailing quiescent stretch is
 // settled via Settler at the horizon). It returns without moving the
@@ -740,11 +611,12 @@ func (k *Kernel) fastForward(horizon Cycle) {
 	if k.poll {
 		target = k.nextWakePoll(horizon - 1)
 	} else {
-		target = k.nextWakeHeap(horizon - 1)
+		target = k.nextWake(horizon - 1)
 	}
 	if target > k.now {
 		k.skipped += uint64(target - k.now)
 		k.now = target
+		k.wakes.advanced(k.now)
 	}
 }
 

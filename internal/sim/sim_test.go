@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -716,49 +717,9 @@ func TestKernelSettlesOnRunExit(t *testing.T) {
 	}
 }
 
-// TestWakeHeapDecreaseKey exercises the indexed heap directly: re-arms
-// are decrease-key (position-tracked, no duplicate entries), increases
-// go through fix, and the top always tracks the minimum cached wake.
-func TestWakeHeapDecreaseKey(t *testing.T) {
-	var h wakeHeap
-	for id := 0; id < 8; id++ {
-		h.add(id)
-		h.fix(id, Cycle(100+10*id))
-	}
-	if top := h.entries[0]; top.id != 0 || top.at != 100 {
-		t.Fatalf("top (%d, %d), want (0, 100)", top.id, top.at)
-	}
-	// Decrease-key a deep entry to the top.
-	h.fix(7, 5)
-	if top := h.entries[0]; top.id != 7 || top.at != 5 {
-		t.Fatalf("after decrease-key top (%d, %d), want (7, 5)", top.id, top.at)
-	}
-	// Increase it past everyone; the old minimum resurfaces.
-	h.fix(7, 1000)
-	if top := h.entries[0]; top.id != 0 || top.at != 100 {
-		t.Fatalf("after increase top (%d, %d), want (0, 100)", top.id, top.at)
-	}
-	// pos must track every move, and the mirrored keys must agree.
-	for i, e := range h.entries {
-		if h.pos[e.id] != int32(i) {
-			t.Fatalf("pos[%d] = %d, want %d", e.id, h.pos[e.id], i)
-		}
-		if h.at[e.id] != e.at {
-			t.Fatalf("at[%d] = %d, entry holds %d", e.id, h.at[e.id], e.at)
-		}
-	}
-	// Kernel.Rearm ignores increases (lazy): the cached bound only drops.
-	var k Kernel
-	k.Register(&fakeIdler{wakes: []Cycle{500}})
-	k.Rearm(0, 50)
-	if k.wakes.at[0] != 0 { // initial cached wake is 0 (due immediately)
-		t.Fatalf("Rearm raised a cached wake to %d; increases must be lazy", k.wakes.at[0])
-	}
-}
-
 // TestWakeHeapNeverIsNotUnregister pins the park-at-never semantics: an
-// idler that reports ok=false stays in the heap (its entry is parked at
-// never, not removed) and a later Rearm revives it.
+// idler that reports ok=false stays registered (its cached wake is parked
+// at never, outside the wake wheel) and a later Rearm revives it.
 func TestWakeHeapNeverIsNotUnregister(t *testing.T) {
 	var k Kernel
 	s := &cachedSleeper{wakeAt: sleeperNever} // never acts on its own
@@ -778,7 +739,7 @@ func TestWakeHeapNeverIsNotUnregister(t *testing.T) {
 
 // TestKernelRegistrationOrderIrrelevantForSkipping pins the fix for the
 // old one-time idler reversal in Run: fast-forward targets come off the
-// wake heap, so registration order affects tick order (as documented)
+// wake wheel, so registration order affects tick order (as documented)
 // and nothing else.
 func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 	mk := func(reverse bool) (acted [][]Cycle, skipped uint64) {
@@ -819,7 +780,7 @@ func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 // random population of self-timed idlers (stale-early cached bounds
 // after every act) and cached sleepers re-armed by random external
 // events must act on exactly the same cycles — and skip exactly the same
-// stretches — under the wake heap as under the linear poll sweep and the
+// stretches — under the wake wheel as under the linear poll sweep and the
 // cycle-stepped run.
 func TestWakeHeapMatchesPoll(t *testing.T) {
 	const horizon = 3000
@@ -827,7 +788,7 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 	const (
 		stepped mode = iota
 		pollSkip
-		heapSkip
+		wheelSkip
 	)
 	run := func(seed uint64, m mode) (acted [][]Cycle, skipped uint64, now Cycle) {
 		rng := NewRand(seed)
@@ -872,9 +833,9 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 	prop := func(seed uint64) bool {
 		ref, _, refNow := run(seed, stepped)
 		poll, pollSkipped, pollNow := run(seed, pollSkip)
-		heap, heapSkipped, heapNow := run(seed, heapSkip)
-		if refNow != pollNow || refNow != heapNow {
-			t.Errorf("seed %#x: final cycles %d / %d / %d", seed, refNow, pollNow, heapNow)
+		wheel, wheelSkipped, wheelNow := run(seed, wheelSkip)
+		if refNow != pollNow || refNow != wheelNow {
+			t.Errorf("seed %#x: final cycles %d / %d / %d", seed, refNow, pollNow, wheelNow)
 			return false
 		}
 		same := func(a, b [][]Cycle) bool {
@@ -894,13 +855,13 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 			t.Errorf("seed %#x: poll reference diverged from stepped run: %v vs %v", seed, poll, ref)
 			return false
 		}
-		if !same(ref, heap) {
-			t.Errorf("seed %#x: wake heap diverged from stepped run: %v vs %v", seed, heap, ref)
+		if !same(ref, wheel) {
+			t.Errorf("seed %#x: wake wheel diverged from stepped run: %v vs %v", seed, wheel, ref)
 			return false
 		}
-		if pollSkipped != heapSkipped {
-			t.Errorf("seed %#x: poll skipped %d cycles, heap skipped %d — the heap target must equal the swept minimum",
-				seed, pollSkipped, heapSkipped)
+		if pollSkipped != wheelSkipped {
+			t.Errorf("seed %#x: poll skipped %d cycles, wheel skipped %d — the wheel target must equal the swept minimum",
+				seed, pollSkipped, wheelSkipped)
 			return false
 		}
 		return true
@@ -914,41 +875,141 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 	}
 }
 
-// TestWakeHeapInvariant fuzzes interleaved decrease-keys (rearm) and
-// arbitrary key moves (fix, the validation pass): after every operation
-// batch the heap must satisfy the min-heap invariant with consistent
-// position tracking and key mirroring. An earlier revision buffered the
-// rearm sifts into a probe-time integration pass; this fuzz caught that
-// one sift per dirty id cannot restore the invariant under simultaneous
-// decreases, which is why re-arms now sift immediately.
-func TestWakeHeapInvariant(t *testing.T) {
+// TestWakeWheelInvariant checks the wake wheel against a brute-force
+// id -> key model under interleaved re-keys (set: the probe's validation
+// pass), decrease-keys (rearm) and clock advances, the latter after a
+// walk-like re-key of every due id and often straight to the next key,
+// many slots ahead. Keys cover now, both window edges, far, never and
+// window keys whose slot index wraps. After every batch the due set must
+// be exactly the keys at or before now, the next target the smallest key
+// after it, every id filed in exactly one place, and the occupancy word and
+// slot counts must agree with the slot bitmaps.
+func TestWakeWheelInvariant(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := NewRand(seed)
-		var h wakeHeap
-		n := 2 + rng.Intn(40)
-		for id := 0; id < n; id++ {
-			h.add(id)
-			h.fix(id, Cycle(rng.Intn(1000)))
+		now := Cycle(rng.Intn(1 << 20))
+		var w wakeWheel
+		n := 1 + rng.Intn(200)
+		key := func() Cycle {
+			switch rng.Intn(8) {
+			case 0:
+				return now
+			case 1:
+				return now + wheelSlots - 1
+			case 2:
+				return now + wheelSlots
+			case 3:
+				return now + wheelSlots + Cycle(rng.Intn(5000))
+			case 4:
+				return never
+			case 5:
+				return now - Cycle(rng.Intn(int(now)+1))
+			default:
+				// Whether the slot index wraps below now's depends on
+				// now's phase, which the advances keep moving.
+				return now + 1 + Cycle(rng.Intn(wheelSlots-1))
+			}
 		}
-		for round := 0; round < 6; round++ {
-			for i := 0; i < 1+rng.Intn(2*n); i++ {
-				h.rearm(rng.Intn(n), Cycle(rng.Intn(1000)))
+		for id := 0; id < n; id++ {
+			w.add(id, now)
+		}
+		model := make([]Cycle, n)
+		check := func(round int) bool {
+			fail := func(format string, args ...any) bool {
+				t.Errorf("seed %#x round %d now %d: "+format, append([]any{seed, round, now}, args...)...)
+				return false
 			}
-			for i := range h.entries {
-				e := h.entries[i]
-				if p := (i - 1) / 2; i > 0 && h.entries[p].at > e.at {
-					t.Errorf("seed %#x round %d: heap violation at %d: parent %d > child %d",
-						seed, round, i, h.entries[p].at, e.at)
-					return false
+			s := int(now & wheelMask)
+			want := never
+			for id, k := range model {
+				if w.at[id] != k {
+					return fail("id %d key %d, model %d", id, w.at[id], k)
 				}
-				if h.pos[e.id] != int32(i) || h.at[e.id] != e.at {
-					t.Errorf("seed %#x round %d: bookkeeping broken for id %d", seed, round, e.id)
-					return false
+				wd, bit := id>>6, uint64(1)<<(id&63)
+				in := 0
+				place := -3 // -1 soon, -2 far, else the slot
+				if w.soon[wd]&bit != 0 {
+					in, place = in+1, -1
+				}
+				if w.far[wd]&bit != 0 {
+					in, place = in+1, -2
+				}
+				for sl := 0; sl < wheelSlots; sl++ {
+					if w.slots[sl*w.words+wd]&bit != 0 {
+						in, place = in+1, sl
+					}
+				}
+				var ok bool
+				switch {
+				case k == never:
+					ok = in == 0
+				case k <= now:
+					ok = in == 1 && (place == -1 || place == s)
+				case k < now+wheelSlots:
+					ok = in == 1 && place == int(k&wheelMask)
+				default:
+					ok = in == 1 && place == -2 && w.farMin <= k
+				}
+				if !ok {
+					return fail("id %d key %d filed in %d places (last %d)", id, k, in, place)
+				}
+				if k > now && k < want {
+					want = k
 				}
 			}
-			// Raises (the validation pass) interleave with the next round.
-			for i := 0; i < rng.Intn(n); i++ {
-				h.fix(rng.Intn(n), Cycle(rng.Intn(1500)))
+			for sl := 0; sl < wheelSlots; sl++ {
+				c := 0
+				for wd := 0; wd < w.words; wd++ {
+					c += bits.OnesCount64(w.slots[sl*w.words+wd])
+				}
+				if int(w.cnt[sl]) != c || (w.occ>>sl&1 == 1) != (c > 0) {
+					return fail("slot %d holds %d ids, count %d, occupancy bit %d", sl, c, w.cnt[sl], w.occ>>sl&1)
+				}
+			}
+			if w.farMin < now+wheelSlots {
+				return fail("far minimum %d inside the window", w.farMin)
+			}
+			if got := w.next(now); got != want {
+				return fail("next %d, model %d", got, want)
+			}
+			return true
+		}
+		for round := 0; round < 30; round++ {
+			for i := rng.Intn(n); i >= 0; i-- {
+				id, k := rng.Intn(n), key()
+				if rng.Bool(0.5) {
+					w.set(id, k, now)
+					model[id] = k
+				} else {
+					w.rearm(id, k, now)
+					model[id] = min(model[id], k)
+				}
+			}
+			if !check(round) {
+				return false
+			}
+			// Advance like Step and fastForward: re-key every due id past
+			// now, then move the clock no further than the next key.
+			for id, k := range model {
+				if k <= now {
+					k = now + 1 + Cycle(rng.Intn(3*wheelSlots))
+					if rng.Bool(0.2) {
+						k = never
+					}
+					w.set(id, k, now)
+					model[id] = k
+				}
+			}
+			to := now + 1
+			if next := w.next(now); rng.Bool(0.6) && next != never {
+				to = next
+			} else if next == never {
+				to = now + Cycle(rng.Intn(1000)) + 1
+			}
+			now = to
+			w.advanced(now)
+			if !check(round) {
+				return false
 			}
 		}
 		return true

@@ -19,7 +19,7 @@ import (
 // NextActivity hint declares quiescent, so sources integrate time from
 // the cycle number rather than counting Tick calls.
 //
-// Under the kernel's push-based wake heap a source's hint is re-queried
+// Under the kernel's push-based wake wheel a source's hint is re-queried
 // only when its cached wake surfaces, so the two external events that can
 // move a source's next activity EARLIER must re-arm its kernel wake. Both
 // are observed by the DMA engine the source feeds, which owns the re-arms

@@ -409,6 +409,29 @@ func TestParallelFallback(t *testing.T) {
 	}
 }
 
+// TestSkippedCyclesPerDomainMean pins System.SkippedCycles as the mean
+// over the domain kernels, which each run every cycle up to Now: on a
+// partitioned System it lies in [0, Now()] (a sum over domains would not
+// on the 4x SoC's eight domains, whose sum runs past twice Now by cycle
+// 20,000), and on a one-domain System it is the kernel's own count.
+func TestSkippedCyclesPerDomainMean(t *testing.T) {
+	const horizon = 20000
+	par := sara.BuildParallel(sara.ScaledSaturated(4), 2)
+	defer par.Close()
+	par.Run(horizon)
+	if par.Domains() < 2 {
+		t.Fatalf("4x SoC partitioned into %d domains, want several", par.Domains())
+	}
+	if got := par.SkippedCycles(); got == 0 || got > uint64(par.Now()) {
+		t.Fatalf("%d domains: SkippedCycles %d after %d cycles, want in (0, Now]", par.Domains(), got, par.Now())
+	}
+	serial := sara.Build(sara.Camcorder(sara.CaseA))
+	serial.Run(horizon)
+	if got, want := serial.SkippedCycles(), serial.Kernel().SkippedCycles(); got != want || got == 0 {
+		t.Fatalf("one domain: SkippedCycles %d, kernel skipped %d", got, want)
+	}
+}
+
 // TestParallelWatchdog: the boundary watchdog bounds a checked parallel
 // run, and a tripped run poisons the System (the epoch exchange stopped
 // mid-flight, so its state is no longer trustworthy).

@@ -47,7 +47,7 @@ type tracedCredit struct {
 // cached next-injection cycle to at because of cause ('D' delivery, 'C'
 // port credit). Enqueues are not part of this stream: they leave the
 // engine's cached wake alone — the Tick gate reads the live queue — and
-// only nudge the kernel's wake-heap entry so the active-ticker list runs
+// only nudge the kernel's cached wake so the active-ticker list runs
 // that Tick in the enqueue cycle. The re-arm stream is pure behavior, so
 // a stale or missing wake diverges it instead of silently stalling a
 // core.
@@ -70,7 +70,7 @@ type traces struct {
 // SetReference mode): idle skipping off, every component ticked every
 // cycle and the controller buckets bypassed, so a stale cached bound
 // diverges the trace instead of being shared by both modes. Without it it is the production path, idle
-// skipping driven by the kernel's wake heap.
+// skipping driven by the kernel's wake wheel.
 func runTraced(policy sara.Policy, reference, refresh bool, cycles sim.Cycle) traces {
 	var tr traces
 	sys := sara.Build(sara.Camcorder(sara.CaseA,
