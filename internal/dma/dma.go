@@ -254,15 +254,19 @@ func (e *Engine) Wake(at sim.Cycle) {
 
 // Enqueue adds a request to the pending queue. It reports false when the
 // queue is full, letting rate-based sources retry without losing the
-// tokens. The cached injection wake needs no re-arm — Tick reads the live
-// queue state, so once the engine IS ticked this cycle the request is
-// injected (or the stall latched) regardless of wakeAt. What the
-// active-ticker list does need is the kernel entry: the source enqueues
-// during its own tick, the engine walks later in the same cycle, and
-// without a due kernel bound it would not be ticked at all. The re-arm is gated on !stalled — a stalled engine's blockers
-// (full window, full port) are untouched by an enqueue, its stall
-// accounting is settled lazily, and the clearing event re-arms the
-// kernel itself — so the saturated hot path stays one flag test.
+// tokens.
+//
+// The cached injection wake needs no re-arm — Tick reads the live queue
+// state, so once the engine IS ticked this cycle the request is injected
+// (or the stall latched) regardless of wakeAt. What the active-ticker
+// list does need is the kernel entry: the source enqueues during its own
+// tick, the engine walks later in the same cycle, and without a due
+// kernel bound it would not be ticked at all.
+//
+// The re-arm is gated on !stalled — a stalled engine's blockers (full
+// window, full port) are untouched by an enqueue, its stall accounting is
+// settled lazily, and the clearing event re-arms the kernel itself — so
+// the saturated hot path stays one flag test.
 func (e *Engine) Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool {
 	if len(e.pending) >= e.cfg.MaxPending {
 		return false

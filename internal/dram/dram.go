@@ -6,35 +6,60 @@ import (
 	"sara/internal/sim"
 )
 
-// BankState is the row-buffer state of one bank.
-type BankState uint8
-
-const (
-	// BankClosed means no row is in the row buffer.
-	BankClosed BankState = iota
-	// BankOpen means a row is active in the row buffer.
-	BankOpen
-)
-
-// bank holds per-bank timing and row-buffer state.
-type bank struct {
-	state BankState
-	row   uint64
-
-	nextActivate  sim.Cycle // earliest ACT
-	nextRead      sim.Cycle // earliest READ CAS
-	nextWrite     sim.Cycle // earliest WRITE CAS
-	nextPrecharge sim.Cycle // earliest PRE
-
-	// reservedBy is the ID of the transaction currently walking this bank
+// Bank is one bank's row-buffer state and timing gates. The device owns
+// it; a controller reads it in place through its channel's Gates.
+type Bank struct {
+	Open bool
+	Row  uint64
+	// ReservedBy is the ID of the transaction currently walking this bank
 	// through PRE/ACT on its behalf, or 0 when free. The memory controller
-	// maintains it to prevent precharge/activate thrash between competing
-	// transactions; the DRAM model stores it because the bank is the
-	// natural owner.
-	reservedBy uint64
+	// maintains it (Reserve/Release) to prevent precharge/activate thrash
+	// between competing transactions; the bank is its natural owner.
+	ReservedBy uint64
+
+	// Bank-level gates: the earliest ACT, READ CAS, WRITE CAS and PRE.
+	// ACT combines with Gates.RankAct, the CAS gates with Gates.ChRead and
+	// Gates.ChWrite.
+	NextAct   sim.Cycle
+	NextRead  sim.Cycle
+	NextWrite sim.Cycle
+	NextPre   sim.Cycle
 }
 
-// rank tracks the constraints shared by all banks of a rank.
+// Gates is one channel's timing state, in the form the controller's queue
+// scan evaluates: a command is legal at now exactly when now has reached
+// every gate that applies to it. Activate, Precharge, Read, Write and
+// Refresh keep it current; nothing else writes it but the controller's
+// Reserve/Release.
+//
+// Timing-gate monotonicity is a contract, not an accident: every gate
+// (bank CAS/PRE/ACT, rank tRRD/tFAW, channel CAS spacing with bus
+// occupancy folded in) only ever moves LATER as commands issue. Bank gates
+// fold new constraints with maxCycle; RankAct is re-derived at an ACT that
+// was legal, so at or after its old value; ChRead/ChWrite are re-derived at
+// a CAS that was legal, so the old gates are at or before now. The
+// controller's per-bank candidate buckets (memctrl/bucket.go) depend on
+// this to keep cached earliest-issuable bounds sound between scans: a gate
+// that could move earlier without a command issuing on that bank would
+// silently break skip-vs-step equivalence. The non-monotone inputs — row
+// and reservation state — change only at a command on that bank, which the
+// controller issued and so knows to invalidate.
+type Gates struct {
+	// ChRead/ChWrite are the channel's earliest READ/WRITE CAS: the
+	// turnaround and CAS-to-CAS gate, folded with the data-bus occupancy
+	// (the burst starts CL/CWL after the CAS and must not start before the
+	// previous burst has left the bus).
+	ChRead  sim.Cycle
+	ChWrite sim.Cycle
+	// RankAct[r] is rank r's ACT gate: max(last ACT + tRRD, fourth-last
+	// ACT + tFAW).
+	RankAct []sim.Cycle
+	// Banks is indexed by rank*Banks+bank (the controller's bankKey).
+	Banks []Bank
+}
+
+// rank holds the per-rank state behind the gates: the tFAW activate window
+// and the refresh bookkeeping.
 type rank struct {
 	// actHistory holds the cycles of the most recent activates for the
 	// tFAW four-activate window (ring buffer of size 4). actCount tracks
@@ -43,8 +68,6 @@ type rank struct {
 	actHistory [4]sim.Cycle
 	actIdx     int
 	actCount   uint64
-	lastAct    sim.Cycle // for tRRD
-	hasAct     bool
 
 	// All-bank refresh bookkeeping. refBoundary is the next tREFI slot
 	// not yet accounted for; refOwed counts refreshes due (negative when
@@ -55,41 +78,18 @@ type rank struct {
 	refBlackoutEnd sim.Cycle
 }
 
-// channel bundles the state of one data bus.
-type channel struct {
-	// dataFree is the cycle the data bus becomes free.
-	dataFree sim.Cycle
-	// nextRead/nextWrite gate bus-turnaround between read and write
-	// bursts on the shared channel wires.
-	nextRead  sim.Cycle
-	nextWrite sim.Cycle
-	// stats
-	readBursts  uint64
-	writeBursts uint64
-	bytesMoved  uint64
-	activates   uint64
-	precharges  uint64
-	refreshes   uint64
-}
-
 // DRAM is the device model. It is driven by the memory controller(s); it
-// has no per-cycle work of its own. Banks and ranks live in flat slices
-// indexed arithmetically from a Location — the controller probes bank
-// state on every queue scan, and a single indexed load beats a walk
-// through nested per-channel/per-rank slices.
+// has no per-cycle work of its own. Each channel's bank, rank and bus
+// timing lives in one Gates value, which the channel's controller probes
+// on every queue scan.
 type DRAM struct {
-	cfg      Config
-	mapper   *AddressMapper
-	banks    []bank // flat [channel][rank][bank]
-	ranks    []rank // flat [channel][rank]
-	channels []channel
-	nRanks   int
-	nBanks   int
-	// firstIssue/lastIssue bound the active measurement window for
-	// average-bandwidth reporting.
-	firstIssue sim.Cycle
-	lastIssue  sim.Cycle
-	anyIssue   bool
+	cfg    Config
+	mapper *AddressMapper
+	gates  []Gates        // per channel
+	ranks  []rank         // flat [channel][rank]
+	counts []ChannelStats // per channel
+	nRanks int
+	nBanks int
 }
 
 // New builds a DRAM from cfg. It panics on invalid configuration, because
@@ -100,13 +100,16 @@ func New(cfg Config) *DRAM {
 	}
 	g := cfg.Geometry
 	d := &DRAM{
-		cfg:      cfg,
-		mapper:   NewAddressMapper(g, cfg.Timing),
-		banks:    make([]bank, g.Channels*g.Ranks*g.Banks),
-		ranks:    make([]rank, g.Channels*g.Ranks),
-		channels: make([]channel, g.Channels),
-		nRanks:   g.Ranks,
-		nBanks:   g.Banks,
+		cfg:    cfg,
+		mapper: NewAddressMapper(g, cfg.Timing),
+		gates:  make([]Gates, g.Channels),
+		ranks:  make([]rank, g.Channels*g.Ranks),
+		counts: make([]ChannelStats, g.Channels),
+		nRanks: g.Ranks,
+		nBanks: g.Banks,
+	}
+	for ch := range d.gates {
+		d.gates[ch] = Gates{RankAct: make([]sim.Cycle, g.Ranks), Banks: make([]Bank, g.Ranks*g.Banks)}
 	}
 	if cfg.Refresh.Enabled {
 		// Stagger each rank's tREFI phase across the whole device so the
@@ -128,31 +131,15 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Mapper returns the address mapper shared with the controllers and NoC.
 func (d *DRAM) Mapper() *AddressMapper { return d.mapper }
 
-func (d *DRAM) bank(loc Location) *bank {
-	return &d.banks[(loc.Channel*d.nRanks+loc.Rank)*d.nBanks+loc.Bank]
+// Gates returns channel ch's timing state. The pointer stays valid for
+// the device's lifetime and always reflects every command issued so far.
+func (d *DRAM) Gates(ch int) *Gates { return &d.gates[ch] }
+
+func (d *DRAM) bank(loc Location) *Bank {
+	return &d.gates[loc.Channel].Banks[loc.Rank*d.nBanks+loc.Bank]
 }
 
-func (d *DRAM) rank(loc Location) *rank {
-	return &d.ranks[loc.Channel*d.nRanks+loc.Rank]
-}
-
-// State reports the row-buffer state and open row of the bank at loc.
-//
-//sara:hotpath
-func (d *DRAM) State(loc Location) (BankState, uint64) {
-	b := d.bank(loc)
-	return b.state, b.row
-}
-
-// RowHit reports whether a CAS to loc would hit the open row right now
-// (ignoring timing readiness).
-func (d *DRAM) RowHit(loc Location) bool {
-	b := d.bank(loc)
-	return b.state == BankOpen && b.row == loc.Row
-}
-
-// ReservedBy reports which transaction holds the bank at loc (0 if none).
-func (d *DRAM) ReservedBy(loc Location) uint64 { return d.bank(loc).reservedBy }
+func (d *DRAM) rank(ch, r int) *rank { return &d.ranks[ch*d.nRanks+r] }
 
 // Reserve marks the bank at loc as owned by transaction id. It panics if
 // the bank is already reserved by a different transaction, which would
@@ -161,10 +148,10 @@ func (d *DRAM) ReservedBy(loc Location) uint64 { return d.bank(loc).reservedBy }
 //sara:hotpath
 func (d *DRAM) Reserve(loc Location, id uint64) {
 	b := d.bank(loc)
-	if b.reservedBy != 0 && b.reservedBy != id {
-		panic(fmt.Sprintf("dram: bank %v already reserved by txn %d, wanted %d", loc, b.reservedBy, id))
+	if b.ReservedBy != 0 && b.ReservedBy != id {
+		panic(fmt.Sprintf("dram: bank %v already reserved by txn %d, wanted %d", loc, b.ReservedBy, id))
 	}
-	b.reservedBy = id
+	b.ReservedBy = id
 }
 
 // Release frees the reservation on the bank at loc if held by id.
@@ -172,8 +159,8 @@ func (d *DRAM) Reserve(loc Location, id uint64) {
 //sara:hotpath
 func (d *DRAM) Release(loc Location, id uint64) {
 	b := d.bank(loc)
-	if b.reservedBy == id {
-		b.reservedBy = 0
+	if b.ReservedBy == id {
+		b.ReservedBy = 0
 	}
 }
 
@@ -182,29 +169,7 @@ func (d *DRAM) Release(loc Location, id uint64) {
 // CanActivate reports whether an ACT to loc may issue at cycle now.
 func (d *DRAM) CanActivate(loc Location, now sim.Cycle) bool {
 	b := d.bank(loc)
-	if b.state != BankClosed {
-		return false
-	}
-	return d.canActivate(b, d.rank(loc), now)
-}
-
-// canActivate checks the ACT timing gates for an already-fetched bank and
-// rank (the bank must be closed).
-func (d *DRAM) canActivate(b *bank, rk *rank, now sim.Cycle) bool {
-	if now < b.nextActivate {
-		return false
-	}
-	if rk.hasAct && now < rk.lastAct+d.cfg.Timing.TRRD {
-		return false
-	}
-	// tFAW: the fourth-most-recent activate must be at least tFAW ago.
-	if rk.actCount >= uint64(len(rk.actHistory)) {
-		oldest := rk.actHistory[rk.actIdx]
-		if now < oldest+d.cfg.Timing.TFAW {
-			return false
-		}
-	}
-	return true
+	return !b.Open && now >= b.NextAct && now >= d.gates[loc.Channel].RankAct[loc.Rank]
 }
 
 // Activate opens row loc.Row in the bank at loc. The caller must have
@@ -217,19 +182,22 @@ func (d *DRAM) Activate(loc Location, now sim.Cycle) {
 	}
 	t := d.cfg.Timing
 	b := d.bank(loc)
-	b.state = BankOpen
-	b.row = loc.Row
-	b.nextRead = maxCycle(b.nextRead, now+t.TRCD)
-	b.nextWrite = maxCycle(b.nextWrite, now+t.TRCD)
-	b.nextPrecharge = maxCycle(b.nextPrecharge, now+t.TRAS)
-	rk := d.rank(loc)
-	rk.lastAct = now
-	rk.hasAct = true
+	b.Open = true
+	b.Row = loc.Row
+	b.NextRead = maxCycle(b.NextRead, now+t.TRCD)
+	b.NextWrite = maxCycle(b.NextWrite, now+t.TRCD)
+	b.NextPre = maxCycle(b.NextPre, now+t.TRAS)
+	rk := d.rank(loc.Channel, loc.Rank)
 	rk.actHistory[rk.actIdx] = now
 	rk.actIdx = (rk.actIdx + 1) % len(rk.actHistory)
 	rk.actCount++
-	d.channels[loc.Channel].activates++
-	d.markIssue(now)
+	gate := now + t.TRRD
+	if rk.actCount >= uint64(len(rk.actHistory)) {
+		// tFAW: the fourth-most-recent activate must be at least tFAW ago.
+		gate = maxCycle(gate, rk.actHistory[rk.actIdx]+t.TFAW)
+	}
+	d.gates[loc.Channel].RankAct[loc.Rank] = gate
+	d.counts[loc.Channel].Activates++
 }
 
 // --- Precharge ---
@@ -237,7 +205,7 @@ func (d *DRAM) Activate(loc Location, now sim.Cycle) {
 // CanPrecharge reports whether a PRE to loc may issue at cycle now.
 func (d *DRAM) CanPrecharge(loc Location, now sim.Cycle) bool {
 	b := d.bank(loc)
-	return b.state == BankOpen && now >= b.nextPrecharge
+	return b.Open && now >= b.NextPre
 }
 
 // Precharge closes the open row in the bank at loc.
@@ -248,10 +216,9 @@ func (d *DRAM) Precharge(loc Location, now sim.Cycle) {
 		panic(fmt.Sprintf("dram: illegal PRE at %d to %+v", now, loc))
 	}
 	b := d.bank(loc)
-	b.state = BankClosed
-	b.nextActivate = maxCycle(b.nextActivate, now+d.cfg.Timing.TRP)
-	d.channels[loc.Channel].precharges++
-	d.markIssue(now)
+	b.Open = false
+	b.NextAct = maxCycle(b.NextAct, now+d.cfg.Timing.TRP)
+	d.counts[loc.Channel].Precharges++
 }
 
 // --- Read ---
@@ -260,16 +227,7 @@ func (d *DRAM) Precharge(loc Location, now sim.Cycle) {
 // must match loc.Row.
 func (d *DRAM) CanRead(loc Location, now sim.Cycle) bool {
 	b := d.bank(loc)
-	if b.state != BankOpen || b.row != loc.Row {
-		return false
-	}
-	ch := &d.channels[loc.Channel]
-	if now < b.nextRead || now < ch.nextRead {
-		return false
-	}
-	// The data burst [now+CL, now+CL+BL/2) must not collide with an
-	// earlier burst still on the bus.
-	return now+d.cfg.Timing.CL >= ch.dataFree
+	return b.Open && b.Row == loc.Row && now >= b.NextRead && now >= d.gates[loc.Channel].ChRead
 }
 
 // Read issues a READ CAS and returns the cycle at which the last data beat
@@ -282,24 +240,21 @@ func (d *DRAM) Read(loc Location, now sim.Cycle) sim.Cycle {
 	}
 	t := d.cfg.Timing
 	b := d.bank(loc)
-	ch := &d.channels[loc.Channel]
-	burst := t.BurstCycles()
-	dataStart := now + t.CL
-	dataEnd := dataStart + burst
-
-	ch.dataFree = dataEnd
-	// Same-channel CAS-to-CAS spacing.
-	b.nextRead = maxCycle(b.nextRead, now+t.TCCD)
-	ch.nextRead = maxCycle(ch.nextRead, now+t.TCCD)
+	g := &d.gates[loc.Channel]
+	dataEnd := now + t.CL + t.BurstCycles()
+	// The next read waits out same-channel CAS-to-CAS spacing and this
+	// burst's bus occupancy; the old gate was at or before now.
+	g.ChRead = maxCycle(now+t.TCCD, dataEnd-t.CL)
 	// Read-to-write turnaround: the write burst may not start before the
 	// read burst has left the bus (plus one dead cycle).
-	ch.nextWrite = maxCycle(ch.nextWrite, dataEnd+1-t.CWL)
+	g.ChWrite = maxCycle(g.ChWrite, dataEnd+1-t.CWL)
+	b.NextRead = maxCycle(b.NextRead, now+t.TCCD)
 	// Precharge must respect tRTP from the read command.
-	b.nextPrecharge = maxCycle(b.nextPrecharge, now+t.TRTP)
+	b.NextPre = maxCycle(b.NextPre, now+t.TRTP)
 
-	ch.readBursts++
-	ch.bytesMoved += uint64(d.cfg.Geometry.BurstBytes(t))
-	d.markIssue(now)
+	c := &d.counts[loc.Channel]
+	c.ReadBursts++
+	c.BytesMoved += uint64(d.cfg.Geometry.BurstBytes(t))
 	return dataEnd
 }
 
@@ -308,14 +263,7 @@ func (d *DRAM) Read(loc Location, now sim.Cycle) sim.Cycle {
 // CanWrite reports whether a WRITE CAS to loc may issue at now.
 func (d *DRAM) CanWrite(loc Location, now sim.Cycle) bool {
 	b := d.bank(loc)
-	if b.state != BankOpen || b.row != loc.Row {
-		return false
-	}
-	ch := &d.channels[loc.Channel]
-	if now < b.nextWrite || now < ch.nextWrite {
-		return false
-	}
-	return now+d.cfg.Timing.CWL >= ch.dataFree
+	return b.Open && b.Row == loc.Row && now >= b.NextWrite && now >= d.gates[loc.Channel].ChWrite
 }
 
 // Write issues a WRITE CAS and returns the cycle at which the write data
@@ -329,22 +277,20 @@ func (d *DRAM) Write(loc Location, now sim.Cycle) sim.Cycle {
 	}
 	t := d.cfg.Timing
 	b := d.bank(loc)
-	ch := &d.channels[loc.Channel]
-	burst := t.BurstCycles()
-	dataStart := now + t.CWL
-	dataEnd := dataStart + burst
-
-	ch.dataFree = dataEnd
-	b.nextWrite = maxCycle(b.nextWrite, now+t.TCCD)
-	ch.nextWrite = maxCycle(ch.nextWrite, now+t.TCCD)
+	g := &d.gates[loc.Channel]
+	dataEnd := now + t.CWL + t.BurstCycles()
+	// The next write waits out CAS-to-CAS spacing and this burst's bus
+	// occupancy; the old gate was at or before now.
+	g.ChWrite = maxCycle(now+t.TCCD, dataEnd-t.CWL)
 	// Write-to-read turnaround (tWTR counted from end of write data).
-	ch.nextRead = maxCycle(ch.nextRead, dataEnd+t.TWTR)
+	g.ChRead = maxCycle(g.ChRead, dataEnd+t.TWTR)
+	b.NextWrite = maxCycle(b.NextWrite, now+t.TCCD)
 	// Write recovery before precharge (tWR from end of write data).
-	b.nextPrecharge = maxCycle(b.nextPrecharge, dataEnd+t.TWR)
+	b.NextPre = maxCycle(b.NextPre, dataEnd+t.TWR)
 
-	ch.writeBursts++
-	ch.bytesMoved += uint64(d.cfg.Geometry.BurstBytes(t))
-	d.markIssue(now)
+	c := &d.counts[loc.Channel]
+	c.WriteBursts++
+	c.BytesMoved += uint64(d.cfg.Geometry.BurstBytes(t))
 	return dataEnd
 }
 
@@ -359,8 +305,6 @@ func (d *DRAM) Write(loc Location, now sim.Cycle) sim.Cycle {
 
 // RefreshEnabled reports whether the device models refresh.
 func (d *DRAM) RefreshEnabled() bool { return d.cfg.Refresh.Enabled }
-
-func (d *DRAM) chRank(ch, r int) *rank { return &d.ranks[ch*d.nRanks+r] }
 
 // syncRefresh advances rank bookkeeping to now: every elapsed tREFI slot
 // adds one owed refresh. It is idempotent for a fixed now, so the state is
@@ -382,7 +326,7 @@ func (d *DRAM) RefreshOwed(ch, r int, now sim.Cycle) int {
 	if !d.cfg.Refresh.Enabled {
 		return 0 // syncRefresh would spin on a zero tREFI
 	}
-	rk := d.chRank(ch, r)
+	rk := d.rank(ch, r)
 	d.syncRefresh(rk, now)
 	return rk.refOwed
 }
@@ -407,9 +351,14 @@ func (d *DRAM) NextRefreshBoundary(ch, r int, now sim.Cycle) sim.Cycle {
 	if !d.cfg.Refresh.Enabled {
 		return 0 // syncRefresh would spin on a zero tREFI
 	}
-	rk := d.chRank(ch, r)
+	rk := d.rank(ch, r)
 	d.syncRefresh(rk, now)
 	return rk.refBoundary
+}
+
+// rankBanks returns rank r's banks within channel ch's gates.
+func (d *DRAM) rankBanks(ch, r int) []Bank {
+	return d.gates[ch].Banks[r*d.nBanks : (r+1)*d.nBanks]
 }
 
 // RefreshReadyAt reports when a REF to rank r could issue absent further
@@ -420,14 +369,14 @@ func (d *DRAM) NextRefreshBoundary(ch, r int, now sim.Cycle) sim.Cycle {
 //
 //sara:hotpath
 func (d *DRAM) RefreshReadyAt(ch, r int) (at sim.Cycle, allClosed bool) {
-	base := (ch*d.nRanks + r) * d.nBanks
-	for b := 0; b < d.nBanks; b++ {
-		bk := &d.banks[base+b]
-		if bk.state != BankClosed {
+	banks := d.rankBanks(ch, r)
+	for b := range banks {
+		bk := &banks[b]
+		if bk.Open {
 			return 0, false
 		}
-		if bk.nextActivate > at {
-			at = bk.nextActivate
+		if bk.NextAct > at {
+			at = bk.NextAct
 		}
 	}
 	return at, true
@@ -442,7 +391,7 @@ func (d *DRAM) CanRefresh(ch, r int, now sim.Cycle) bool {
 	if !d.cfg.Refresh.Enabled {
 		return false
 	}
-	rk := d.chRank(ch, r)
+	rk := d.rank(ch, r)
 	d.syncRefresh(rk, now)
 	if rk.refOwed <= -d.cfg.Refresh.Window {
 		return false
@@ -461,167 +410,21 @@ func (d *DRAM) Refresh(ch, r int, now sim.Cycle) {
 		panic(fmt.Sprintf("dram: illegal REF at %d to channel %d rank %d", now, ch, r))
 	}
 	end := now + d.cfg.Refresh.TRFC
-	base := (ch*d.nRanks + r) * d.nBanks
-	for b := 0; b < d.nBanks; b++ {
-		bk := &d.banks[base+b]
-		bk.nextActivate = maxCycle(bk.nextActivate, end)
+	banks := d.rankBanks(ch, r)
+	for b := range banks {
+		banks[b].NextAct = maxCycle(banks[b].NextAct, end)
 	}
-	rk := d.chRank(ch, r)
+	rk := d.rank(ch, r)
 	rk.refOwed--
 	rk.refBlackoutEnd = end
-	d.channels[ch].refreshes++
+	d.counts[ch].Refreshes++
 }
 
 // BlackoutEnd reports the end of rank r's most recent tRFC blackout (zero
 // before the first REF). Cycles in [end-tRFC, end) admit no command to
 // the rank; the refresh property tests audit command streams against it.
 func (d *DRAM) BlackoutEnd(ch, r int) sim.Cycle {
-	return d.chRank(ch, r).refBlackoutEnd
-}
-
-// --- Scan snapshots ---
-//
-// A controller's queue scan evaluates every queued transaction against
-// the same handful of banks. Snapshotting the channel's timing state once
-// per scan — per-bank gates, per-rank ACT gates, the shared bus gates —
-// turns the per-entry work into pure arithmetic on a small flat array.
-// The snapshot stays valid for the whole scan because nothing but the
-// scanning controller mutates its channel.
-//
-// Timing-gate monotonicity is a contract, not an accident: every gate in
-// the snapshot (bank CAS/PRE/ACT, rank tRRD/tFAW, channel CAS spacing and
-// bus occupancy) only ever moves LATER as commands issue — issuers fold
-// new constraints with maxCycle, and the bus re-books only after its
-// previous booking has cleared. The controller's per-bank candidate
-// buckets (memctrl/bucket.go) depend on this to keep cached
-// earliest-issuable bounds sound between scans: a gate that could move
-// earlier without a command issuing on that bank would silently break
-// skip-vs-step equivalence. The non-monotone inputs — row/reservation
-// state and the refresh drain mask — are exactly the ones the patch
-// points below (RefreshScanBank after a bank command, RefreshScanRank
-// after a REF) hand back to the controller for explicit invalidation.
-
-// BankScan is one bank's scan-relevant state.
-type BankScan struct {
-	Open       bool
-	Row        uint64
-	ReservedBy uint64
-	NextRead   sim.Cycle // bank-level CAS gates; combine with ScanState.ChRead
-	NextWrite  sim.Cycle
-	NextPre    sim.Cycle
-	NextAct    sim.Cycle // bank-level ACT gate; combine with ScanState.RankAct
-}
-
-// ScanState is a per-channel snapshot for one controller scan. Create it
-// once with InitScan and refresh it with FillScan.
-type ScanState struct {
-	// ChRead/ChWrite fold the channel CAS-to-CAS spacing and the data-bus
-	// occupancy into a single earliest-CAS gate.
-	ChRead  sim.Cycle
-	ChWrite sim.Cycle
-	// RankAct[r] is rank r's ACT gate from tRRD and tFAW.
-	RankAct []sim.Cycle
-	// RefBlocked[r] marks rank r as closed to new transaction commands
-	// because its refresh postponement window is exhausted and the
-	// controller is draining it for a forced REF. The controller maintains
-	// it from the device's RefreshForced state; the queue scan treats it
-	// as an absolute timing gate.
-	RefBlocked []bool
-	// Banks is indexed by rank*Banks+bank (the controller's bankKey).
-	Banks []BankScan
-}
-
-// InitScan sizes s for this device's geometry.
-func (d *DRAM) InitScan(s *ScanState) {
-	s.RankAct = make([]sim.Cycle, d.nRanks)
-	s.RefBlocked = make([]bool, d.nRanks)
-	s.Banks = make([]BankScan, d.nRanks*d.nBanks)
-}
-
-// RefreshScanBank re-reads the state a just-issued command at loc could
-// have changed — loc's bank, its rank's ACT gate and the channel CAS
-// gates — leaving the rest of the snapshot untouched. Controllers call it
-// after each issue instead of refilling the whole snapshot every scan.
-//
-//sara:hotpath
-func (d *DRAM) RefreshScanBank(ch int, loc Location, s *ScanState) {
-	t := d.cfg.Timing
-	c := &d.channels[ch]
-	s.ChRead = maxCycle(c.nextRead, satSub(c.dataFree, t.CL))
-	s.ChWrite = maxCycle(c.nextWrite, satSub(c.dataFree, t.CWL))
-	rk := &d.ranks[ch*d.nRanks+loc.Rank]
-	var gate sim.Cycle
-	if rk.hasAct {
-		gate = rk.lastAct + t.TRRD
-	}
-	if rk.actCount >= uint64(len(rk.actHistory)) {
-		gate = maxCycle(gate, rk.actHistory[rk.actIdx]+t.TFAW)
-	}
-	s.RankAct[loc.Rank] = gate
-	bk := &d.banks[(ch*d.nRanks+loc.Rank)*d.nBanks+loc.Bank]
-	s.Banks[loc.Rank*d.nBanks+loc.Bank] = BankScan{
-		Open:       bk.state == BankOpen,
-		Row:        bk.row,
-		ReservedBy: bk.reservedBy,
-		NextRead:   bk.nextRead,
-		NextWrite:  bk.nextWrite,
-		NextPre:    bk.nextPrecharge,
-		NextAct:    bk.nextActivate,
-	}
-}
-
-// RefreshScanRank re-reads the activate gates a just-issued REF moved —
-// every bank of the rank — leaving CAS, precharge and channel gates
-// untouched (REF changes nothing else).
-//
-//sara:hotpath
-func (d *DRAM) RefreshScanRank(ch, r int, s *ScanState) {
-	base := (ch*d.nRanks + r) * d.nBanks
-	out := s.Banks[r*d.nBanks:]
-	for b := 0; b < d.nBanks; b++ {
-		out[b].NextAct = d.banks[base+b].nextActivate
-	}
-}
-
-// FillScan refreshes s with channel's current timing state.
-func (d *DRAM) FillScan(ch int, s *ScanState) {
-	t := d.cfg.Timing
-	c := &d.channels[ch]
-	s.ChRead = maxCycle(c.nextRead, satSub(c.dataFree, t.CL))
-	s.ChWrite = maxCycle(c.nextWrite, satSub(c.dataFree, t.CWL))
-	for r := 0; r < d.nRanks; r++ {
-		rk := &d.ranks[ch*d.nRanks+r]
-		var gate sim.Cycle
-		if rk.hasAct {
-			gate = rk.lastAct + t.TRRD
-		}
-		if rk.actCount >= uint64(len(rk.actHistory)) {
-			gate = maxCycle(gate, rk.actHistory[rk.actIdx]+t.TFAW)
-		}
-		s.RankAct[r] = gate
-		base := (ch*d.nRanks + r) * d.nBanks
-		out := s.Banks[r*d.nBanks:]
-		for b := 0; b < d.nBanks; b++ {
-			bk := &d.banks[base+b]
-			out[b] = BankScan{
-				Open:       bk.state == BankOpen,
-				Row:        bk.row,
-				ReservedBy: bk.reservedBy,
-				NextRead:   bk.nextRead,
-				NextWrite:  bk.nextWrite,
-				NextPre:    bk.nextPrecharge,
-				NextAct:    bk.nextActivate,
-			}
-		}
-	}
-}
-
-func (d *DRAM) markIssue(now sim.Cycle) {
-	if !d.anyIssue {
-		d.firstIssue = now
-		d.anyIssue = true
-	}
-	d.lastIssue = now
+	return d.rank(ch, r).refBlackoutEnd
 }
 
 func maxCycle(a, b sim.Cycle) sim.Cycle {
@@ -629,12 +432,4 @@ func maxCycle(a, b sim.Cycle) sim.Cycle {
 		return a
 	}
 	return b
-}
-
-// satSub returns a-b, floored at zero (cycles are unsigned).
-func satSub(a, b sim.Cycle) sim.Cycle {
-	if a <= b {
-		return 0
-	}
-	return a - b
 }

@@ -250,8 +250,8 @@ func TestQuickNoCommandInBlackout(t *testing.T) {
 					d.Activate(loc, now)
 				}
 			case 1:
-				if st, row := d.State(loc); st == BankOpen {
-					loc.Row = row
+				if b := d.bank(loc); b.Open {
+					loc.Row = b.Row
 					if d.CanRead(loc, now) {
 						if now < blackoutEnd[ch][rk] {
 							t.Errorf("seed %d: READ at %d inside blackout", seed, now)
@@ -261,8 +261,8 @@ func TestQuickNoCommandInBlackout(t *testing.T) {
 					}
 				}
 			case 2:
-				if st, row := d.State(loc); st == BankOpen {
-					loc.Row = row
+				if b := d.bank(loc); b.Open {
+					loc.Row = b.Row
 					if d.CanWrite(loc, now) {
 						if now < blackoutEnd[ch][rk] {
 							t.Errorf("seed %d: WRITE at %d inside blackout", seed, now)

@@ -110,19 +110,7 @@ func BandwidthOverWindowOf(cfg Config, before, after Stats, from, to sim.Cycle) 
 
 // Stats returns a snapshot of all channel counters.
 func (d *DRAM) Stats() Stats {
-	s := Stats{Channels: make([]ChannelStats, len(d.channels))}
-	for i := range d.channels {
-		c := &d.channels[i]
-		s.Channels[i] = ChannelStats{
-			ReadBursts:  c.readBursts,
-			WriteBursts: c.writeBursts,
-			BytesMoved:  c.bytesMoved,
-			Activates:   c.activates,
-			Precharges:  c.precharges,
-			Refreshes:   c.refreshes,
-		}
-	}
-	return s
+	return Stats{Channels: append([]ChannelStats(nil), d.counts...)}
 }
 
 // RowHitRate reports the device-wide row hit rate (see Stats.RowHitRate).

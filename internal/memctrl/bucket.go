@@ -11,10 +11,10 @@ import (
 // Per-bank candidate buckets: incremental maintenance of the queue scan.
 //
 // The controller's scheduling scan used to re-probe every queued
-// transaction against the timing snapshot on every eligible cycle. Under
-// the saturated loaded phase that full rescan dominated simulation time,
-// and it grows with queue depth rather than with actual activity. The
-// buckets below replace it: every queued entry is indexed by its bank
+// transaction against the channel's timing gates on every eligible cycle.
+// Under the saturated loaded phase that full rescan dominated simulation
+// time, and it grows with queue depth rather than with actual activity.
+// The buckets below replace it: every queued entry is indexed by its bank
 // (bankKey = rank*banks+bank), and each bucket carries a cached lower
 // bound on the earliest cycle any of its entries could issue. Two bank
 // bitmaps, 64 banks to a word so any geometry fits, say which buckets a
@@ -34,24 +34,24 @@ import (
 // Probing too early is always safe (the scan re-probes and goes back to
 // sleep); probing too late would miss a command and break skip-vs-step
 // equivalence. The bound stays sound because every input of probeScan is
-// either monotone — DRAM timing gates (bank CAS/PRE/ACT, rank tRRD/tFAW,
-// channel CAS and bus gates) only ever move later as commands issue — or
-// bank-local and patched at the exact event that could advance an entry:
+// either a device timing gate, which only moves later (the monotonicity
+// contract on dram.Gates), or bank-local state that changes only at an
+// event this controller itself causes, where it invalidates the bank:
 //
 //   - command issue on a bank (CAS, PRE, ACT — transaction or refresh
 //     drain): the bank's row state, reservation, timing gates and queued
 //     row-hit picture all changed; issue() and issueRefreshPre call
 //     bankChanged, which sets the bank's dirty bit and rebuilds its cached
-//     row-hit priority against the freshly patched dram.ScanState.
+//     row-hit priority from the device's bank state as the command left it.
 //   - CAS release: the served entry leaves its bucket (bucketRemove in
 //     issueCAS) before bankChanged rebuilds the hit cache, so the
 //     open-page guard (allowPrecharge) unblocks followers the same cycle.
 //     The entry that empties a bucket clears the bank's live bit.
-//   - REF issue: the rank's forced-drain gate (ScanState.RefBlocked)
-//     clears and every activate gate of the rank moved; issueRefresh
-//     calls dirtyRank, which sets the dirty bits of the rank's banks.
-//     The opposite transitions (a drain starting, gates moving later)
-//     only delay entries and need no invalidation.
+//   - REF issue: the rank's forced-drain gate (refBlocked) clears and
+//     every activate gate of the rank moved; issueRefresh calls
+//     dirtyRank, which sets the dirty bits of the rank's banks. The
+//     opposite transitions (a drain starting, gates moving later) only
+//     delay entries and need no invalidation.
 //   - enqueue: the new entry may be issuable immediately; Enqueue pushes
 //     it into its bucket, sets the bank's live and dirty bits and raises
 //     the cached row-hit priority if the entry hits the open row.
@@ -101,7 +101,7 @@ func (m bankMask) clear(k int) { m[k>>6] &^= 1 << (k & 63) }
 // the full recompute (refreshBankHits) all evaluate this one function —
 // the incremental and reference bankHit values must stay bit-identical
 // for skip-vs-step equivalence, so the rule must not fork.
-func entryHit(bs *dram.BankScan, e *entry) uint16 {
+func entryHit(bs *dram.Bank, e *entry) uint16 {
 	if !bs.Open || bs.Row != e.loc.Row {
 		return 0
 	}
@@ -126,7 +126,7 @@ func (c *Controller) bucketPush(s int32) {
 	c.live.set(key)
 	c.dirty.set(key)
 	if c.rowAware {
-		if p := entryHit(&c.scan.Banks[key], e); p > c.bankHit[key] {
+		if p := entryHit(&c.gates.Banks[key], e); p > c.bankHit[key] {
 			c.bankHit[key] = p
 		}
 	}
@@ -158,14 +158,14 @@ func (c *Controller) bucketRemove(key int, s int32) {
 
 // bankChanged records that a command was issued to bank key: the bucket
 // must be re-probed, and for row-aware policies the cached best queued
-// row-hit priority is rebuilt against the just-patched scan snapshot.
+// row-hit priority is rebuilt against the bank's new row state.
 func (c *Controller) bankChanged(key int) {
 	c.dirty.set(key)
 	if !c.rowAware {
 		return
 	}
 	hit := uint16(0)
-	bs := &c.scan.Banks[key]
+	bs := &c.gates.Banks[key]
 	for s := c.buckets[key].head; s >= 0; s = c.next[s] {
 		if p := entryHit(bs, &c.slots[s]); p > hit {
 			hit = p

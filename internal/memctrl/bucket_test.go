@@ -210,7 +210,7 @@ func TestBucketMembershipTracksQueues(t *testing.T) {
 // BenchmarkCollectBuckets prices the incremental bucket scan at queue
 // depths 4, 32 and 128, in the loaded steady state: the queued entries
 // sit on 4 of the 16 banks (the 4x saturated SoC averages 3.9 non-empty
-// banks per scan), every bank's scan snapshot holds an open row the
+// banks per scan), every bank's device gates hold an open row the
 // entries conflict with, gated far in the future, so clean buckets park
 // on the precharge gate, and each scan follows one issue, which dirties
 // one bank (rotating over the live ones).
@@ -225,8 +225,8 @@ func BenchmarkCollectBuckets(b *testing.B) {
 			per := (depth + txn.NumClasses - 1) / txn.NumClasses
 			cfg.QueueCaps = QueueCaps{per, per, per, per, per}
 			c := New(cfg, d)
-			for k := range c.scan.Banks {
-				bs := &c.scan.Banks[k]
+			for k := range c.gates.Banks {
+				bs := &c.gates.Banks[k]
 				bs.Open, bs.Row, bs.NextPre = true, 100, 1<<40
 			}
 			for i := 0; i < depth; i++ {

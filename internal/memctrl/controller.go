@@ -137,10 +137,11 @@ type Controller struct {
 	// ever issue without a queue change.
 	nextTry sim.Cycle
 
-	// scan is the per-scan snapshot of the channel's DRAM timing state;
+	// gates is the device's timing state for this channel, read in place:
 	// entries are evaluated against it with plain arithmetic instead of
-	// per-entry device probes.
-	scan dram.ScanState
+	// per-entry device probes. Only this controller issues commands to
+	// the channel, so the gates change only when it issues.
+	gates *dram.Gates
 
 	// nBanks caches the geometry for bankKey (fetching the full device
 	// config per lookup is measurable on the scan path).
@@ -164,6 +165,13 @@ type Controller struct {
 	rankPending   []int
 	rankIdleFrom  []sim.Cycle
 	refNextAction sim.Cycle
+
+	// refBlocked[r] marks rank r as closed to new transaction commands
+	// because its refresh postponement window is exhausted and the
+	// controller is draining it for a forced REF. tickRefresh maintains it
+	// from the device's RefreshForced state; the queue scan treats it as
+	// an absolute timing gate.
+	refBlocked []bool
 
 	// wake is the controller's kernel wake handle. The only external
 	// event that can move this controller's next action earlier is an
@@ -192,18 +200,20 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 	geo := d.Config().Geometry
 	nb := geo.Ranks * geo.Banks
 	c := &Controller{
-		cfg:       cfg,
-		dram:      d,
-		mapper:    d.Mapper(),
-		bankHit:   make([]uint16, nb),
-		rowAware:  cfg.Policy == FRFCFS || cfg.Policy == QoSRB,
-		buckets:   make([]bucket, nb),
-		live:      newBankMask(nb),
-		dirty:     newBankMask(nb),
-		nBanks:    geo.Banks,
-		nRanks:    geo.Ranks,
-		refreshOn: d.RefreshEnabled(),
-		refCfg:    d.Config().Refresh,
+		cfg:        cfg,
+		dram:       d,
+		mapper:     d.Mapper(),
+		bankHit:    make([]uint16, nb),
+		rowAware:   cfg.Policy == FRFCFS || cfg.Policy == QoSRB,
+		buckets:    make([]bucket, nb),
+		live:       newBankMask(nb),
+		dirty:      newBankMask(nb),
+		nBanks:     geo.Banks,
+		nRanks:     geo.Ranks,
+		refreshOn:  d.RefreshEnabled(),
+		refCfg:     d.Config().Refresh,
+		gates:      d.Gates(cfg.Channel),
+		refBlocked: make([]bool, geo.Ranks),
 	}
 	if c.refreshOn {
 		c.rankPending = make([]int, geo.Ranks)
@@ -225,10 +235,6 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 	for k := range c.buckets {
 		c.buckets[k].head, c.buckets[k].tail = -1, -1
 	}
-	d.InitScan(&c.scan)
-	// The snapshot is filled once and patched after every issued command;
-	// nothing else mutates this channel's timing state.
-	d.FillScan(cfg.Channel, &c.scan)
 	return c
 }
 
@@ -406,7 +412,7 @@ func (c *Controller) tickRefresh(now sim.Cycle) bool {
 		}
 	}
 	for r := 0; r < c.nRanks; r++ {
-		c.scan.RefBlocked[r] = c.dram.RefreshForced(ch, r, now)
+		c.refBlocked[r] = c.dram.RefreshForced(ch, r, now)
 	}
 	c.refNextAction = c.nextRefreshAction(now)
 	return false
@@ -416,7 +422,7 @@ func (c *Controller) tickRefresh(now sim.Cycle) bool {
 // precharge gate, for the forced-refresh drain.
 func (c *Controller) drainBank(r int, now sim.Cycle) (int, bool) {
 	for b := 0; b < c.nBanks; b++ {
-		bs := &c.scan.Banks[r*c.nBanks+b]
+		bs := &c.gates.Banks[r*c.nBanks+b]
 		if bs.Open && now >= bs.NextPre {
 			return b, true
 		}
@@ -429,7 +435,7 @@ func (c *Controller) drainBank(r int, now sim.Cycle) (int, bool) {
 func (c *Controller) earliestPre(r int) sim.Cycle {
 	at := neverTry
 	for b := 0; b < c.nBanks; b++ {
-		bs := &c.scan.Banks[r*c.nBanks+b]
+		bs := &c.gates.Banks[r*c.nBanks+b]
 		if bs.Open && bs.NextPre < at {
 			at = bs.NextPre
 		}
@@ -445,8 +451,7 @@ func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
 		c.trace(c.cfg.Channel, now, 0, 'R')
 	}
 	c.dram.Refresh(c.cfg.Channel, r, now)
-	c.dram.RefreshScanRank(c.cfg.Channel, r, &c.scan)
-	c.scan.RefBlocked[r] = false
+	c.refBlocked[r] = false
 	c.dirtyRank(r)
 	c.stats.Refreshes++
 	if forced {
@@ -467,7 +472,6 @@ func (c *Controller) issueRefreshPre(r, b int, now sim.Cycle) {
 	}
 	loc := dram.Location{Channel: c.cfg.Channel, Rank: r, Bank: b}
 	c.dram.Precharge(loc, now)
-	c.dram.RefreshScanBank(c.cfg.Channel, loc, &c.scan)
 	c.bankChanged(c.bankKey(loc))
 	c.stats.RefreshPrecharges++
 	c.refNextAction = now + 1
@@ -638,17 +642,17 @@ func (c *Controller) parkEmptyScan(now, tryAt sim.Cycle) {
 	c.nextTry = tryAt
 }
 
-// probeScan evaluates entry e against the current scan snapshot: whether
+// probeScan evaluates entry e against the channel's timing gates: whether
 // its next command can issue at now, whether its CAS would hit the open
 // row, and the earliest cycle the command clears the timing gates (atOK
 // false when blocked on a foreign reservation or a disallowed precharge).
 func (c *Controller) probeScan(e *entry, allowPre bool, now sim.Cycle) (ok, rowHit bool, at sim.Cycle, atOK bool) {
-	if c.scan.RefBlocked[e.loc.Rank] {
+	if c.refBlocked[e.loc.Rank] {
 		// The rank is being drained for a forced refresh: nothing issues
 		// until the REF lands, and the refresh machine owns that wake.
 		return false, false, 0, false
 	}
-	b := &c.scan.Banks[c.bankKey(e.loc)]
+	b := &c.gates.Banks[c.bankKey(e.loc)]
 	if b.ReservedBy != 0 && b.ReservedBy != e.t.ID {
 		return false, false, 0, false
 	}
@@ -656,13 +660,13 @@ func (c *Controller) probeScan(e *entry, allowPre bool, now sim.Cycle) (ok, rowH
 	case b.Open && b.Row == e.loc.Row:
 		if e.t.Kind == txn.Read {
 			at = b.NextRead
-			if c.scan.ChRead > at {
-				at = c.scan.ChRead
+			if c.gates.ChRead > at {
+				at = c.gates.ChRead
 			}
 		} else {
 			at = b.NextWrite
-			if c.scan.ChWrite > at {
-				at = c.scan.ChWrite
+			if c.gates.ChWrite > at {
+				at = c.gates.ChWrite
 			}
 		}
 		return now >= at, true, at, true
@@ -673,7 +677,7 @@ func (c *Controller) probeScan(e *entry, allowPre bool, now sim.Cycle) (ok, rowH
 		return now >= b.NextPre, false, b.NextPre, true
 	default:
 		at = b.NextAct
-		if g := c.scan.RankAct[e.loc.Rank]; g > at {
+		if g := c.gates.RankAct[e.loc.Rank]; g > at {
 			at = g
 		}
 		return now >= at, false, at, true
@@ -693,7 +697,7 @@ func (c *Controller) refreshBankHits() {
 		for _, qs := range c.queues[qi].slots {
 			e := &c.slots[qs]
 			key := c.bankKey(e.loc)
-			if p := entryHit(&c.scan.Banks[key], e); p > c.bankHit[key] {
+			if p := entryHit(&c.gates.Banks[key], e); p > c.bankHit[key] {
 				c.bankHit[key] = p
 			}
 		}
@@ -739,20 +743,22 @@ func (c *Controller) SetTrace(fn TraceFn) { c.trace = fn }
 // issue performs e's next command at cycle now.
 func (c *Controller) issue(best candidate, now sim.Cycle) {
 	e := best.e
-	state, row := c.dram.State(e.loc)
+	key := c.bankKey(e.loc)
+	b := &c.gates.Banks[key]
+	open, hit := b.Open, b.Open && b.Row == e.loc.Row
 	if c.trace != nil {
 		k := byte('C')
-		if state == dram.BankOpen && row != e.loc.Row {
+		if open && !hit {
 			k = 'P'
-		} else if state != dram.BankOpen {
+		} else if !open {
 			k = 'A'
 		}
 		c.trace(c.cfg.Channel, now, e.t.ID, k)
 	}
 	switch {
-	case state == dram.BankOpen && row == e.loc.Row:
+	case hit:
 		c.issueCAS(e, now)
-	case state == dram.BankOpen:
+	case open:
 		c.dram.Reserve(e.loc, e.t.ID)
 		c.dram.Precharge(e.loc, now)
 		e.t.RowPath = neededPre
@@ -763,8 +769,7 @@ func (c *Controller) issue(best candidate, now sim.Cycle) {
 			e.t.RowPath = neededAct
 		}
 	}
-	c.dram.RefreshScanBank(c.cfg.Channel, e.loc, &c.scan)
-	c.bankChanged(c.bankKey(e.loc))
+	c.bankChanged(key)
 }
 
 func (c *Controller) issueCAS(e entry, now sim.Cycle) {

@@ -536,13 +536,13 @@ func (s *unboundSleeper) Rearm(at Cycle) {
 	}
 }
 
-// TestWakeHeapRequiresRearm documents the contract inversion: a cached
+// TestWakeWheelRequiresRearm documents the contract inversion: a cached
 // component whose external wakes are NOT pushed through its WakeHandle is
 // handled correctly by the linear poll sweep (which re-reads every hint
 // each executed cycle) but missed by the active-list kernel — that gap is
 // exactly why BindWake forwarding is mandatory, and why a dropped re-arm
 // diverges every differential suite from its stepped reference.
-func TestWakeHeapRequiresRearm(t *testing.T) {
+func TestWakeWheelRequiresRearm(t *testing.T) {
 	run := func(poll bool) []Cycle {
 		var k Kernel
 		k.poll = poll
@@ -717,10 +717,10 @@ func TestKernelSettlesOnRunExit(t *testing.T) {
 	}
 }
 
-// TestWakeHeapNeverIsNotUnregister pins the park-at-never semantics: an
+// TestWakeWheelNeverIsNotUnregister pins the park-at-never semantics: an
 // idler that reports ok=false stays registered (its cached wake is parked
 // at never, outside the wake wheel) and a later Rearm revives it.
-func TestWakeHeapNeverIsNotUnregister(t *testing.T) {
+func TestWakeWheelNeverIsNotUnregister(t *testing.T) {
 	var k Kernel
 	s := &cachedSleeper{wakeAt: sleeperNever} // never acts on its own
 	k.Register(s)
@@ -776,13 +776,13 @@ func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 	}
 }
 
-// TestWakeHeapMatchesPoll is the kernel-level differential property: a
+// TestWakeWheelMatchesPoll is the kernel-level differential property: a
 // random population of self-timed idlers (stale-early cached bounds
 // after every act) and cached sleepers re-armed by random external
 // events must act on exactly the same cycles — and skip exactly the same
 // stretches — under the wake wheel as under the linear poll sweep and the
 // cycle-stepped run.
-func TestWakeHeapMatchesPoll(t *testing.T) {
+func TestWakeWheelMatchesPoll(t *testing.T) {
 	const horizon = 3000
 	type mode int
 	const (
