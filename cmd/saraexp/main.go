@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "saraexp: -analysis-out requires -analyze")
 		return 2
 	}
+	if *scale <= 0 {
+		fmt.Fprintf(stderr, "saraexp: -scale %d: want > 0\n", *scale)
+		return 2
+	}
 
 	opt := sara.ExpOptions{
 		ScaleDiv:       *scale,

@@ -107,3 +107,13 @@ func TestAnalyzedFig9WritesReports(t *testing.T) {
 		}
 	}
 }
+
+func TestNonPositiveScaleIsUsageError(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-fig", "5", "-scale", "0"}, &out, &errb); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("usage error wrote to stdout (figures ran anyway): %q", out.String())
+	}
+}

@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	caseName := fs.String("case", "A", "test case: A or B (Table 1)")
 	policyName := fs.String("policy", "qos", "arbitration policy: fcfs|rr|frfcfs|framerate|qos|qos-rb")
-	frames := fs.Int("frames", 1, "measured frame periods (after 1 warmup frame)")
+	frames := fs.Int("frames", 1, "measured frame periods, from cycle 0 (no warmup; the first quarter frame is left out of the minimum NPI)")
 	scale := fs.Int("scale", 256, "time-scale divisor (larger = faster, coarser)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	refresh := fs.Bool("refresh", false, "enable LPDDR4 refresh (tREFI/tRFC)")
@@ -48,6 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *analysisOut != "" && !*analyze {
 		fmt.Fprintln(stderr, "sarasim: -analysis-out requires -analyze")
+		return 2
+	}
+	if *frames <= 0 || *scale <= 0 {
+		fmt.Fprintf(stderr, "sarasim: -frames %d -scale %d: want both > 0\n", *frames, *scale)
 		return 2
 	}
 

@@ -95,3 +95,12 @@ func TestAnalyzeWritesReport(t *testing.T) {
 		t.Errorf("system CSV lacks the worst_npi column:\n%s", csv)
 	}
 }
+
+func TestNonPositiveFramesAndScaleAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{{"-frames", "0"}, {"-frames", "-1"}, {"-scale", "0"}} {
+		var out, errb strings.Builder
+		if code := run(bad, &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", bad, code)
+		}
+	}
+}

@@ -178,6 +178,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sarasweep: -analysis-out requires -analyze")
 		return 2
 	}
+	if *scale <= 0 || *measure <= 0 || *warmup < 0 {
+		fmt.Fprintf(stderr, "sarasweep: -scale %d -measure %d -warmup %d: want scale and measure > 0, warmup >= 0\n",
+			*scale, *measure, *warmup)
+		return 2
+	}
 
 	fn, ok := sweeps[*sweep]
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fastCell keeps CLI-level simulations cheap: a high time-scale divisor
@@ -140,5 +141,26 @@ func TestMonitorFlagServesStatus(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "monitor: http://127.0.0.1:") {
 		t.Errorf("output lacks the monitor address line:\n%s", out.String())
+	}
+}
+
+// TestBadFrameCountsAreUsageErrors: a negative -warmup once reached
+// RunFramesChecked, whose cycle conversion wrapped it to a horizon near
+// 2^64, so the sweep never finished; zero -measure and -scale were
+// silently replaced by defaults.
+func TestBadFrameCountsAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{{"-warmup", "-1"}, {"-measure", "0"}, {"-measure", "-2"}, {"-scale", "0"}} {
+		args := append(append([]string{}, fastCell...), bad...)
+		done := make(chan int, 1)
+		var out, errb strings.Builder
+		go func() { done <- run(args, &out, &errb) }()
+		select {
+		case code := <-done:
+			if code != 2 {
+				t.Errorf("%v: exit code %d, want 2", bad, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v: still running after 5 s, want a usage error", bad)
+		}
 	}
 }

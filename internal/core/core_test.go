@@ -198,3 +198,21 @@ func TestQueueClassesReachDRAM(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFrameCountIsRefused: a negative frame count converted to a
+// cycle count wraps to a horizon near 2^64, so the run would never end.
+func TestNegativeFrameCountIsRefused(t *testing.T) {
+	sys := core.Build(fastCfg())
+	if err := sys.RunFramesChecked(-1); err == nil {
+		t.Fatal("RunFramesChecked(-1) returned nil")
+	}
+	if sys.Now() != 0 {
+		t.Fatalf("refused run advanced the clock to %d", sys.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunFrames(-1) did not panic")
+		}
+	}()
+	sys.RunFrames(-1)
+}

@@ -675,8 +675,12 @@ func (s *System) Now() sim.Cycle { return s.epochs.now() }
 // Run advances the simulation by n cycles.
 func (s *System) Run(n sim.Cycle) { s.epochs.run(s.Now()+n, false) }
 
-// RunFrames advances the simulation by k frame periods.
+// RunFrames advances the simulation by k frame periods. A negative k
+// panics: converted to a cycle count it would wrap to a horizon near 2^64.
 func (s *System) RunFrames(k int) {
+	if k < 0 {
+		panic(fmt.Sprintf("core: RunFrames(%d): negative frame count", k))
+	}
 	s.Run(sim.Cycle(k) * s.cfg.FramePeriod())
 }
 
@@ -690,8 +694,12 @@ func (s *System) RunChecked(n sim.Cycle) error {
 	return s.epochs.run(s.Now()+n, true)
 }
 
-// RunFramesChecked is RunChecked over k frame periods.
+// RunFramesChecked is RunChecked over k frame periods. A negative k is
+// refused with an error and runs nothing.
 func (s *System) RunFramesChecked(k int) error {
+	if k < 0 {
+		return fmt.Errorf("core: RunFramesChecked(%d): negative frame count", k)
+	}
 	return s.RunChecked(sim.Cycle(k) * s.cfg.FramePeriod())
 }
 

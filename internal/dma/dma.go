@@ -5,16 +5,15 @@
 // priority its adapter most recently chose (Section 3.2), and routes
 // completion notifications back to the source and the performance meter.
 //
-// Injection is event-driven: the engine caches its next-injection cycle
-// (wakeAt) and reports it as its next activity, so the kernel does not
-// tick it every cycle to inspect its queue, window and port. The three
-// events that can make an injection possible earlier each re-arm the
-// cache and the kernel's wake wheel: a source enqueue (Enqueue, kernel
-// entry only — Tick reads the live queue, so the cache needs no update),
-// a completion freeing a window slot (Deliver), and a credit return from
-// the NoC port it injects into (Wake, wired through noc.Port.OnCredit). A
-// dormant engine is not ticked at all: its stall accounting is batched,
-// settled on its next tick and, by SettleRun, at the run horizon.
+// Injection is event-driven, and the kernel's wake wheel is the only
+// record of when an engine acts next. NextActivity answers from the live
+// queue, window and port: the engine can inject now, or it waits for an
+// event. The three events that can unblock it each re-arm its kernel wake:
+// a source enqueue (Enqueue), a completion freeing a window slot
+// (Deliver), and a credit return from the NoC port it injects into (Wake,
+// wired through noc.Port.OnCredit). A dormant engine is not ticked at all:
+// its stall accounting is batched, settled on its next tick and, by
+// SettleRun, at the run horizon.
 package dma
 
 import (
@@ -35,14 +34,14 @@ import (
 // transaction (id, address) into its NoC port at now.
 type InjectFn = func(now sim.Cycle, source int, id uint64, addr uint64)
 
-// WakeFn observes one injection-wake re-arm of the cached next-injection
-// cycle: which engine re-armed to at, and why — 'D' for a completion
-// delivery, 'C' for a port credit return. The enqueue edge re-arms only
-// the kernel's wake entry, never the cache — Tick reads the live queue —
-// so it has no wake to trace. The re-arm stream is a function of the
-// simulated behavior alone, so it must be bit-identical between the
-// idle-skipping run and the stepped reference — a stale or missing wake
-// diverges this trace instead of silently stalling a core.
+// WakeFn observes one injection-wake re-arm: which engine re-armed to
+// at, and why — 'D' for a completion delivery with requests pending, 'C'
+// for a port credit return the engine can use. The enqueue edge is not
+// traced: it re-arms only an unblocked engine, and Tick reads the live
+// queue. The re-arm stream is a function of the simulated behavior alone,
+// so it must be bit-identical between the idle-skipping run and the
+// stepped reference — a stale or missing wake diverges this trace instead
+// of silently stalling a core.
 type WakeFn = func(source int, at sim.Cycle, cause byte)
 
 // Trace is one engine's set of trace probes; nil fields are disabled.
@@ -54,10 +53,6 @@ type Trace struct {
 // SetTrace installs the engine's trace probes, replacing the previous
 // set. Install probes only while the engine is not running.
 func (e *Engine) SetTrace(t Trace) { e.trace = t }
-
-// never marks an unarmed injection wake: nothing can be injected until an
-// external event (enqueue, completion, credit) re-arms the engine.
-const never = ^sim.Cycle(0)
 
 // CompletionFunc observes a finished transaction.
 type CompletionFunc func(t *txn.Transaction, now sim.Cycle)
@@ -120,12 +115,6 @@ type Engine struct {
 	outstanding int
 	nextID      *uint64
 
-	// wakeAt is the cached next-injection cycle, the engine's
-	// NextActivity answer. Tick parks it at never (every way the
-	// injection loop can stop — queue empty, window full, port full — is
-	// un-stuck only by a re-arming event).
-	wakeAt sim.Cycle
-
 	// lastTick and stalled batch the InjectStalls accounting across
 	// cycles the kernel did not tick the engine: a stalled engine's
 	// blockers (full window, full port) cannot change without one of the
@@ -158,7 +147,7 @@ type Engine struct {
 // New builds a DMA engine. id must be unique per system; nextID is the
 // system-wide transaction ID counter; port is the engine's NoC input port
 // and hop its injection link latency. The engine registers itself as the
-// port's credit sink: a pop of the full port re-arms the injection wake.
+// port's credit sink: a pop of the full port wakes it (see Wake).
 func New(cfg Config, id int, nextID *uint64, port *noc.Port, hop sim.Cycle) *Engine {
 	if cfg.Window <= 0 {
 		panic(fmt.Sprintf("dma %s: window must be positive", cfg.Name))
@@ -167,7 +156,7 @@ func New(cfg Config, id int, nextID *uint64, port *noc.Port, hop sim.Cycle) *Eng
 		cfg.MaxPending = 2 * cfg.Window
 	}
 	e := &Engine{cfg: cfg, id: id, nextID: nextID, port: port, hop: hop}
-	port.OnCreditArmed(e)
+	port.OnCredit(e)
 	return e
 }
 
@@ -218,23 +207,17 @@ func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
 	e.srcWakeOnDeliver = onDeliver
 }
 
-// rearm records an injection-wake re-arm: the cached cycle, the wake
-// trace, and the engine's kernel cached wake. Both callers must reach
-// the kernel under the active-ticker list: a port credit return lands
-// after the engine's tick and re-arms the NEXT cycle, and a delivery
-// fires before this cycle's ticks on an engine that may be dormant — in
-// either case the kernel entry is what gets the engine ticked at all.
+// rearm records an injection-wake re-arm in the wake trace and the
+// engine's kernel wake. Both callers must reach the kernel under the
+// active-ticker list: a port credit return lands after the engine's tick
+// and re-arms the NEXT cycle, and a delivery fires before this cycle's
+// ticks on an engine that may be dormant — in either case the kernel
+// entry is what gets the engine ticked at all. The wake wheel drops a
+// re-arm at or above the cached wake in O(1).
 func (e *Engine) rearm(at sim.Cycle, cause byte) {
 	if e.trace.Wake != nil {
 		e.trace.Wake(e.id, at, cause)
 	}
-	if at >= e.wakeAt {
-		// Already armed at or before at — and the kernel already knows:
-		// after a body run wakeAt is never, and the only way it is armed
-		// between body runs is a prior kernel-pushed re-arm.
-		return
-	}
-	e.wakeAt = at
 	e.kern.Rearm(at)
 }
 
@@ -242,7 +225,9 @@ func (e *Engine) rearm(at sim.Cycle, cause byte) {
 // port (a pop freeing a slot in the full FIFO, usable from the next cycle
 // because the router ticks after the engine). Credits that cannot lead to
 // an injection — nothing pending, or the window exhausted — are dropped:
-// the enqueue or delivery that clears the other blocker re-arms then.
+// the enqueue or delivery that clears the other blocker re-arms then. The
+// engine ticks before the routers in a cycle, so a credit passes the
+// filter exactly when the engine last parked on the full port.
 //
 //sara:hotpath
 func (e *Engine) Wake(at sim.Cycle) {
@@ -256,12 +241,9 @@ func (e *Engine) Wake(at sim.Cycle) {
 // queue is full, letting rate-based sources retry without losing the
 // tokens.
 //
-// The cached injection wake needs no re-arm — Tick reads the live queue
-// state, so once the engine IS ticked this cycle the request is injected
-// (or the stall latched) regardless of wakeAt. What the active-ticker
-// list does need is the kernel entry: the source enqueues during its own
-// tick, the engine walks later in the same cycle, and without a due
-// kernel bound it would not be ticked at all.
+// The enqueue re-arms the engine's kernel wake: the source enqueues
+// during its own tick, the engine walks later in the same cycle, and
+// without a due kernel wake it would not be ticked at all.
 //
 // The re-arm is gated on !stalled — a stalled engine's blockers (full
 // window, full port) are untouched by an enqueue, its stall accounting is
@@ -292,20 +274,18 @@ func (e *Engine) Pending() int { return len(e.pending) }
 // Outstanding reports the injected-but-incomplete transaction count.
 func (e *Engine) Outstanding() int { return e.outstanding }
 
-// NextActivity implements sim.Idler as an O(1) read of the cached
-// injection wake. The cache is a sound lower bound by construction: the
-// injection loop parks it at never only when blocked on events that each
-// re-arm it (see wakeAt), so a dormant engine never needs to be polled.
+// NextActivity implements sim.Idler from live state: the engine acts now
+// if a request is pending, the window has room and the port can accept.
+// Otherwise it reports no activity, because each blocker is cleared only
+// by an event that re-arms the engine's kernel wake (an enqueue, a
+// delivery, a port credit).
 //
 //sara:hotpath
 func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
-	if e.wakeAt == never {
-		return 0, false
-	}
-	if e.wakeAt <= now {
+	if len(e.pending) > 0 && e.outstanding < e.cfg.Window && e.port.CanAccept() {
 		return now, true
 	}
-	return e.wakeAt, true
+	return 0, false
 }
 
 // Tick injects pending requests into the NoC port while the outstanding
@@ -313,7 +293,6 @@ func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (e *Engine) Tick(now sim.Cycle) {
-	e.wakeAt = never
 	if len(e.pending) == 0 && !e.stalled {
 		return // nothing to inject, no stall accounting to carry
 	}
@@ -328,9 +307,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 	stalled := false
 	for len(e.pending) > 0 && e.outstanding < e.cfg.Window {
 		if !e.port.CanAccept() {
-			// Parking port-blocked: arm the lazy credit so the next
-			// full-FIFO pop re-arms the injection wake.
-			e.port.ArmCredit()
+			// Parking port-blocked: the next full-FIFO pop wakes it.
 			stalled = true
 			break
 		}

@@ -1,6 +1,7 @@
 package dma
 
 import (
+	"fmt"
 	"testing"
 
 	"sara/internal/noc"
@@ -155,35 +156,53 @@ func TestCompletionCallbacksFire(t *testing.T) {
 	}
 }
 
-// TestNextActivityIsCachedWake pins the event-driven injection contract:
-// the hint is an O(1) read of the cached wake, parked at never whenever
-// the injection loop stopped (queue empty, window full, port full) and
-// re-armed by deliveries and port credits. Fresh enqueues re-arm
-// nothing — the Tick gate reads the live queue, and the enqueue cycle
-// always executes because the enqueuing source was active in it.
-func TestNextActivityIsCachedWake(t *testing.T) {
+// TestNextActivityReadsLiveState pins the event-driven injection
+// contract: the hint reads the live queue, window and port. It is due now
+// while a request could be injected, and reports no activity while the
+// injection loop would stop (queue empty, window full, port full), until
+// an enqueue, a delivery or a port credit clears the blocker.
+func TestNextActivityReadsLiveState(t *testing.T) {
 	r := newRig(1) // window 1, MaxPending 2
-	if _, ok := r.engine.NextActivity(0); !ok {
-		t.Fatal("a fresh engine must report activity (initial wake is cycle 0)")
-	}
-	r.engine.Tick(0) // empty queue: parks at never
-	if _, ok := r.engine.NextActivity(1); ok {
-		t.Fatal("an idle engine must park its wake at never")
+	if _, ok := r.engine.NextActivity(0); ok {
+		t.Fatal("an engine with nothing pending must report no activity")
 	}
 	r.engine.Enqueue(txn.Read, 0, 128)
-	r.engine.Tick(3) // the live-queue gate routes the fresh request to the loop
+	if at, ok := r.engine.NextActivity(3); !ok || at != 3 {
+		t.Fatalf("with a request pending NextActivity = (%d, %v), want (3, true)", at, ok)
+	}
+	r.engine.Tick(3)
 	if got := r.engine.Outstanding(); got != 1 {
-		t.Fatalf("enqueue-cycle tick injected %d, want 1 (live-queue gate)", got)
+		t.Fatalf("tick injected %d, want 1", got)
 	}
 	r.engine.Enqueue(txn.Read, 128, 128) // queued behind the window
-	r.engine.Tick(4)                     // window full: stalls, parks at never
+	r.engine.Tick(4)                     // window full: stalls
 	if _, ok := r.engine.NextActivity(5); ok {
-		t.Fatal("a window-blocked engine must park until a delivery")
+		t.Fatal("a window-blocked engine must wait for a delivery")
 	}
 	r.drain(t, 1)
-	r.engine.Deliver(r.out[0], 7) // delivery re-arms onto its cycle
+	r.engine.Deliver(r.out[0], 7)
 	if at, ok := r.engine.NextActivity(7); !ok || at != 7 {
 		t.Fatalf("after delivery NextActivity = (%d, %v), want (7, true)", at, ok)
+	}
+
+	// Port full: a window of 16 outlasts the 8-deep port.
+	r = newRig(16)
+	var credits []sim.Cycle
+	r.engine.SetTrace(Trace{Wake: func(_ int, at sim.Cycle, cause byte) {
+		if cause == 'C' {
+			credits = append(credits, at)
+		}
+	}})
+	for i := 0; i < 9; i++ {
+		r.engine.Enqueue(txn.Read, txn.Addr(i*128), 128)
+	}
+	r.engine.Tick(0)
+	if _, ok := r.engine.NextActivity(1); ok || r.engine.Pending() != 1 {
+		t.Fatalf("a port-blocked engine (pending %d) must wait for a credit", r.engine.Pending())
+	}
+	r.router.Tick(1) // pops the full port: the credit is usable from cycle 2
+	if at, ok := r.engine.NextActivity(2); !ok || at != 2 || fmt.Sprint(credits) != "[2]" {
+		t.Fatalf("after the credit NextActivity = (%d, %v), credit wakes %v; want (2, true), [2]", at, ok, credits)
 	}
 }
 

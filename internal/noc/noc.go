@@ -12,15 +12,17 @@
 // handled by the SoC layer, since the figures the paper reports are
 // insensitive to return-path contention.
 //
-// Arbitration is fully event-driven: every router caches nextGrantAt, the
-// exact earliest cycle at which a grant could occur given its head-flit
-// arrival times, per-output credit state and arbiter inputs, and reports
-// it as its next activity, so the kernel does not tick it before then.
-// The cache is re-armed from outside by the two events that can make a
-// grant possible earlier — an upstream injection into one of its ports
-// (Port.Push) and a downstream credit return (a full FIFO pop, or a
-// memory-controller queue release) — so a router stays dormant between
-// grants even while the rest of the system keeps executing cycles.
+// Arbitration is event-driven, and the kernel's wake wheel is the only
+// record of when a router acts next. NextActivity answers from the live
+// heads: now when some arbitrable head's output can accept, else the
+// earliest head still on its link, else nothing, because a head blocked on
+// a full sink waits for a credit. The two events that can make a grant
+// possible earlier re-arm the router's kernel wake from outside: an
+// upstream injection into one of its ports (Port.Push) and a downstream
+// credit return (a full FIFO pop, or a memory-controller queue release).
+// So a router stays dormant between grants even while the rest of the
+// system keeps executing cycles, and its stalls over a dormant stretch are
+// counted when it next ticks or the run settles.
 //
 // A scan that does run buckets the arbitrable heads by routed output once,
 // as lists of port indices, and each output's selection walks only its own
@@ -105,15 +107,12 @@ func DefaultParams() Params {
 func (p Params) CrossDomainLatency() sim.Cycle { return p.HopLatency + 1 }
 
 // Waker is the wake-propagation half of the event-driven arbitration
-// contract: a component that caches its next-grant cycle implements Waker
-// so the events that could make a grant possible earlier — an upstream
-// injection landing mid-sleep, a downstream credit return — can re-arm the
-// cached wake. Under the kernel's push-based wake wheel the receiver must
-// forward the re-arm to its sim.WakeHandle as well (the kernel no longer
-// polls hints per executed cycle); the Router does so in Wake. Re-arming
-// earlier than necessary is always safe (the component scans, finds
-// nothing, and recomputes); failing to re-arm breaks simulation
-// equivalence.
+// contract: a component that sleeps while blocked on a full sink implements
+// Waker so the credit return that unblocks it can re-arm its kernel wake.
+// The receiver forwards the re-arm to its sim.WakeHandle (the kernel does
+// not poll hints per executed cycle); the Router does so in Wake. Re-arming
+// earlier than necessary is always safe (the component scans and finds
+// nothing); failing to re-arm breaks simulation equivalence.
 type Waker interface {
 	// Wake re-arms the receiver to re-evaluate no later than cycle at.
 	Wake(at sim.Cycle)
@@ -141,13 +140,9 @@ type Port struct {
 	idx   int
 	// creditTo is the feeder to wake when a pop frees space in a full
 	// FIFO (the credit return): the upstream router of a router-to-router
-	// link (eager — woken on every full pop), or the DMA engine injecting
-	// into the port (lazy — woken only while creditArmed, which the
-	// engine sets when it parks port-blocked, so the common full pop with
-	// an unblocked feeder costs one flag test instead of a wake).
-	creditTo    Waker
-	creditLazy  bool
-	creditArmed bool
+	// link, or the DMA engine injecting into the port. Each filters the
+	// wakes it cannot use.
+	creditTo Waker
 	// onPop, when set, observes every pop (not just full ones) with the
 	// pop cycle. The domain-parallel kernel uses it on cross-domain
 	// ingress ports to count credits owed to the sending domain; credits
@@ -170,8 +165,11 @@ func NewPort(depth int) *Port {
 func (p *Port) CanAccept() bool { return len(p.fifo) < p.depth }
 
 // Push appends t, becoming arbitrable at readyAt. When the port belongs to
-// a router, the push re-arms the router's wake: an injection landing while
-// the router sleeps must be able to pull the next scan forward.
+// a router, the push re-arms the router's kernel wake at readyAt: an
+// injection landing while the router sleeps must be able to pull the next
+// scan forward, and under the active-ticker list a dormant router is not
+// ticked to find out. The wake wheel drops a re-arm at or above the
+// router's cached wake in O(1).
 //
 //sara:hotpath
 func (p *Port) Push(t *txn.Transaction, arrived, readyAt sim.Cycle) {
@@ -181,17 +179,7 @@ func (p *Port) Push(t *txn.Transaction, arrived, readyAt sim.Cycle) {
 	p.fifo = append(p.fifo, packet{t: t, readyAt: readyAt, arrived: arrived, out: -1}) //sara:alloc-ok fifo backing array amortizes to the port's credit depth
 	if o := p.owner; o != nil {
 		o.queued++
-		if readyAt < o.nextGrantAt {
-			// The push lowers the dormancy window, so the kernel must
-			// hear about it here and now: under the active-ticker list a
-			// dormant router is not ticked at all, so there is no tick-top
-			// sync to pick the push up later. When the window is already
-			// at or below readyAt the kernel's cached bound covers it too
-			// (every lowering of either goes through Push or Wake), and
-			// the re-arm is skipped to keep Push cheap on the hot path.
-			o.nextGrantAt = readyAt
-			o.wake.Rearm(readyAt)
-		}
+		o.wake.Rearm(readyAt)
 	}
 }
 
@@ -219,8 +207,7 @@ func (p *Port) pop(now sim.Cycle) packet {
 			fn(p.owner.name, now, p.idx, wasFull)
 		}
 	}
-	if wasFull && p.creditTo != nil && (!p.creditLazy || p.creditArmed) {
-		p.creditArmed = false
+	if wasFull && p.creditTo != nil {
 		p.creditTo.Wake(now + 1)
 	}
 	if p.onPop != nil {
@@ -270,21 +257,6 @@ func (p *Port) OnCredit(w Waker) {
 	p.creditTo = w
 }
 
-// OnCreditArmed wires w like OnCredit but lazily: pops wake w only after
-// an ArmCredit call, and consume the arming. The DMA engines use it so
-// pops of a full port whose feeder is not actually blocked on it (idle,
-// or window-limited) cost a flag test instead of a wake.
-func (p *Port) OnCreditArmed(w Waker) {
-	p.OnCredit(w)
-	p.creditLazy = true
-}
-
-// ArmCredit requests a wake from the next credit-returning pop. The
-// feeder calls it when it blocks on the full FIFO.
-//
-//sara:hotpath
-func (p *Port) ArmCredit() { p.creditArmed = true }
-
 // OnPop registers a per-pop observer (every pop, not only full ones).
 // A port has exactly one observer; wiring a second would silently drop
 // the first one's credit accounting, so it panics instead.
@@ -319,25 +291,15 @@ type Router struct {
 	// queued is the live packet count across all input ports.
 	queued int
 
-	// nextGrantAt is the dormancy window: the earliest cycle at which,
-	// absent any external wake, this router could grant. Each full scan
-	// recomputes it exactly from head readyAt times and per-output credit
-	// state; Push and credit returns re-arm it earlier. never means no
-	// grant is possible without an external event. It is the router's
-	// NextActivity answer; Tick itself always scans.
-	nextGrantAt sim.Cycle
-
-	// lastTick and stallFrom batch the stall accounting across cycles the
-	// kernel did not tick the router. stallFrom is the first cycle at
-	// which, absent any activity, a ready head exists — from then on
-	// every scan-free cycle stalls, because a grantable head would have
-	// re-armed nextGrantAt and forced a scan. It starts at a head's future
-	// readyAt when the head is still traversing its link, which a boolean
-	// "stalled last tick" flag could not express. lastScan tracks the last
-	// cycle the full scan ran, for the sleep-window trace.
-	lastTick  sim.Cycle
-	stallFrom sim.Cycle
-	lastScan  sim.Cycle
+	// settled is the stall cursor: the first cycle whose stalls are not
+	// yet counted. The next tick, or SettleRun, counts every cycle from
+	// max(earliest head readyAt, settled) on as a stall: the router was
+	// not ticked in between, so nothing could be granted, and heads leave
+	// a port only in Tick, so the earliest head was queued all along.
+	// lastScan is the last cycle the full scan ran, for the sleep-window
+	// trace.
+	settled  sim.Cycle
+	lastScan sim.Cycle
 
 	// stats
 	forwarded uint64
@@ -347,12 +309,10 @@ type Router struct {
 	// trace holds the router's trace probes (see SetTrace).
 	trace Trace
 
-	// wake is the router's kernel wake handle: every lowering of
-	// nextGrantAt — upstream pushes (Port.Push) and credit wakes (Wake) —
-	// is forwarded through it into the kernel's wake wheel, so the
-	// active-ticker list knows to tick the router without polling
-	// NextActivity. Scan-end increases of nextGrantAt are reconciled by
-	// the kernel's post-tick re-key.
+	// wake is the router's kernel wake handle: upstream pushes
+	// (Port.Push) and credit wakes (Wake) re-arm the router through it, so
+	// the active-ticker list knows to tick the router without polling
+	// NextActivity. The kernel's post-tick re-key reads NextActivity.
 	wake sim.WakeHandle
 }
 
@@ -420,11 +380,6 @@ func (r *Router) FlushSleep(now sim.Cycle) {
 	}
 }
 
-// never marks an unarmed wake: a router with no packets accrues no stalls
-// (stallFrom) and a router whose every head is blocked on a full sink
-// cannot grant without an external event (nextGrantAt).
-const never = ^sim.Cycle(0)
-
 // NewRouter builds a router with nports input ports. route may be nil when
 // there is exactly one output. Every output is wired to wake the router
 // on credit returns.
@@ -438,8 +393,7 @@ func NewRouter(name string, params Params, nports int, outputs []Sink, route fun
 		}
 		route = func(*txn.Transaction) int { return 0 }
 	}
-	r := &Router{name: name, params: params, outputs: outputs, route: route,
-		stallFrom: never, nextGrantAt: never}
+	r := &Router{name: name, params: params, outputs: outputs, route: route}
 	r.ports = make([]*Port, nports)
 	for i := range r.ports {
 		r.ports[i] = NewPort(params.PortDepth)
@@ -481,86 +435,81 @@ func (r *Router) FullPops() uint64 { return r.fullPops }
 // the kernel's wake wheel.
 func (r *Router) BindWake(h sim.WakeHandle) { r.wake = h }
 
-// Wake implements Waker: re-arm the router to scan no later than cycle at.
-// Earlier than necessary is safe — the scan finds nothing grantable and
-// recomputes the window. Pushes wake at the packet's readyAt; credit
-// returns wake at the cycle after the pop or queue release. The re-arm is
-// forwarded to the kernel's wake wheel, which is what lets the kernel skip
-// to this router's next grant without polling it.
+// Wake implements Waker: re-arm the router to scan no later than cycle
+// at. Credit returns wake at the cycle after the pop or queue release.
+// Earlier than necessary is safe: the scan finds nothing grantable. The
+// re-arm goes straight to the kernel's wake wheel, because a credit wake
+// lands after this router's tick in its cycle, and under the active-ticker
+// list a dormant router is not ticked again until its wake says so.
 //
 //sara:hotpath
 func (r *Router) Wake(at sim.Cycle) {
 	if r.queued == 0 {
-		// A credit return to an empty router is moot: there is nothing to
-		// grant into the freed slot. Adopting it anyway would lower
-		// nextGrantAt below `never` with no scan left to recompute it (the
-		// empty tick returns early), and once that cycle passes the stale
-		// low window makes the next Push skip its kernel re-arm — the
-		// router would sleep through the pushed packet's readyAt.
-		return
+		return // nothing to grant into the freed slot; a Push re-arms itself
 	}
-	if at < r.nextGrantAt {
-		r.nextGrantAt = at
-	}
-	// The re-arm must reach the kernel directly: credit wakes land after
-	// this router's tick in their cycle, and under the active-ticker list
-	// a dormant router is not ticked again until its kernel bound says so.
-	// (Rearm drops values the kernel's cached bound already covers.)
 	r.wake.Rearm(at)
 }
 
-// NextActivity implements sim.Idler from the cached dormancy window: an
-// empty router never acts, and a router whose window is unarmed (every
-// head blocked on a full sink) acts only after an external wake, which
-// lands on an executed cycle and is observed by the kernel's re-query. The
-// O(ports) work lives in the scan that computed the window, not here.
+// NextActivity implements sim.Idler from the live heads: now if some head
+// is arbitrable and its routed output can accept, else the earliest
+// readyAt of a head still on its link. A router that is empty, or whose
+// every arbitrable head is blocked on a full sink, reports no activity:
+// only a push or a credit return can change that, and each re-arms the
+// kernel wake itself.
 //
 //sara:hotpath
 func (r *Router) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
-	if r.queued == 0 || r.nextGrantAt == never {
-		return 0, false
+	next, ok := now, false
+	for _, p := range r.ports {
+		if len(p.fifo) == 0 {
+			continue
+		}
+		if pk := &p.fifo[0]; pk.readyAt > now {
+			if !ok || pk.readyAt < next {
+				next, ok = pk.readyAt, true
+			}
+		} else if r.outputs[r.headOut(p)].CanAccept(pk.t) {
+			return now, true
+		}
 	}
-	if r.nextGrantAt <= now {
-		return now, true
-	}
-	return r.nextGrantAt, true
+	return next, ok
 }
 
-// SettleRun implements sim.Settler: flush the batched stall accounting at
-// the end of a Run segment through end-1 (the last simulated cycle). Under
-// the active-ticker list a router that stays dormant to the horizon is
-// never ticked again, so without this its backfilled stalls for the
-// trailing stretch would be lost. Idempotent, and a no-op in the stepped
-// reference, where the tick at end-1 already ran this exact accounting.
+// SettleRun implements sim.Settler: count the stalls of the cycles before
+// end, the first cycle not simulated. Under the active-ticker list a
+// router that stays dormant to the horizon is never ticked again, so
+// without this its stalls over the trailing stretch would be lost.
+// Idempotent, and a no-op in the stepped reference, where the tick at
+// end-1 already counted them. An empty router has no stalls to count, and
+// a head pushed into it later is arbitrable no earlier than its next tick.
 func (r *Router) SettleRun(end sim.Cycle) {
-	if r.queued == 0 || end == 0 || r.lastTick >= end-1 {
+	if end <= r.settled || r.queued == 0 {
 		return
 	}
-	now := end - 1
-	r.accrueStallGap(now)
-	if r.stallFrom <= now {
-		r.stalls++
-		if r.trace.Stall != nil {
-			r.trace.Stall(r.name, now, 1, false)
+	first := end
+	for _, p := range r.ports {
+		if len(p.fifo) > 0 && p.fifo[0].readyAt < first {
+			first = p.fifo[0].readyAt
 		}
 	}
-	r.lastTick = now
+	r.backfill(first, end)
 }
 
-// accrueStallGap back-fills stall cycles for the scan-free stretch
-// (lastTick, now): every cycle from stallFrom on had a ready head and no
-// grant (the dormancy window proves no grant was possible).
-func (r *Router) accrueStallGap(now sim.Cycle) {
-	if now > r.lastTick+1 && r.stallFrom < now {
-		from := r.stallFrom
-		if from <= r.lastTick {
-			from = r.lastTick + 1
-		}
-		r.stalls += uint64(now - from)
+// backfill counts every cycle of [max(first, settled), now) as a stall,
+// reported as one batched event, and moves the cursor to now. first is
+// the earliest readyAt among the queued heads: from then on a head was
+// arbitrable, and no tick ran to grant it.
+func (r *Router) backfill(first, now sim.Cycle) {
+	if first < r.settled {
+		first = r.settled
+	}
+	if first < now {
+		r.stalls += uint64(now - first)
 		if r.trace.Stall != nil {
-			r.trace.Stall(r.name, now, uint64(now-from), true)
+			r.trace.Stall(r.name, now, uint64(now-first), true)
 		}
 	}
+	r.settled = now
 }
 
 // Tick performs one cycle of switch allocation: at most one grant per
@@ -572,19 +521,18 @@ func (r *Router) accrueStallGap(now sim.Cycle) {
 //sara:hotpath
 func (r *Router) Tick(now sim.Cycle) {
 	if r.queued == 0 {
-		return // stallFrom is never: the scan that popped the last packet reset it
+		return
 	}
 	if r.trace.Sleep != nil && now > r.lastScan+1 {
 		r.trace.Sleep(r.name, r.lastScan+1, now)
 	}
-	r.accrueStallGap(now)
-	r.lastTick = now
 	r.lastScan = now
 	for o := range r.heads {
 		r.heads[o] = r.heads[o][:0]
 	}
 	ready := false
 	oldest := now
+	first := now
 	for i, p := range r.ports {
 		if len(p.fifo) == 0 {
 			continue // zero buffered flits: nothing to collect or route
@@ -596,8 +544,12 @@ func (r *Router) Tick(now sim.Cycle) {
 			if pk.arrived < oldest {
 				oldest = pk.arrived
 			}
+			if pk.readyAt < first {
+				first = pk.readyAt
+			}
 		}
 	}
+	r.backfill(first, now)
 	// The aging pass only matters once some ready head is over-age.
 	aging := r.params.AgingT > 0 && now >= oldest+r.params.AgingT
 	granted := false
@@ -630,34 +582,7 @@ func (r *Router) Tick(now sim.Cycle) {
 			r.trace.Stall(r.name, now, 1, false)
 		}
 	}
-	// Recompute the dormancy window and the stall origin from the
-	// post-grant state. A head still traversing its link opens the window
-	// at its readyAt; a ready head that survived ungranted opens it at
-	// now+1 if its output can accept (it may win next cycle); a ready head
-	// blocked on a full output contributes nothing — the credit return
-	// re-arms the window. stallFrom is the first cycle any head is
-	// arbitrable: every scan-free cycle from then on stalls.
-	r.stallFrom = never
-	next := never
-	for _, p := range r.ports {
-		if len(p.fifo) == 0 {
-			continue
-		}
-		pk := &p.fifo[0]
-		at := pk.readyAt
-		if at <= now {
-			at = now + 1
-			if r.outputs[r.headOut(p)].CanAccept(pk.t) {
-				next = at
-			}
-		} else if at < next {
-			next = at
-		}
-		if at < r.stallFrom {
-			r.stallFrom = at
-		}
-	}
-	r.nextGrantAt = next
+	r.settled = now + 1
 }
 
 // headOut returns the routed output of p's head packet, computing and

@@ -146,7 +146,7 @@ func TestBlockedDownstreamStalls(t *testing.T) {
 	sink := &collectSink{full: true}
 	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
-	r.Tick(1)
+	r.Tick(0)
 	if len(sink.got) != 0 {
 		t.Fatal("forwarded into a full sink")
 	}
@@ -207,34 +207,38 @@ func TestEmptyRouterReportsNoActivity(t *testing.T) {
 
 func TestPushReArmsDormantRouter(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
-	r.Port(0).Push(tx(1, 0), 0, 7) // still traversing its link until cycle 7
-	if at, ok := next(r, 1); !ok || at != 7 {
+	r := NewRouter("t", params(ArbFCFS), 2, []Sink{sink}, nil)
+	var grants []sim.Cycle
+	r.SetTrace(Trace{Grant: func(_ string, now sim.Cycle, _, _ int, _ uint64) {
+		grants = append(grants, now)
+	}})
+	var k sim.Kernel
+	k.Register(r)
+	k.Run(2)                       // the empty router ticks at 0 and parks with no wake
+	r.Port(0).Push(tx(1, 0), 2, 7) // still traversing its link until cycle 7
+	if at, ok := next(r, 2); !ok || at != 7 {
 		t.Fatalf("NextActivity = (%d, %v), want (7, true)", at, ok)
 	}
-	// Ticks before the head is arbitrable must not grant (dormant path).
-	for c := sim.Cycle(1); c < 7; c++ {
-		r.Tick(c)
-	}
-	if len(sink.got) != 0 {
-		t.Fatal("granted before the head finished its hop")
-	}
 	// A second injection with an earlier readyAt pulls the wake forward.
-	r.Port(0).Push(tx(2, 0), 0, 3)
-	if at, ok := next(r, 1); !ok || at != 3 {
+	r.Port(1).Push(tx(2, 0), 2, 3)
+	if at, ok := next(r, 2); !ok || at != 3 {
 		t.Fatalf("after earlier push NextActivity = (%d, %v), want (3, true)", at, ok)
 	}
-	r.Tick(7)
-	if len(sink.got) != 1 || sink.got[0].ID != 1 {
-		t.Fatalf("granted %v, want head 1 at cycle 7", ids(sink.got))
+	// Only the pushes' kernel re-arms can get the parked router ticked.
+	k.Run(20)
+	if fmt.Sprint(grants) != "[3 7]" || fmt.Sprint(ids(sink.got)) != "[2 1]" {
+		t.Fatalf("granted %v at cycles %v, want [2 1] at [3 7]", ids(sink.got), grants)
+	}
+	if k.SkippedCycles() == 0 {
+		t.Fatal("the kernel skipped nothing: the router was never dormant")
 	}
 }
 
 // TestCreditReturnWakesBlockedUpstream chains two routers through a
 // PortSink and checks the full dormancy round trip: the upstream router
 // sleeps (NextActivity false) while its head is blocked on the full
-// downstream port, and the downstream pop returns a credit that re-arms
-// the upstream wake at exactly pop+1.
+// downstream port, and once the downstream pop returns a credit it is due
+// at pop+1, the cycle the credit wake re-arms it for.
 func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	pr := params(ArbFCFS)
 	pr.PortDepth = 2
@@ -258,11 +262,11 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	}
 	stallsBefore := up.Stalls()
 
-	// Downstream unblocks and pops at cycle 5: the credit must re-arm the
-	// upstream wake to cycle 6.
+	// Downstream unblocks and pops at cycle 5: the upstream router is due
+	// at cycle 6, when the kernel queries it.
 	final.setFull(false, 5)
 	down.Tick(5)
-	if at, ok := next(up, 5); !ok || at != 6 {
+	if at, ok := next(up, 6); !ok || at != 6 {
 		t.Fatalf("after credit NextActivity = (%d, %v), want (6, true)", at, ok)
 	}
 	up.Tick(6)
@@ -363,8 +367,8 @@ func TestRouterCountersWindowedGolden(t *testing.T) {
 	// leaves a full FIFO, so it is the window's one backpressure release.
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	r.Port(0).Push(tx(2, 0), 0, 0)
+	r.Tick(0)
 	r.Tick(1)
-	r.Tick(2)
 	if got, want := window(), (counts{forwarded: 2, stalls: 0, fullPops: 1}); got != want {
 		t.Fatalf("window 1 counts %+v, want %+v", got, want)
 	}
@@ -615,12 +619,13 @@ func benchRouter() (*Router, []*classSink, []*txn.Transaction) {
 	return r, sinks, pool
 }
 
-// BenchmarkRouterTick prices one router tick on the root router's shape
-// (8 inputs, 8 outputs) in the two states a loaded run ticks it in:
-// backpressured (every head ready but every sink refusing; a credit wake
-// each cycle makes the router due) and granting (every port refilled to
-// its depth each cycle, so each scan grants on several outputs; the
-// refill is part of the measured loop).
+// BenchmarkRouterTick prices what the kernel pays for one due router on
+// the root router's shape (8 inputs, 8 outputs): the tick plus the
+// NextActivity(now+1) re-key that follows it. It does so in the two states
+// a loaded run ticks it in: backpressured (every head ready but every sink
+// refusing; a credit wake each cycle makes the router due) and granting
+// (every port refilled to its depth each cycle, so each scan grants on
+// several outputs; the refill is part of the measured loop).
 func BenchmarkRouterTick(b *testing.B) {
 	fill := func(r *Router, pool []*txn.Transaction, next *int, now, readyAt sim.Cycle) {
 		for p := 0; p < r.NPorts(); p++ {
@@ -643,6 +648,7 @@ func BenchmarkRouterTick(b *testing.B) {
 			now := sim.Cycle(i + 1)
 			r.Wake(now)
 			r.Tick(now)
+			r.NextActivity(now + 1)
 		}
 	})
 	b.Run("Granting", func(b *testing.B) {
@@ -654,6 +660,7 @@ func BenchmarkRouterTick(b *testing.B) {
 			now := sim.Cycle(i + 1)
 			fill(r, pool, &next, now, now)
 			r.Tick(now)
+			r.NextActivity(now + 1)
 			for _, s := range sinks {
 				s.got = s.got[:0]
 			}

@@ -138,8 +138,10 @@ type Settler interface {
 //
 // NextActivity itself must remain cheap and pure: it is the validation
 // query for due wakes and the active list's post-tick re-key.
-// Components that cache their wake cycle should answer from the cache in
-// O(1). The answer must be sound in ABSOLUTE time: a
+// Components answer from their live state (a router walks its port heads,
+// an engine reads its queue, window and port); the kernel's wake wheel,
+// not the component, keeps the answer between queries. The answer must
+// be sound in ABSOLUTE time: a
 // component whose lazy integration lags `now` (a token bucket whose
 // funded cursor is behind, a buffer whose drain cursor is behind) must
 // anchor its bound at that cursor — e.g. cursor + steps - 1, clamped up

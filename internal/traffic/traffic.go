@@ -9,7 +9,6 @@
 package traffic
 
 import (
-	"sara/internal/dma"
 	"sara/internal/sim"
 	"sara/internal/txn"
 )
@@ -97,13 +96,3 @@ func (k kindPicker) pick() txn.Kind {
 	}
 	return txn.Write
 }
-
-// engineFor is the narrow slice of dma.Engine the sources use; it exists
-// to keep the sources trivially testable with a fake.
-type engineFor interface {
-	Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool
-	PendingSpace() int
-	Outstanding() int
-}
-
-var _ engineFor = (*dma.Engine)(nil)

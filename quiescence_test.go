@@ -21,8 +21,9 @@ type sleepWindow struct {
 // stretch — replaying the same configuration as the stepped reference
 // (the kernel's SetReference mode) must produce zero grants for that
 // router anywhere in [a, b). A grant inside a sleep window is exactly the missed-grant
-// bug the nextGrantAt cache could hide if both modes shared it, which is
-// why the reference replay bypasses the cache entirely.
+// bug a wrong NextActivity answer or a missing wake re-arm would cause,
+// which is why the reference replay ticks every router every cycle and
+// consults neither.
 func TestNoMissedGrantWindows(t *testing.T) {
 	t.Parallel()
 	reproOnFailure(t, "TestNoMissedGrantWindows")
@@ -54,9 +55,10 @@ func TestNoMissedGrantWindows(t *testing.T) {
 		}
 
 		// Stepped force-scan replay: the per-cycle reference grant stream.
-		// The DMA injection-wake and controller bucket caches are bypassed
-		// too, so a stale cached hint anywhere upstream of a router shifts
-		// the replay's grants into a claimed window.
+		// The DMA engines and controllers are ticked every cycle too, and
+		// the controllers rescan instead of reading their bank buckets, so
+		// a wrong hint anywhere upstream of a router shifts the replay's
+		// grants into a claimed window.
 		var refGrants []tracedGrant
 		refSys := sara.Build(cfg)
 		refSys.Probe(sara.Probes{Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
