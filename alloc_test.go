@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sara"
+	"sara/internal/core"
 )
 
 // growSeries reserves NPI series capacity for the next cycles simulated
@@ -89,7 +90,7 @@ func TestSteadyStateAllocationsScaled(t *testing.T) {
 // entirely on preallocated state. AllocsPerRun counts mallocs
 // process-wide, so the parked worker goroutines are covered too.
 func TestSteadyStateAllocationsParallel(t *testing.T) {
-	sys := sara.BuildParallel(sara.ScaledSaturated(4), 2)
+	sys := core.BuildParallel(sara.ScaledSaturated(4), 2)
 	if sys.Domains() < 2 {
 		t.Fatalf("4x saturated config should partition")
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sara"
+	"sara/internal/core"
 	"sara/internal/memctrl"
 	"sara/internal/txn"
 )
@@ -61,7 +62,10 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7Sweep(b *testing.B) {
 	var high float64
 	for i := 0; i < b.N; i++ {
-		hists := sara.Fig7(benchOpt())
+		hists, err := sara.Fig7(benchOpt())
+		if err != nil {
+			b.Fatal(err)
+		}
 		high = hists[len(hists)-1].HighShare()
 	}
 	b.ReportMetric(high, "high-prio-share@1300")
@@ -278,7 +282,7 @@ func BenchmarkLoadedPhaseThroughputParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			sys := sara.BuildParallel(sara.ScaledSaturated(4), workers)
+			sys := core.BuildParallel(sara.ScaledSaturated(4), workers)
 			if sys.Domains() < 2 {
 				b.Fatal("4x saturated config should partition")
 			}
@@ -331,9 +335,9 @@ func BenchmarkSimulatorThroughputReference(b *testing.B) {
 // BenchmarkFig5 sub-benchmarks above.
 func BenchmarkFig5Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs := sara.Fig5(benchOpt())
-		if len(runs) != 4 {
-			b.Fatal("unexpected run count")
+		runs, err := sara.Fig5(benchOpt())
+		if err != nil || len(runs) != 4 {
+			b.Fatalf("Fig5: %d runs, %v", len(runs), err)
 		}
 	}
 }

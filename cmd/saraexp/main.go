@@ -9,10 +9,10 @@
 // priority-level distribution per DRAM frequency for Fig. 7, and the
 // average-bandwidth bars for Fig. 8.
 //
-// Crash safety: -timeout and -max-cycles bound each run with the kernel
-// watchdog; -journal checkpoints completed runs of the supervised
-// figures (5, 6, 9) to a JSONL file and -resume serves them from it on a
-// rerun. A run that panics or trips a budget prints its failure and
+// Crash safety: -timeout and -max-cycles bound each run of the
+// supervised figures (5, 6, 8, 9) with the kernel watchdog; -journal
+// checkpoints their completed runs to a JSONL file and -resume serves
+// them from it on a rerun. A run that panics or trips a budget prints its failure and
 // rerun command in place of its table rows, the remaining runs complete,
 // and the exit code reports the damage.
 package main
@@ -32,6 +32,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// titles heads each figure's section of the report.
+var titles = map[int]string{
+	5: "=== Fig. 5: NPI of critical cores, test case A, one frame ===",
+	6: "=== Fig. 6: NPI of critical cores, test case B, one frame ===",
+	7: "=== Fig. 7: Image Proc. priority distribution vs DRAM frequency ===",
+	8: "=== Fig. 8: average DRAM bandwidth by scheduling policy ===",
+	9: "=== Fig. 9: FR-FCFS vs QoS-RB, test case A ===",
+}
+
 // run is main without the process plumbing, so tests can drive the CLI
 // and assert output and exit codes. 0 = success, 1 = a run failed,
 // 2 = usage error.
@@ -39,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("saraexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure to regenerate (5..9); 0 = all")
-	scale := fs.Int("scale", 256, "time-scale divisor (larger = faster, coarser)")
+	scale := exp.PositiveFlag(fs, "scale", sara.DefaultScaleDiv, "time-scale divisor (larger = faster, coarser)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	refresh := fs.Bool("refresh", false, "enable LPDDR4 refresh (tREFI/tRFC) in every run")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per run (0 = unbounded)")
@@ -51,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports of figures 5/6/9 here (.csv = CSV sections, else JSON)")
 	monitorAddr := fs.String("monitor", "", "serve the live HTTP run monitor on this address (e.g. :8080)")
-	domainWorkers := fs.Int("domain-workers", 0, "build each system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,10 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *analysisOut != "" && !*analyze {
 		fmt.Fprintln(stderr, "saraexp: -analysis-out requires -analyze")
-		return 2
-	}
-	if *scale <= 0 {
-		fmt.Fprintf(stderr, "saraexp: -scale %d: want > 0\n", *scale)
 		return 2
 	}
 
@@ -80,7 +84,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Resume:         *resume,
 		Analyze:        *analyze,
 		AnalysisWindow: *analysisWindow,
-		DomainWorkers:  *domainWorkers,
+	}
+	figs := []int{*fig}
+	if *fig == 0 {
+		figs = []int{5, 6, 7, 8, 9}
+	}
+	for _, n := range figs {
+		for _, c := range exp.FigureCells(n) {
+			if err := c.Validate(opt); err != nil {
+				fmt.Fprintf(stderr, "saraexp: %v\n", err)
+				return 2
+			}
+		}
 	}
 	if *monitorAddr != "" {
 		mon := sara.NewMonitor()
@@ -95,41 +110,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	failed := 0
 	reports := make(map[string]*sara.AnalysisReport)
-	figNo := 0
-	report := func(runs []sara.PolicyRun) {
+	report := func(fig int, runs []sara.PolicyRun) {
 		for _, r := range runs {
 			fmt.Fprint(stdout, exp.FormatRun(r))
 			if r.Analysis != nil {
-				reports[fmt.Sprintf("fig%d-case%s-%v", figNo, r.Case, r.Policy)] = r.Analysis
+				reports[fmt.Sprintf("fig%d-case%s-%v", fig, r.Case, r.Policy)] = r.Analysis
 			}
 			if r.Err != nil {
 				failed++
 			}
 		}
 	}
-	runAll := *fig == 0
-	if runAll || *fig == 5 {
-		fmt.Fprintln(stdout, "=== Fig. 5: NPI of critical cores, test case A, one frame ===")
-		figNo = 5
-		report(sara.Fig5(opt))
-	}
-	if runAll || *fig == 6 {
-		fmt.Fprintln(stdout, "=== Fig. 6: NPI of critical cores, test case B, one frame ===")
-		figNo = 6
-		report(sara.Fig6(opt))
-	}
-	if runAll || *fig == 7 {
-		fmt.Fprintln(stdout, "=== Fig. 7: Image Proc. priority distribution vs DRAM frequency ===")
-		fmt.Fprint(stdout, exp.FormatFig7(sara.Fig7(opt)))
-	}
-	if runAll || *fig == 8 {
-		fmt.Fprintln(stdout, "=== Fig. 8: average DRAM bandwidth by scheduling policy ===")
-		fmt.Fprint(stdout, exp.FormatFig8(sara.Fig8(opt)))
-	}
-	if runAll || *fig == 9 {
-		fmt.Fprintln(stdout, "=== Fig. 9: FR-FCFS vs QoS-RB, test case A ===")
-		figNo = 9
-		report(sara.Fig9(opt))
+	for _, n := range figs {
+		fmt.Fprintln(stdout, titles[n])
+		var runs []sara.PolicyRun
+		var err error
+		switch n {
+		case 5:
+			runs, err = sara.Fig5(opt)
+		case 6:
+			runs, err = sara.Fig6(opt)
+		case 7:
+			var hists []sara.FreqHistogram
+			hists, err = sara.Fig7(opt)
+			fmt.Fprint(stdout, exp.FormatFig7(hists))
+		case 8:
+			var bars []sara.BandwidthResult
+			bars, err = sara.Fig8(opt)
+			fmt.Fprint(stdout, exp.FormatFig8(bars))
+		case 9:
+			runs, err = sara.Fig9(opt)
+		}
+		report(n, runs)
+		if err != nil {
+			// The cells passed validation above, so this is a journal
+			// error or a failed Fig. 8 cell.
+			fmt.Fprintf(stderr, "saraexp: %v\n", err)
+			failed++
+		}
 	}
 	if *analysisOut != "" {
 		if err := writeAnalysis(*analysisOut, reports); err != nil {

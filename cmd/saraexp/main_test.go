@@ -117,3 +117,24 @@ func TestNonPositiveScaleIsUsageError(t *testing.T) {
 		t.Errorf("usage error wrote to stdout (figures ran anyway): %q", out.String())
 	}
 }
+
+// TestRefusedOptionsAreUsageErrors: a negative -retries once made no
+// attempt and printed every Fig. 5 row as bw=0.00 with exit 0; a scale
+// too coarse for Fig. 7's slowest data rate leaves that frame shorter
+// than one NPI sample. Both are refused before any figure runs.
+func TestRefusedOptionsAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-fig", "5", "-retries", "-1"},
+		{"-fig", "5", "-timeout", "-1s"},
+		{"-fig", "7", "-scale", "14000"},
+		{"-scale", "14000"},
+	} {
+		var out, errb strings.Builder
+		if code := run(bad, &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", bad, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: usage error wrote to stdout (figures ran anyway): %q", bad, out.String())
+		}
+	}
+}

@@ -34,24 +34,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	caseName := fs.String("case", "A", "test case: A or B (Table 1)")
 	policyName := fs.String("policy", "qos", "arbitration policy: fcfs|rr|frfcfs|framerate|qos|qos-rb")
-	frames := fs.Int("frames", 1, "measured frame periods, from cycle 0 (no warmup; the first quarter frame is left out of the minimum NPI)")
-	scale := fs.Int("scale", 256, "time-scale divisor (larger = faster, coarser)")
+	frames := exp.PositiveFlag(fs, "frames", 1, "measured frame periods, from cycle 0 (no warmup; the first quarter frame is left out of the minimum NPI)")
+	scale := exp.PositiveFlag(fs, "scale", sara.DefaultScaleDiv, "time-scale divisor (larger = faster, coarser)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	refresh := fs.Bool("refresh", false, "enable LPDDR4 refresh (tREFI/tRFC)")
 	csvPath := fs.String("csv", "", "write per-DMA NPI time series to this CSV file")
 	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed report here (.csv = system series CSV, else JSON)")
-	domainWorkers := fs.Int("domain-workers", 0, "build the system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *analysisOut != "" && !*analyze {
 		fmt.Fprintln(stderr, "sarasim: -analysis-out requires -analyze")
-		return 2
-	}
-	if *frames <= 0 || *scale <= 0 {
-		fmt.Fprintf(stderr, "sarasim: -frames %d -scale %d: want both > 0\n", *frames, *scale)
 		return 2
 	}
 
@@ -70,15 +65,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res := sara.RunPolicy(tc, policy, sara.ExpOptions{
+	opt := sara.ExpOptions{
 		ScaleDiv:       *scale,
 		MeasureFrames:  *frames,
 		Seed:           *seed,
 		Refresh:        *refresh,
 		Analyze:        *analyze,
 		AnalysisWindow: *analysisWindow,
-		DomainWorkers:  *domainWorkers,
-	})
+	}
+	if err := (sara.Cell{Case: tc, Policy: policy}).Validate(opt); err != nil {
+		fmt.Fprintf(stderr, "sarasim: %v\n", err)
+		return 2
+	}
+	res := sara.RunPolicy(tc, policy, opt)
 	fmt.Fprint(stdout, exp.FormatRun(res))
 	if res.Err != nil {
 		return 1

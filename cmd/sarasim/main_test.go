@@ -104,3 +104,24 @@ func TestNonPositiveFramesAndScaleAreUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunsWithNoMeasuredCyclesAreUsageErrors: each of these once printed
+// "min NPI 0.000 FAIL" for every core and exited 0. At -scale 20000 the
+// 1,555-cycle frame holds no 2,048-cycle NPI sample, at -scale 1e8 the
+// frame is 0 cycles, and 2^62 frames wrap the horizon to 0.
+func TestRunsWithNoMeasuredCyclesAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-scale", "20000"},
+		{"-scale", "100000000"},
+		{"-frames", "4611686018427387904"},
+		{"-analyze", "-analysis-window", "18446744073709551615"},
+	} {
+		var out, errb strings.Builder
+		if code := run(bad, &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", bad, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: usage error wrote to stdout: %q", bad, out.String())
+		}
+	}
+}

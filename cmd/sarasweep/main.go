@@ -35,6 +35,7 @@ import (
 	"sara"
 	"sara/internal/config"
 	"sara/internal/core"
+	"sara/internal/dram"
 	"sara/internal/exp"
 	"sara/internal/memctrl"
 	"sara/internal/txn"
@@ -70,12 +71,9 @@ type analysisSink struct {
 	label string
 }
 
-// active reports whether any analysis wiring is on.
-func (s *analysisSink) active() bool { return s != nil && (s.enabled || s.mon != nil) }
-
 // attach closes the previous system's analyzer and arms one on sys.
 func (s *analysisSink) attach(sys *core.System) {
-	if !s.active() {
+	if !s.enabled && s.mon == nil {
 		return
 	}
 	s.close()
@@ -151,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sarasweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sweep := fs.String("sweep", "delta", "sweep to run: "+sweepNames())
-	scale := fs.Int("scale", 256, "time-scale divisor")
+	scale := exp.PositiveFlag(fs, "scale", sara.DefaultScaleDiv, "time-scale divisor")
 	refresh := fs.Bool("refresh", false, "enable LPDDR4 refresh (tREFI/tRFC) in the sweep")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget per run; overruns abort with a watchdog diagnosis (0 = unbounded)")
 	maxCycles := fs.Uint64("max-cycles", 0, "executed-cycle budget per run (0 = unbounded)")
@@ -162,11 +160,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policyName := fs.String("policy", "qos", "cell sweep: arbitration policy (fcfs|rr|frfcfs|framerate|qos|qos-rb)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	freq := fs.Int("freq", 0, "cell sweep: DRAM data rate in MT/s (0 = case default)")
-	socScale := fs.Int("soc-scale", 1, "cell sweep: SoC scale factor (channels and DMAs)")
+	socScale := exp.PositiveFlag(fs, "soc-scale", 1, "cell sweep: SoC scale factor (channels and DMAs; a power of two)")
 	saturated := fs.Bool("saturated", false, "cell sweep: bandwidth-bound saturated variant")
 	warmup := fs.Int("warmup", 0, "cell sweep: warmup frames before measurement")
-	measure := fs.Int("measure", 1, "cell sweep: measured frames")
-	domainWorkers := fs.Int("domain-workers", 0, "build each system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
+	measure := exp.PositiveFlag(fs, "measure", 1, "cell sweep: measured frames")
 	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports here (.csv = CSV sections, else JSON)")
@@ -178,12 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sarasweep: -analysis-out requires -analyze")
 		return 2
 	}
-	if *scale <= 0 || *measure <= 0 || *warmup < 0 {
-		fmt.Fprintf(stderr, "sarasweep: -scale %d -measure %d -warmup %d: want scale and measure > 0, warmup >= 0\n",
-			*scale, *measure, *warmup)
-		return 2
-	}
-
 	fn, ok := sweeps[*sweep]
 	if !ok {
 		fmt.Fprintf(stderr, "sarasweep: unknown sweep %q (want %s)\n", *sweep, sweepNames())
@@ -220,7 +211,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Resume:         *resume,
 			Analyze:        *analyze,
 			AnalysisWindow: *analysisWindow,
-			DomainWorkers:  *domainWorkers,
 		},
 		cell: exp.Cell{
 			Case:         tc,
@@ -236,6 +226,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			prefix:  *sweep,
 			reports: make(map[string]*sara.AnalysisReport),
 		},
+	}
+	// Refuse bad values before any build. Every sweep but the cell
+	// sweep runs case A, so its frame period is the one to check.
+	check := o.cell
+	if *sweep != "cell" {
+		check = exp.Cell{Case: config.CaseA}
+	}
+	if err := check.Validate(o.opt); err != nil {
+		fmt.Fprintf(stderr, "sarasweep: %v\n", err)
+		return 2
 	}
 	if *monitorAddr != "" {
 		mon := sara.NewMonitor()
@@ -262,40 +262,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// build constructs cfg's system with the -timeout / -max-cycles budgets
-// armed (a no-op watchdog-free build when neither is set) and, under
-// -analyze / -monitor, an analyzer attached.
-func (o cliOptions) build(cfg core.Config) *core.System {
-	var sys *core.System
-	if o.opt.DomainWorkers > 1 && !o.sink.active() {
-		// The analyzers hook the serial kernel, so -analyze / -monitor
-		// sweeps keep the serial build (matching exp.Options.apply).
-		sys = sara.BuildParallel(cfg, o.opt.DomainWorkers)
-	} else {
-		sys = sara.Build(cfg)
-	}
-	if wd := o.opt.Watchdog(); wd != nil {
-		sys.SetWatchdog(wd)
-	}
-	o.sink.attach(sys)
-	return sys
+// window is one ablation run's measured frame: the system after it, where
+// it began (cycle and DRAM counters), and the host time it took.
+type window struct {
+	sys     *core.System
+	from    sara.Cycle
+	before  dram.Stats
+	elapsed time.Duration
 }
 
-// runFrames advances sys by k frames, through the checked entry point
-// when a budget is armed and the plain zero-overhead run otherwise.
-func (o cliOptions) runFrames(sys *core.System, k int) error {
-	if o.opt.Timeout <= 0 && o.opt.MaxCycles == 0 {
-		sys.RunFrames(k)
-		return nil
+// run builds cfg's system with the -timeout / -max-cycles budgets armed
+// (no watchdog when neither is set) and, under -analyze / -monitor, an
+// analyzer attached; then runs one warmup frame to reach steady state and
+// one measured frame.
+func (o cliOptions) run(cfg core.Config) (m window, err error) {
+	m.sys = sara.Build(cfg)
+	if wd := o.opt.Watchdog(); wd != nil {
+		m.sys.SetWatchdog(wd)
 	}
-	return sys.RunFramesChecked(k)
+	o.sink.attach(m.sys)
+	if err = m.sys.RunFramesChecked(1); err != nil {
+		return m, err
+	}
+	m.from, m.before = m.sys.Now(), m.sys.DRAMStats()
+	start := time.Now() //sara:wallclock host-throughput measurement (ns per simulated cycle)
+	err = m.sys.RunFramesChecked(1)
+	m.elapsed = time.Since(start)
+	return m, err
+}
+
+// bandwidth is the DRAM bandwidth over the measured frame.
+func (m window) bandwidth() float64 {
+	return m.sys.BandwidthOverWindowGBps(m.before, m.from, m.sys.Now())
 }
 
 // worstNPI is the scalar the ablation tables report: the minimum of the
-// per-core minimum NPI over the measured window.
-func worstNPI(sys *core.System, from sara.Cycle) float64 {
+// per-core minimum NPI over the measured frame.
+func (m window) worstNPI() float64 {
 	worst := 1e9
-	for _, v := range sys.MinNPIByCore(from) { //sara:maprange-ok min-reduction is order-insensitive
+	for _, v := range m.sys.MinNPIByCore(m.from) { //sara:maprange-ok min-reduction is order-insensitive
 		if v < worst {
 			worst = v
 		}
@@ -317,17 +322,11 @@ func sweepDelta(o cliOptions, w io.Writer) error {
 			// delta = 8 means "row hits always win" (no priority override).
 			cfg.Delta = 8
 		}
-		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
+		m, err := o.run(cfg)
+		if err != nil {
 			return err
 		}
-		from := sys.Now()
-		before := sys.DRAMStats()
-		if err := o.runFrames(sys, 1); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%5d  %14.2f  %.3f\n", delta,
-			sys.BandwidthOverWindowGBps(before, from, sys.Now()), worstNPI(sys, from))
+		fmt.Fprintf(w, "%5d  %14.2f  %.3f\n", delta, m.bandwidth(), m.worstNPI())
 	}
 	return nil
 }
@@ -348,15 +347,11 @@ func sweepBits(o cliOptions, w io.Writer) error {
 				cfg.DMAs[i].LUTBounds = nil
 			}
 		}
-		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
+		m, err := o.run(cfg)
+		if err != nil {
 			return err
 		}
-		from := sys.Now()
-		if err := o.runFrames(sys, 1); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%4d  %6d  %.3f\n", bits, 1<<bits, worstNPI(sys, from))
+		fmt.Fprintf(w, "%4d  %6d  %.3f\n", bits, 1<<bits, m.worstNPI())
 	}
 	return nil
 }
@@ -370,19 +365,15 @@ func sweepAging(o cliOptions, w io.Writer) error {
 			sara.WithScaleDiv(o.opt.ScaleDiv),
 			sara.WithAgingT(sara.Cycle(t)),
 			sara.WithRefresh(o.opt.Refresh))
-		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
-			return err
-		}
-		from := sys.Now()
-		if err := o.runFrames(sys, 1); err != nil {
+		m, err := o.run(cfg)
+		if err != nil {
 			return err
 		}
 		label := fmt.Sprint(t)
 		if t == 0 {
 			label = "off"
 		}
-		fmt.Fprintf(w, "%6s  %.3f\n", label, worstNPI(sys, from))
+		fmt.Fprintf(w, "%6s  %.3f\n", label, m.worstNPI())
 	}
 	return nil
 }
@@ -398,13 +389,8 @@ func sweepRefresh(o cliOptions, w io.Writer) error {
 				sara.WithPolicy(policy),
 				sara.WithScaleDiv(o.opt.ScaleDiv),
 				sara.WithRefresh(on))
-			sys := o.build(cfg)
-			if err := o.runFrames(sys, 1); err != nil {
-				return err
-			}
-			from := sys.Now()
-			before := sys.DRAMStats()
-			if err := o.runFrames(sys, 1); err != nil {
+			m, err := o.run(cfg)
+			if err != nil {
 				return err
 			}
 			label := "off"
@@ -412,10 +398,9 @@ func sweepRefresh(o cliOptions, w io.Writer) error {
 				label = "on"
 			}
 			fmt.Fprintf(w, "%-9s  %-7s  %15.2f  %9d  %8.1f%%  %.3f\n",
-				policy, label,
-				sys.BandwidthOverWindowGBps(before, from, sys.Now()),
-				sys.DRAMStats().Totals().Refreshes,
-				100*sys.RefreshDuty(sys.Now()), worstNPI(sys, from))
+				policy, label, m.bandwidth(),
+				m.sys.DRAMStats().Totals().Refreshes,
+				100*m.sys.RefreshDuty(m.sys.Now()), m.worstNPI())
 		}
 	}
 	return nil
@@ -433,24 +418,14 @@ func sweepScale(o cliOptions, w io.Writer) error {
 		cfg := sara.ScaledSaturated(factor,
 			sara.WithScaleDiv(o.opt.ScaleDiv),
 			sara.WithRefresh(o.opt.Refresh))
-		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil { // reach the saturated steady state
+		m, err := o.run(cfg)
+		if err != nil {
 			return err
 		}
-		from := sys.Now()
-		before := sys.DRAMStats()
-		start := time.Now() //sara:wallclock host-throughput measurement (ns per simulated cycle)
-		if err := o.runFrames(sys, 1); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		cycles := float64(sys.Now() - from)
-		nsPerCycle := float64(elapsed.Nanoseconds()) / cycles
+		nsPerCycle := float64(m.elapsed.Nanoseconds()) / float64(m.sys.Now()-m.from)
 		ch := cfg.DRAM.Geometry.Channels
 		fmt.Fprintf(w, "%4dx  %8d  %4d  %15.2f  %8.0f  %16.0f\n",
-			factor, ch, len(cfg.DMAs),
-			sys.BandwidthOverWindowGBps(before, from, sys.Now()),
-			nsPerCycle, nsPerCycle/float64(ch))
+			factor, ch, len(cfg.DMAs), m.bandwidth(), nsPerCycle, nsPerCycle/float64(ch))
 	}
 	return nil
 }
@@ -463,7 +438,10 @@ func sweepSeeds(o cliOptions, w io.Writer) error {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	var failed int
 	for _, policy := range []memctrl.PolicyKind{memctrl.QoS, memctrl.FCFS} {
-		runs := exp.RunSeeds(config.CaseA, policy, seeds, o.opt)
+		runs, err := exp.RunSeeds(config.CaseA, policy, seeds, o.opt)
+		if err != nil {
+			return err
+		}
 		fmt.Fprint(w, exp.FormatSeedSummary(runs))
 		for i, r := range runs {
 			o.sink.deposit(fmt.Sprintf("%v-seed%d", policy, seeds[i]), r.Analysis)

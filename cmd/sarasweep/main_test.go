@@ -164,3 +164,23 @@ func TestBadFrameCountsAreUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestBadCellFieldsAreUsageErrors: -soc-scale 3 once failed inside the
+// cell with a config panic and exit 1, -soc-scale 0 and -2 and -freq -5
+// silently ran the defaults, and -retries -1 printed an unmeasured cell.
+// All are refused before any build.
+func TestBadCellFieldsAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-soc-scale", "3"}, {"-soc-scale", "0"}, {"-soc-scale", "-2"}, {"-soc-scale", "128"},
+		{"-freq", "-5"}, {"-retries", "-1"}, {"-scale", "20000"},
+	} {
+		args := append(append([]string{}, fastCell...), bad...)
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", bad, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: usage error wrote to stdout: %q", bad, out.String())
+		}
+	}
+}

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"strings"
 
 	"sara"
@@ -13,18 +14,25 @@ import (
 )
 
 func main() {
-	opt := sara.ExpOptions{ScaleDiv: 256}
+	opt := sara.ExpOptions{ScaleDiv: sara.DefaultScaleDiv}
 
 	fmt.Println("test case A (all cores, LPDDR4-1866)")
 	fmt.Println(strings.Repeat("-", 60))
-	for _, run := range sara.Fig5(opt) {
+	runs, err := sara.Fig5(opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, run := range runs {
 		report(run)
 	}
 
 	fmt.Println()
 	fmt.Println("test case B (GPS/camera/rotator/JPEG off, LPDDR4-1700)")
 	fmt.Println(strings.Repeat("-", 60))
-	for _, run := range sara.Fig6(opt) {
+	if runs, err = sara.Fig6(opt); err != nil {
+		log.Fatal(err)
+	}
+	for _, run := range runs {
 		report(run)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func main() {
 	cfg := sara.Camcorder(sara.CaseA,
 		sara.WithPolicy(sara.QoS),
-		sara.WithScaleDiv(256))
+		sara.WithScaleDiv(sara.DefaultScaleDiv))
 
 	// The NPU joins the system queue: inference tiles arrive every tenth
 	// of a frame and must finish within 60% of their period. Its custom

@@ -7,13 +7,17 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"strings"
 
 	"sara"
 )
 
 func main() {
-	hists := sara.Fig7(sara.ExpOptions{ScaleDiv: 256})
+	hists, err := sara.Fig7(sara.ExpOptions{ScaleDiv: sara.DefaultScaleDiv})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("Image Proc. time share per priority level (0 = lowest urgency)")
 	fmt.Println()

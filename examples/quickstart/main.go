@@ -12,10 +12,10 @@ import (
 
 func main() {
 	// Test case A: all thirteen heterogeneous cores active, LPDDR4 at
-	// 1866 MT/s. ScaleDiv 256 shrinks the 33 ms frame for a fast demo.
+	// 1866 MT/s. DefaultScaleDiv shrinks the 33 ms frame for a fast demo.
 	cfg := sara.Camcorder(sara.CaseA,
 		sara.WithPolicy(sara.QoS),
-		sara.WithScaleDiv(256))
+		sara.WithScaleDiv(sara.DefaultScaleDiv))
 
 	sys := sara.Build(cfg)
 

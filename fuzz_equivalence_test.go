@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sara"
+	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
@@ -352,7 +353,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			// a parallel worker count, the partitioned topology at that
 			// count must be bit-identical to its own 1-worker reference.
 			if dw > 1 {
-				if _, ok := sara.Partition(cfg); ok {
+				if _, ok := core.Partition(cfg); ok {
 					drive := func(s *sara.System) { s.Run(parHorizon) }
 					pref := captureParallel(t, cfg, 1, drive)
 					pgot := captureParallel(t, cfg, dw, drive)

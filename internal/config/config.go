@@ -53,8 +53,13 @@ func WithSeed(seed uint64) Option {
 	return func(c *core.Config) { c.Seed = seed }
 }
 
-// WithScaleDiv sets the time-scaling factor (default 256, the calibrated
-// evaluation scale; smaller is longer/finer and proportionally slower).
+// DefaultScaleDiv is the calibrated evaluation time scale: the simulated
+// frame period and per-frame data volumes are the paper's divided by it.
+// Camcorder, exp.Options and the commands' -scale flags all default to it.
+const DefaultScaleDiv = 256
+
+// WithScaleDiv sets the time-scaling factor (default DefaultScaleDiv;
+// smaller is longer/finer and proportionally slower).
 func WithScaleDiv(div int) Option {
 	return func(c *core.Config) { c.ScaleDiv = div }
 }
@@ -118,7 +123,7 @@ func Camcorder(tc Case, opts ...Option) core.Config {
 		PriorityBits:     3,
 		AdaptInterval:    1024,
 		RealFrameSeconds: 1.0 / 30.0,
-		ScaleDiv:         256,
+		ScaleDiv:         DefaultScaleDiv,
 		SampleEvery:      2048,
 		DMAs:             coreRoster(tc),
 	}

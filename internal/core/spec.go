@@ -9,6 +9,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"sara/internal/dram"
 	"sara/internal/memctrl"
 	"sara/internal/noc"
@@ -131,41 +134,119 @@ func (d DMASpec) Label() string {
 	return d.Core + "/" + d.DMA
 }
 
-// Config is the whole-system configuration.
+// Config is the whole-system configuration. Validate states the bounds
+// of every numeric field; Build panics on a config it refuses.
 type Config struct {
-	// Seed drives every random stream in the run.
+	// Seed drives every random stream in the run (any value).
 	Seed uint64
-	// DRAM is the device configuration (Table 1).
+	// DRAM is the device configuration (Table 1); see dram.Config.Validate.
 	DRAM dram.Config
 	// Policy is the arbitration policy used by both the memory
-	// controllers and the NoC arbiters.
+	// controllers and the NoC arbiters (one of memctrl.AllPolicies).
 	Policy memctrl.PolicyKind
-	// Delta is Policy 2's row-buffer threshold (paper: 6).
+	// Delta is Policy 2's row-buffer threshold (paper: 6; any value, and
+	// one above the top priority level lets row hits always win).
 	Delta txn.Priority
-	// AgingT is the starvation limit in cycles (paper: 10000).
+	// AgingT is the starvation limit in cycles (paper: 10000; 0 disables
+	// aging; at most MaxHorizon).
 	AgingT sim.Cycle
-	// QueueCaps splits the 42 controller entries across the five queues.
+	// QueueCaps splits the 42 controller entries across the five queues
+	// (each at least 1).
 	QueueCaps memctrl.QueueCaps
 	// NoC holds the network parameters; Arb is overridden from Policy.
+	// PortDepth is at least 1; HopLatency and RespLatency are at most one
+	// frame period (0 is allowed); AgingT is bounded like Config.AgingT.
 	NoC noc.Params
-	// PriorityBits is k; priorities span 0..2^k-1 (paper: 3).
+	// PriorityBits is k; priorities span 0..2^k-1 (paper: 3; 1..4).
 	PriorityBits int
-	// AdaptInterval is the adaptation period in cycles.
+	// AdaptInterval is the adaptation period in cycles (1..FramePeriod).
 	AdaptInterval sim.Cycle
-	// RealFrameSeconds is the unscaled frame period (1/30 s).
+	// RealFrameSeconds is the unscaled frame period (1/30 s; in
+	// (0, 3600]).
 	RealFrameSeconds float64
 	// ScaleDiv shrinks the simulated frame period and all per-frame data
-	// volumes by this factor, keeping rates and latencies unchanged.
+	// volumes by this factor, keeping rates and latencies unchanged. It is
+	// at least 1 and must leave a frame of at least SampleEvery cycles.
 	ScaleDiv int
-	// SampleEvery is the NPI sampling period for the figure time series.
+	// SampleEvery is the NPI sampling period for the figure time series
+	// (1..FramePeriod).
 	SampleEvery sim.Cycle
-	// DMAs lists every DMA in the system.
+	// DMAs lists every DMA in the system; labels must be unique.
 	DMAs []DMASpec
+}
+
+// maxFrameSeconds bounds RealFrameSeconds. With dram.MaxDataRateMTps it
+// keeps every frame period far inside sim.Cycle.
+const maxFrameSeconds = 3600
+
+// MaxHorizon bounds a run's horizon and the aging limits: a cycle count
+// plus an aging limit then never wraps sim.Cycle.
+const MaxHorizon sim.Cycle = 1 << 62
+
+// Validate reports the first field of c that no system can be built
+// from, naming the field. Build panics with the same error.
+func (c Config) Validate() error {
+	if err := c.DRAM.Validate(); err != nil {
+		return err
+	}
+	// The rows run in order, so a frame-bound row is only reached once
+	// the fields the frame is derived from have passed.
+	frame := c.FramePeriod()
+	for _, f := range []struct {
+		bad  bool
+		name string
+		v    any
+		want string
+	}{
+		{!slices.Contains(memctrl.AllPolicies(), c.Policy), "Policy", c.Policy, "one of memctrl.AllPolicies"},
+		{c.PriorityBits < 1 || c.PriorityBits > 4, "PriorityBits", c.PriorityBits, "1..4"},
+		{!(c.RealFrameSeconds > 0 && c.RealFrameSeconds <= maxFrameSeconds), "RealFrameSeconds", c.RealFrameSeconds, "(0, 3600]"},
+		{c.ScaleDiv < 1, "ScaleDiv", c.ScaleDiv, ">= 1"},
+		{c.SampleEvery == 0, "SampleEvery", c.SampleEvery, ">= 1"},
+		{frame < c.SampleEvery, "ScaleDiv", c.ScaleDiv, fmt.Sprintf(
+			"a frame of at least one %d-cycle NPI sample (SampleEvery), not %d cycles", c.SampleEvery, frame)},
+		{c.AdaptInterval == 0 || c.AdaptInterval > frame, "AdaptInterval", c.AdaptInterval, "1..FramePeriod"},
+		{c.AgingT > MaxHorizon, "AgingT", c.AgingT, "at most MaxHorizon"},
+		{c.NoC.AgingT > MaxHorizon, "NoC.AgingT", c.NoC.AgingT, "at most MaxHorizon"},
+		{c.NoC.PortDepth < 1, "NoC.PortDepth", c.NoC.PortDepth, ">= 1"},
+		{c.NoC.HopLatency > frame, "NoC.HopLatency", c.NoC.HopLatency, "at most FramePeriod"},
+		{c.NoC.RespLatency > frame, "NoC.RespLatency", c.NoC.RespLatency, "at most FramePeriod"},
+		{slices.Min(c.QueueCaps[:]) < 1, "QueueCaps", c.QueueCaps, "every queue >= 1"},
+	} {
+		if f.bad {
+			return fmt.Errorf("core: %s %v: want %s", f.name, f.v, f.want)
+		}
+	}
+	labels := make(map[string]bool, len(c.DMAs))
+	for _, d := range c.DMAs {
+		if labels[d.Label()] {
+			return fmt.Errorf("core: DMAs: duplicate DMA label %q", d.Label())
+		}
+		labels[d.Label()] = true
+		if d.Source.Kind > SrcCPU {
+			return fmt.Errorf("core: DMA %q: unknown source kind %v", d.Label(), d.Source.Kind)
+		}
+	}
+	return nil
 }
 
 // FramePeriod reports the scaled frame period in cycles.
 func (c Config) FramePeriod() sim.Cycle {
 	return c.DRAM.CyclesFromSeconds(c.RealFrameSeconds / float64(c.ScaleDiv))
+}
+
+// FrameCycles converts k frame periods into cycles. It refuses a
+// negative k, which would wrap to a horizon near 2^64, and a k whose
+// cycles exceed MaxHorizon.
+func (c Config) FrameCycles(k int) (sim.Cycle, error) {
+	if k < 0 {
+		return 0, fmt.Errorf("core: %d frames: negative frame count", k)
+	}
+	fp := c.FramePeriod()
+	if fp > 0 && sim.Cycle(k) > MaxHorizon/fp {
+		return 0, fmt.Errorf("core: %d frames of %d cycles exceed the %d-cycle horizon", k, fp, MaxHorizon)
+	}
+	return sim.Cycle(k) * fp, nil
 }
 
 // ScaledBps converts a real-time byte rate into the scaled simulation's

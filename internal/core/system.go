@@ -93,26 +93,11 @@ func (s mcSink) OnCredit(w noc.Waker) {
 const regionBytes = 16 << 20
 
 // Build assembles the serial System from cfg: one domain owning every
-// channel. It panics on malformed configurations (configs are code, not
-// user input). BuildParallel builds the domain-parallel System.
+// channel. It panics with cfg.Validate's error on a config it refuses
+// (configs are code, not user input). BuildParallel builds the
+// domain-parallel System.
 func Build(cfg Config) *System {
 	return build(cfg, serialPlan(cfg), 1)
-}
-
-// validate panics on malformed configurations.
-func validate(cfg Config) {
-	if err := cfg.DRAM.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.ScaleDiv <= 0 {
-		panic("core: ScaleDiv must be positive")
-	}
-	if cfg.PriorityBits <= 0 || cfg.PriorityBits > 4 {
-		panic("core: PriorityBits must be in 1..4")
-	}
-	if cfg.AdaptInterval == 0 || cfg.SampleEvery == 0 {
-		panic("core: AdaptInterval and SampleEvery must be set")
-	}
 }
 
 // build assembles cfg as plan's domains, run on workers goroutines
@@ -122,7 +107,9 @@ func validate(cfg Config) {
 // plan gives each domain exactly one, the shape the epoch exchange
 // (ingress routers, cross links, mailboxes) is built for.
 func build(cfg Config, plan PartitionPlan, workers int) *System {
-	validate(cfg)
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	nd := plan.Domains
 	channels := cfg.DRAM.Geometry.Channels
 	workers = max(1, min(workers, nd))
@@ -292,9 +279,6 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 	// the partition), each drawing transactions and IDs from its owning
 	// domain.
 	for i, spec := range cfg.DMAs {
-		if _, dup := s.byLabel[spec.Label()]; dup {
-			panic(fmt.Sprintf("core: duplicate DMA label %q", spec.Label()))
-		}
 		dom := s.domains[plan.UnitDomain[i]]
 		u := buildUnit(unitDeps{cfg: cfg, pool: &dom.pool, nextID: &dom.nextID},
 			i, spec, portOf[i], rng.Fork(uint64(i)), burst)
@@ -501,9 +485,6 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 		u.Source = traffic.NewCPUSource(spec.Label(), engine, rng, region,
 			bpc, src.ReqSize, src.ReadFrac, locality)
 		u.Meter = nil // the CPU has no QoS target in this use case
-
-	default:
-		panic(fmt.Sprintf("core: unknown source kind %v", src.Kind))
 	}
 
 	if u.Meter != nil {
@@ -675,13 +656,14 @@ func (s *System) Now() sim.Cycle { return s.epochs.now() }
 // Run advances the simulation by n cycles.
 func (s *System) Run(n sim.Cycle) { s.epochs.run(s.Now()+n, false) }
 
-// RunFrames advances the simulation by k frame periods. A negative k
-// panics: converted to a cycle count it would wrap to a horizon near 2^64.
+// RunFrames advances the simulation by k frame periods. It panics with
+// Config.FrameCycles' error on a negative k or an overflowing horizon.
 func (s *System) RunFrames(k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("core: RunFrames(%d): negative frame count", k))
+	n, err := s.cfg.FrameCycles(k)
+	if err != nil {
+		panic(err)
 	}
-	s.Run(sim.Cycle(k) * s.cfg.FramePeriod())
+	s.Run(n)
 }
 
 // RunChecked advances the simulation by n cycles with failures contained:
@@ -694,13 +676,14 @@ func (s *System) RunChecked(n sim.Cycle) error {
 	return s.epochs.run(s.Now()+n, true)
 }
 
-// RunFramesChecked is RunChecked over k frame periods. A negative k is
-// refused with an error and runs nothing.
+// RunFramesChecked is RunChecked over k frame periods. A k that
+// Config.FrameCycles refuses returns its error and runs nothing.
 func (s *System) RunFramesChecked(k int) error {
-	if k < 0 {
-		return fmt.Errorf("core: RunFramesChecked(%d): negative frame count", k)
+	n, err := s.cfg.FrameCycles(k)
+	if err != nil {
+		return err
 	}
-	return s.RunChecked(sim.Cycle(k) * s.cfg.FramePeriod())
+	return s.RunChecked(n)
 }
 
 // SetWatchdog installs wd, defaulting its Outstanding and Progress

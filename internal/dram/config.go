@@ -158,12 +158,16 @@ type Config struct {
 	Timing   Timing
 	Geometry Geometry
 	// DataRateMTps is the I/O data rate in mega-transfers per second
-	// (e.g. 1866). The command clock runs at half that rate, and one
-	// simulator cycle equals one command-clock cycle.
+	// (e.g. 1866; 1..MaxDataRateMTps). The command clock runs at half that
+	// rate, and one simulator cycle equals one command-clock cycle.
 	DataRateMTps int
 	// Refresh models per-rank all-bank refresh; the zero value disables it.
 	Refresh RefreshConfig
 }
+
+// MaxDataRateMTps bounds DataRateMTps, two orders of magnitude above any
+// LPDDR generation, so every seconds-to-cycles conversion stays exact.
+const MaxDataRateMTps = 1 << 20
 
 // PaperConfig returns the Table 1 configuration at the given data rate.
 func PaperConfig(mtps int) Config {
@@ -210,8 +214,8 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(c.Timing); err != nil {
 		return err
 	}
-	if c.DataRateMTps <= 0 {
-		return fmt.Errorf("dram: data rate must be positive, got %d", c.DataRateMTps)
+	if c.DataRateMTps < 1 || c.DataRateMTps > MaxDataRateMTps {
+		return fmt.Errorf("dram: DataRateMTps %d: want 1..%d", c.DataRateMTps, MaxDataRateMTps)
 	}
 	if err := c.Refresh.Validate(); err != nil {
 		return err

@@ -5,9 +5,12 @@
 package exp
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,21 +24,27 @@ import (
 	"sara/internal/stats"
 )
 
-// Options tunes experiment fidelity versus runtime.
+// Options tunes experiment fidelity versus runtime. The zero value is
+// the standard fidelity: a numeric field left at zero takes the default
+// its comment states, Validate refuses a negative one by name, and no
+// other value is ever replaced.
 type Options struct {
-	// ScaleDiv is the time-scaling factor. The default (256) is the
-	// calibrated evaluation scale; smaller values lengthen the simulated
-	// frame toward the paper's full 33 ms at proportionally higher cost.
+	// ScaleDiv is the time-scaling factor (0 = config.DefaultScaleDiv, the
+	// calibrated evaluation scale). Smaller values lengthen the simulated
+	// frame toward the paper's full 33 ms at proportionally higher cost;
+	// a value that leaves a cell's frame shorter than one NPI sample
+	// period is refused by Cell.Validate.
 	ScaleDiv int
-	// WarmupFrames run before measurement starts. The default is 0: the
-	// paper's NPI figures plot the use case from its start, where the
+	// WarmupFrames run before measurement starts (default 0). The paper's
+	// NPI figures plot the use case from its start, where the
 	// synchronized frame-start burst is the stress the policies must
-	// absorb. Bandwidth experiments (Fig. 8) warm up one frame.
+	// absorb. Bandwidth experiments (Fig. 8) warm up at least one frame.
 	WarmupFrames int
-	// MeasureFrames are the frames whose samples count (default 1; the
-	// paper plots one 33 ms frame period).
+	// MeasureFrames are the frames whose samples count (0 = 1; the paper
+	// plots one 33 ms frame period). Warmup plus measured frames must fit
+	// the cycle horizon (Cell.Validate).
 	MeasureFrames int
-	// Seed is the workload seed.
+	// Seed is the workload seed (0 = 1).
 	Seed uint64
 	// Refresh enables LPDDR4 all-bank refresh (tREFI/tRFC at the JEDEC
 	// defaults for the run's data rate) in every built system, so any
@@ -44,38 +53,27 @@ type Options struct {
 	Refresh bool
 	// Workers bounds the number of (case, policy, frequency) runs
 	// executed concurrently: 0 selects GOMAXPROCS, 1 forces serial
-	// execution. Every run owns its own kernel, system and forked RNG
-	// streams, so results are identical regardless of worker count; the
-	// identity tests assert it.
+	// execution, and more than the runs at hand are not started. Every
+	// run owns its own kernel, system and forked RNG streams, so results
+	// are identical regardless of worker count; the identity tests
+	// assert it.
 	Workers int
-	// DomainWorkers, when >= 2, builds every cell's system with the
-	// domain-parallel kernel (core.BuildParallel): one domain per memory
-	// channel, run on up to that many goroutines. The partitioned
-	// topology is a different system than the serial one — the journal
-	// key records it — but its results are identical at every goroutine
-	// count, so the budget cap below never changes measurements. The
-	// actual goroutine count per run is EffectiveDomainWorkers: the
-	// across-run fan-out (Workers) wins the core budget, because
-	// embarrassingly parallel runs scale better than intra-run domains.
-	// Analyze, Monitor and Chaos arm the serial kernel's sampler and
-	// fault hooks, which the domain-parallel build does not have, so any
-	// of them forces the serial build (apply clears this field).
-	DomainWorkers int
 
 	// The supervisor knobs below are all zero-cost when left at their
 	// zero values: no watchdog is armed, no journal is opened, and runs
 	// take the same code path as before (plus one deferred recover per
 	// run, not per cycle — the 0 allocs/op gate is unaffected).
 
-	// Timeout bounds each cell's wall-clock time; an overrunning cell is
-	// aborted with a DeadlockError carrying the kernel's wake-state dump.
+	// Timeout bounds each cell's wall-clock time (0 = unbounded); an
+	// overrunning cell is aborted with a DeadlockError carrying the
+	// kernel's wake-state dump.
 	Timeout time.Duration
 	// MaxCycles bounds each cell's executed (non-skipped) cycles — the
-	// deterministic livelock budget.
+	// deterministic livelock budget (0 = unbounded).
 	MaxCycles uint64
-	// Retries reruns a failed cell up to this many extra times
-	// (deterministic: same config and seed), absorbing environmental
-	// failures; a reproducible failure fails every attempt.
+	// Retries reruns a failed cell up to this many extra times (default
+	// 0), deterministically: same config and seed. It absorbs
+	// environmental failures; a reproducible failure fails every attempt.
 	Retries int
 	// Journal, when set, is the path of the append-only JSONL checkpoint
 	// journal completed cells are recorded in.
@@ -92,7 +90,8 @@ type Options struct {
 	// Workers like any other.
 	Analyze bool
 	// AnalysisWindow overrides the analyzer aggregation window in cycles
-	// (0 = four NPI sampling periods).
+	// (0 = four NPI sampling periods; at most the cell's warmup plus
+	// measured frames, Cell.Validate).
 	AnalysisWindow uint64
 	// Monitor, when non-nil, receives each cell's progress and live
 	// windowed snapshots. Monitoring alone attaches the same analyzer as
@@ -100,70 +99,60 @@ type Options struct {
 	Monitor *analysis.Monitor
 }
 
-// apply fills defaults.
+// apply fills the defaults of zero fields and changes nothing else.
 func (o Options) apply() Options {
-	if o.ScaleDiv <= 0 {
-		o.ScaleDiv = 256
+	if o.ScaleDiv == 0 {
+		o.ScaleDiv = config.DefaultScaleDiv
 	}
-	if o.MeasureFrames <= 0 {
+	if o.MeasureFrames == 0 {
 		o.MeasureFrames = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Analyze || o.Monitor != nil || o.Chaos != nil {
-		// Analyzers and chaos arm the serial kernel (sys.Kernel());
-		// the domain-parallel build has no single kernel to hook.
-		o.DomainWorkers = 0
-	}
 	return o
 }
 
-// EffectiveDomainWorkers caps the per-run domain-worker count so the
-// whole sweep stays within the core budget: requested domain workers,
-// bounded by maxProcs divided by the across-run fan-out. The across-run
-// fan-out wins the contested cores — independent runs scale linearly
-// while intra-run domains synchronize every epoch — so an oversubscribed
-// sweep degrades each run toward 1 goroutine (which, on the partitioned
-// topology, is bit-identical anyway).
-func EffectiveDomainWorkers(requested, runWorkers, maxProcs int) int {
-	if requested <= 1 {
-		return 1
-	}
-	if runWorkers < 1 {
-		runWorkers = 1
-	}
-	budget := maxProcs / runWorkers
-	if budget < 1 {
-		budget = 1
-	}
-	if requested < budget {
-		return requested
-	}
-	return budget
-}
-
-// buildSystem builds one run's system under the options' kernel choice:
-// the serial kernel by default, the domain-parallel one when
-// DomainWorkers requests it (falling back to serial automatically on
-// unpartitionable topologies). The goroutine budget is shared with the
-// across-run fan-out via EffectiveDomainWorkers; the build keeps the
-// partitioned topology even when the budget caps it to one goroutine,
-// so results never depend on the host's core count.
-func (o Options) buildSystem(cfg core.Config) *core.System {
-	if o.DomainWorkers > 1 {
-		runWorkers := o.Workers
-		if runWorkers <= 0 {
-			runWorkers = runtime.GOMAXPROCS(0)
+// Validate refuses a negative count, budget or worker total, naming the
+// field. The bounds that depend on a cell's system (its frame against
+// the NPI sample period, its horizon against sim.Cycle) are
+// Cell.Validate's.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    any
+		neg  bool
+	}{
+		{"ScaleDiv", o.ScaleDiv, o.ScaleDiv < 0},
+		{"WarmupFrames", o.WarmupFrames, o.WarmupFrames < 0},
+		{"MeasureFrames", o.MeasureFrames, o.MeasureFrames < 0},
+		{"Workers", o.Workers, o.Workers < 0},
+		{"Timeout", o.Timeout, o.Timeout < 0},
+		{"Retries", o.Retries, o.Retries < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("exp: Options.%s %v: want >= 0", f.name, f.v)
 		}
-		eff := EffectiveDomainWorkers(o.DomainWorkers, runWorkers, runtime.GOMAXPROCS(0))
-		return core.BuildParallel(cfg, eff)
 	}
-	return core.Build(cfg)
+	return nil
 }
 
-// DefaultOptions is the standard experiment fidelity.
-func DefaultOptions() Options { return Options{}.apply() }
+// PositiveFlag defines an int flag on fs that refuses, as a parse error,
+// any value below 1. The commands' scale and frame-count flags use it:
+// Options and Cell read a zero there as the default, so a command line
+// that asks for 0 would otherwise silently run the default.
+func PositiveFlag(fs *flag.FlagSet, name string, value int, usage string) *int {
+	p := &value
+	fs.Func(name, fmt.Sprintf("%s (default %d)", usage, value), func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err == nil && v < 1 {
+			err = errors.New("want >= 1")
+		}
+		*p = int(v)
+		return err
+	})
+	return p
+}
 
 // forEach runs fn(0..n-1) across the configured number of workers,
 // preserving slot order: fn(i) writes only its own result. Runs are
@@ -189,7 +178,7 @@ func (o Options) forEach(n int, fn func(i int)) {
 	// other workers finish their slots: capture the first one, let every
 	// remaining slot complete, then re-raise it on the caller's goroutine.
 	// (Supervised runs recover their own panics first; this is the safety
-	// net for the unsupervised figure paths.)
+	// net for the unsupervised Fig. 7 path.)
 	var panicOnce sync.Once
 	var panicVal any
 	for w := 0; w < workers; w++ {
@@ -217,9 +206,6 @@ func (o Options) forEach(n int, fn func(i int)) {
 		panic(panicVal)
 	}
 }
-
-// FastOptions is an alias of DefaultOptions kept for test readability.
-func FastOptions() Options { return Options{}.apply() }
 
 // PassNPI is the threshold for "target performance achieved". The paper
 // uses NPI >= 1; we allow 5% measurement-window noise on windowed meters.
@@ -334,10 +320,16 @@ func measure(sys *core.System, cfg core.Config, tc config.Case, opt Options) (Po
 
 // RunPolicy measures one test case under one policy, supervised: a
 // panicking or livelocked run comes back with PolicyRun.Err set instead
-// of crashing the caller.
+// of crashing the caller, and so does a cell that Cell.Validate refuses,
+// with Attempts 0 and nothing built.
 func RunPolicy(tc config.Case, policy memctrl.PolicyKind, opt Options) PolicyRun {
 	opt = opt.apply()
-	return runCell(Cell{Case: tc, Policy: policy, Seed: opt.Seed}, opt)
+	c := Cell{Case: tc, Policy: policy, Seed: opt.Seed}
+	cfg, err := c.checked(opt)
+	if err != nil {
+		return PolicyRun{Case: tc, Policy: policy, Err: &RunError{Cell: c, Reason: err.Error(), Repro: c.Repro(opt)}}
+	}
+	return runCell(c, cfg, opt)
 }
 
 // Fig5Policies are the four arbitration policies Fig. 5 compares.
@@ -345,30 +337,54 @@ func Fig5Policies() []memctrl.PolicyKind {
 	return []memctrl.PolicyKind{memctrl.FCFS, memctrl.RR, memctrl.FrameRate, memctrl.QoS}
 }
 
-// runPolicies measures tc under each policy through the supervised cell
-// runner, fanning the independent runs across opt.Workers.
-func runPolicies(tc config.Case, policies []memctrl.PolicyKind, opt Options) []PolicyRun {
-	opt = opt.apply()
-	cells := make([]Cell, len(policies))
-	for i, p := range policies {
-		cells[i] = Cell{Case: tc, Policy: p, Seed: opt.Seed}
+// FigureCells lists the cells figure fig (5..9) measures, in the order
+// of its table; any other figure has none.
+func FigureCells(fig int) []Cell {
+	var cells []Cell
+	add := func(c Cell, policies ...memctrl.PolicyKind) {
+		for _, p := range policies {
+			c.Policy = p
+			cells = append(cells, c)
+		}
 	}
-	// The journal error (open/write) does not invalidate the runs; the
-	// figure helpers keep their historical signature and drop it.
-	out, _ := RunCells(cells, opt)
-	return out
+	switch fig {
+	case 5:
+		add(Cell{Case: config.CaseA}, Fig5Policies()...)
+	case 6:
+		add(Cell{Case: config.CaseB}, Fig5Policies()...)
+	case 7:
+		for _, mtps := range Fig7Frequencies() {
+			add(Cell{Case: config.CaseA, DataRateMTps: mtps}, memctrl.QoS)
+		}
+	case 8:
+		add(Cell{Case: config.CaseA, Saturated: true}, Fig8Policies()...)
+	case 9:
+		add(Cell{Case: config.CaseA}, memctrl.FRFCFS, memctrl.QoSRB)
+	}
+	return cells
+}
+
+// checkCells runs Cell.Validate over cells, returning their configs or
+// an error that names the first cell it refuses.
+func checkCells(cells []Cell, opt Options) ([]core.Config, error) {
+	cfgs := make([]core.Config, len(cells))
+	for i, c := range cells {
+		var err error
+		if cfgs[i], err = c.checked(opt); err != nil {
+			return nil, fmt.Errorf("%v: %w", c.normalize(opt.apply()), err)
+		}
+	}
+	return cfgs, nil
 }
 
 // Fig5 reproduces Fig. 5: NPI of critical cores during one frame of test
-// case A under FCFS, round-robin, frame-rate QoS and priority QoS.
-func Fig5(opt Options) []PolicyRun {
-	return runPolicies(config.CaseA, Fig5Policies(), opt)
-}
+// case A under FCFS, round-robin, frame-rate QoS and priority QoS. Fig5,
+// Fig6 and Fig9 return RunCells' error: a refused cell (nothing runs) or
+// a journal failure (the runs stay valid).
+func Fig5(opt Options) ([]PolicyRun, error) { return RunCells(FigureCells(5), opt) }
 
 // Fig6 reproduces Fig. 6: the same comparison for test case B.
-func Fig6(opt Options) []PolicyRun {
-	return runPolicies(config.CaseB, Fig5Policies(), opt)
-}
+func Fig6(opt Options) ([]PolicyRun, error) { return RunCells(FigureCells(6), opt) }
 
 // FreqHistogram is one bar of Fig. 7: the distribution of the image
 // processor's priority levels at a DRAM frequency.
@@ -383,30 +399,27 @@ func Fig7Frequencies() []int { return []int{1700, 1600, 1500, 1400, 1300} }
 
 // Fig7 reproduces Fig. 7: the image processor's priority-level
 // distribution during one frame as DRAM frequency decreases, under the
-// priority-based QoS policy.
-func Fig7(opt Options) []FreqHistogram {
+// priority-based QoS policy. It refuses the options before building
+// anything if any frequency's cell is invalid.
+func Fig7(opt Options) ([]FreqHistogram, error) {
 	opt = opt.apply()
-	freqs := Fig7Frequencies()
-	out := make([]FreqHistogram, len(freqs))
-	opt.forEach(len(freqs), func(i int) {
-		mtps := freqs[i]
-		cfg := config.Camcorder(config.CaseA,
-			config.WithPolicy(memctrl.QoS),
-			config.WithScaleDiv(opt.ScaleDiv),
-			config.WithSeed(opt.Seed),
-			config.WithDataRate(mtps),
-			config.WithRefresh(opt.Refresh))
-		sys := opt.buildSystem(cfg)
-		defer sys.Close()
+	cells := FigureCells(7)
+	cfgs, err := checkCells(cells, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FreqHistogram, len(cells))
+	opt.forEach(len(cells), func(i int) {
+		sys := core.Build(cfgs[i])
 		sys.RunFrames(opt.WarmupFrames + opt.MeasureFrames)
 		hist := sys.PriorityHistogramByCore("Image Proc.")
-		h := FreqHistogram{DataRateMTps: mtps, Fraction: make([]float64, hist.Levels())}
+		h := FreqHistogram{DataRateMTps: cells[i].DataRateMTps, Fraction: make([]float64, hist.Levels())}
 		for lvl := 0; lvl < hist.Levels(); lvl++ {
 			h.Fraction[lvl] = hist.Fraction(lvl)
 		}
 		out[i] = h
 	})
-	return out
+	return out, nil
 }
 
 // LowShare sums the fraction of time at priority levels 0..1 (healthy).
@@ -433,43 +446,26 @@ func Fig8Policies() []memctrl.PolicyKind {
 
 // Fig8 reproduces Fig. 8: average DRAM bandwidth during one frame under
 // RR, FCFS, QoS (Policy 1), QoS-RB (Policy 2) and FR-FCFS, on the
-// saturated variant of test case A (see config.Saturated).
-func Fig8(opt Options) []BandwidthResult {
-	opt = opt.apply()
-	warmup := opt.WarmupFrames
-	if warmup == 0 {
-		warmup = 1 // bandwidth comparisons exclude the cold start
-	}
-	policies := Fig8Policies()
-	out := make([]BandwidthResult, len(policies))
-	opt.forEach(len(policies), func(i int) {
-		p := policies[i]
-		cfg := config.Saturated(
-			config.WithPolicy(p),
-			config.WithScaleDiv(opt.ScaleDiv),
-			config.WithSeed(opt.Seed),
-			config.WithRefresh(opt.Refresh))
-		sys := opt.buildSystem(cfg)
-		defer sys.Close()
-		sys.RunFrames(warmup)
-		from := sys.Now()
-		before := sys.DRAMStats()
-		sys.RunFrames(opt.MeasureFrames)
-		out[i] = BandwidthResult{
-			Policy:        p,
-			BandwidthGBps: sys.BandwidthOverWindowGBps(before, from, sys.Now()),
-			RowHitRate:    sys.RowHitRate(),
+// saturated variant of test case A (see config.Saturated). Bandwidth
+// comparisons exclude the cold start: a WarmupFrames of 0 warms up one
+// frame. The cells run supervised, like Fig. 5's; the first failed
+// cell's RunError is returned with the bars.
+func Fig8(opt Options) ([]BandwidthResult, error) {
+	opt.WarmupFrames = max(opt.WarmupFrames, 1)
+	runs, err := RunCells(FigureCells(8), opt)
+	out := make([]BandwidthResult, len(runs))
+	for i, r := range runs {
+		out[i] = BandwidthResult{Policy: r.Policy, BandwidthGBps: r.BandwidthGBps, RowHitRate: r.RowHitRate}
+		if r.Err != nil && err == nil {
+			err = r.Err
 		}
-	})
-	return out
+	}
+	return out, err
 }
 
 // Fig9 reproduces Fig. 9: NPI of the critical cores of test case A under
 // FR-FCFS versus QoS-RB (Policy 2).
-func Fig9(opt Options) []PolicyRun {
-	return runPolicies(config.CaseA,
-		[]memctrl.PolicyKind{memctrl.FRFCFS, memctrl.QoSRB}, opt)
-}
+func Fig9(opt Options) ([]PolicyRun, error) { return RunCells(FigureCells(9), opt) }
 
 // FormatRun renders a PolicyRun as a small text table. A failed
 // (supervised) run renders its failure and the standardized Repro line

@@ -16,15 +16,14 @@ import (
 // run owns its own kernel and forked RNG streams, so the result slice —
 // and every statistic derived from it — is identical regardless of worker
 // count; the seed fan-out tests assert it. With Options.Journal set the
-// fan-out checkpoints per seed, like any other cell grid.
-func RunSeeds(tc config.Case, policy memctrl.PolicyKind, seeds []uint64, opt Options) []PolicyRun {
-	opt = opt.apply()
+// fan-out checkpoints per seed, like any other cell grid. The error is
+// RunCells'.
+func RunSeeds(tc config.Case, policy memctrl.PolicyKind, seeds []uint64, opt Options) ([]PolicyRun, error) {
 	cells := make([]Cell, len(seeds))
 	for i, s := range seeds {
 		cells[i] = Cell{Case: tc, Policy: policy, Seed: s}
 	}
-	out, _ := RunCells(cells, opt)
-	return out
+	return RunCells(cells, opt)
 }
 
 // WorstNPISummary aggregates the per-seed worst min-NPI (the scalar the

@@ -18,13 +18,13 @@ import (
 func TestSeedFanOutReproducible(t *testing.T) {
 	t.Parallel()
 	seeds := []uint64{1, 2, 3, 4}
-	serial := FastOptions()
+	serial := Options{}
 	serial.Workers = 1
-	parallel := FastOptions()
+	parallel := Options{}
 	parallel.Workers = 0 // GOMAXPROCS
 
-	s := RunSeeds(config.CaseA, memctrl.QoS, seeds, serial)
-	p := RunSeeds(config.CaseA, memctrl.QoS, seeds, parallel)
+	s := must(RunSeeds(config.CaseA, memctrl.QoS, seeds, serial))
+	p := must(RunSeeds(config.CaseA, memctrl.QoS, seeds, parallel))
 	if !reflect.DeepEqual(s, p) {
 		t.Fatal("seed fan-out results differ between serial and parallel execution")
 	}
@@ -71,9 +71,9 @@ func TestSeedFanOutReproducible(t *testing.T) {
 func TestSeedFanOutRerunIdentity(t *testing.T) {
 	t.Parallel()
 	seeds := []uint64{7, 8}
-	opt := FastOptions()
-	a := WorstNPISummary(RunSeeds(config.CaseB, memctrl.FCFS, seeds, opt))
-	b := WorstNPISummary(RunSeeds(config.CaseB, memctrl.FCFS, seeds, opt))
+	opt := Options{}
+	a := WorstNPISummary(must(RunSeeds(config.CaseB, memctrl.FCFS, seeds, opt)))
+	b := WorstNPISummary(must(RunSeeds(config.CaseB, memctrl.FCFS, seeds, opt)))
 	if a != b {
 		t.Fatalf("repeated fan-out summaries differ: %+v vs %+v", a, b)
 	}
@@ -135,7 +135,7 @@ func TestPerCoreNPISummaries(t *testing.T) {
 func TestFormatSeedSummaryPerCoreRows(t *testing.T) {
 	t.Parallel()
 	seeds := []uint64{1, 2}
-	runs := RunSeeds(config.CaseA, memctrl.QoS, seeds, FastOptions())
+	runs := must(RunSeeds(config.CaseA, memctrl.QoS, seeds, Options{}))
 	out := FormatSeedSummary(runs)
 	cores, _ := PerCoreNPISummaries(runs)
 	if len(cores) == 0 {

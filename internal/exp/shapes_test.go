@@ -15,7 +15,7 @@ import (
 
 func TestFig5Shapes(t *testing.T) {
 	t.Parallel()
-	runs := Fig5(FastOptions())
+	runs := must(Fig5(Options{}))
 	byPolicy := map[memctrl.PolicyKind]PolicyRun{}
 	for _, r := range runs {
 		byPolicy[r.Policy] = r
@@ -64,7 +64,7 @@ func TestFig5Shapes(t *testing.T) {
 
 func TestFig6Shapes(t *testing.T) {
 	t.Parallel()
-	runs := Fig6(FastOptions())
+	runs := must(Fig6(Options{}))
 	byPolicy := map[memctrl.PolicyKind]PolicyRun{}
 	for _, r := range runs {
 		byPolicy[r.Policy] = r
@@ -86,7 +86,7 @@ func TestFig6Shapes(t *testing.T) {
 
 func TestFig7Monotonicity(t *testing.T) {
 	t.Parallel()
-	hists := Fig7(FastOptions())
+	hists := must(Fig7(Options{}))
 	if len(hists) != 5 {
 		t.Fatalf("got %d frequency points, want 5", len(hists))
 	}
@@ -108,7 +108,7 @@ func TestFig7Monotonicity(t *testing.T) {
 
 func TestFig8Shapes(t *testing.T) {
 	t.Parallel()
-	results := Fig8(FastOptions())
+	results := must(Fig8(Options{}))
 	bw := map[memctrl.PolicyKind]float64{}
 	for _, r := range results {
 		bw[r.Policy] = r.BandwidthGBps
@@ -137,7 +137,7 @@ func TestFig8Shapes(t *testing.T) {
 
 func TestFig9Shapes(t *testing.T) {
 	t.Parallel()
-	runs := Fig9(FastOptions())
+	runs := must(Fig9(Options{}))
 	frfcfs, qosrb := runs[0], runs[1]
 	if frfcfs.Policy != memctrl.FRFCFS || qosrb.Policy != memctrl.QoSRB {
 		t.Fatal("unexpected policy order from Fig9")
@@ -159,8 +159,8 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	t.Parallel()
-	a := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
-	b := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
+	a := RunPolicy(config.CaseA, memctrl.QoS, Options{})
+	b := RunPolicy(config.CaseA, memctrl.QoS, Options{})
 	for core, v := range a.MinNPI {
 		if b.MinNPI[core] != v {
 			t.Fatalf("non-deterministic NPI for %s: %v vs %v", core, v, b.MinNPI[core])
@@ -173,11 +173,11 @@ func TestDeterminism(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	t.Parallel()
-	run := RunPolicy(config.CaseA, memctrl.QoS, FastOptions())
+	run := RunPolicy(config.CaseA, memctrl.QoS, Options{})
 	if s := FormatRun(run); len(s) == 0 {
 		t.Fatal("empty run report")
 	}
-	if s := FormatFig7(Fig7(FastOptions())[:1]); len(s) == 0 {
+	if s := FormatFig7(must(Fig7(Options{}))[:1]); len(s) == 0 {
 		t.Fatal("empty Fig7 report")
 	}
 	if s := FormatFig8([]BandwidthResult{{Policy: memctrl.RR, BandwidthGBps: 15}}); len(s) == 0 {

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -25,20 +26,75 @@ import (
 	"sara/internal/sim"
 )
 
-// Cell identifies one point of a sweep grid. The zero values select the
-// case defaults (Scale 0 and 1 both mean the base SoC; DataRateMTps 0
-// means the case's data rate).
+// Cell identifies one point of a sweep grid. Zero fields select the
+// defaults their comments state; Validate states the bounds.
 type Cell struct {
-	Case   config.Case        `json:"case"`
+	// Case is config.CaseA or config.CaseB.
+	Case config.Case `json:"case"`
+	// Policy is one of memctrl.AllPolicies.
 	Policy memctrl.PolicyKind `json:"policy"`
-	// DataRateMTps overrides the DRAM data rate (the Fig. 7 axis).
+	// DataRateMTps overrides the DRAM data rate (the Fig. 7 axis; 0 = the
+	// case's data rate, otherwise 1..dram.MaxDataRateMTps).
 	DataRateMTps int `json:"mtps,omitempty"`
 	// Seed is the workload seed for this cell (0 means Options.Seed).
 	Seed uint64 `json:"seed,omitempty"`
-	// Scale is the SoC scale factor (config.ScaleSoC); 0 or 1 is base.
+	// Scale is the SoC scale factor (config.ScaleSoC): 0 means 1 (the
+	// base SoC), otherwise a power of two up to 64.
 	Scale int `json:"scale,omitempty"`
 	// Saturated selects the bandwidth-bound Fig. 8 variant of case A.
 	Saturated bool `json:"saturated,omitempty"`
+}
+
+// maxSoCScale bounds Cell.Scale: 64x is 128 channels and over a thousand
+// DMAs.
+const maxSoCScale = 64
+
+// Validate refuses the first field of opt or c that no run can use,
+// naming it, and builds nothing: Options.Validate, then the cell's own
+// fields, then the system the cell configures (core.Config.Validate,
+// which refuses a frame shorter than one NPI sample period), its frame
+// horizon, and an analyzer window longer than that horizon.
+func (c Cell) Validate(opt Options) error {
+	_, err := c.checked(opt)
+	return err
+}
+
+// checked is Validate that also returns the cell's config, so a run
+// builds the config it checked.
+func (c Cell) checked(opt Options) (core.Config, error) {
+	if err := opt.Validate(); err != nil {
+		return core.Config{}, err
+	}
+	for _, f := range []struct {
+		bad  bool
+		name string
+		v    int
+		want string
+	}{
+		{c.Case != config.CaseA && c.Case != config.CaseB, "Case", int(c.Case), "A or B"},
+		{c.Scale < 0 || c.Scale > maxSoCScale || c.Scale&(c.Scale-1) != 0, "Scale", c.Scale, "0 (the base SoC) or a power of two up to 64"},
+		{c.DataRateMTps < 0, "DataRateMTps", c.DataRateMTps, ">= 0 (0 = the case's data rate)"},
+	} {
+		if f.bad {
+			return core.Config{}, fmt.Errorf("exp: Cell.%s %d: want %s", f.name, f.v, f.want)
+		}
+	}
+	cfg := c.Config(opt)
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
+	}
+	opt = opt.apply()
+	if opt.WarmupFrames > math.MaxInt-opt.MeasureFrames {
+		return cfg, fmt.Errorf("exp: WarmupFrames %d + MeasureFrames %d overflow int", opt.WarmupFrames, opt.MeasureFrames)
+	}
+	horizon, err := cfg.FrameCycles(opt.WarmupFrames + opt.MeasureFrames)
+	if err != nil {
+		return cfg, fmt.Errorf("exp: WarmupFrames %d + MeasureFrames %d: %w", opt.WarmupFrames, opt.MeasureFrames, err)
+	}
+	if opt.AnalysisWindow > uint64(horizon) {
+		return cfg, fmt.Errorf("exp: AnalysisWindow %d: want at most the run's %d cycles", opt.AnalysisWindow, horizon)
+	}
+	return cfg, nil
 }
 
 // String labels the cell for error messages.
@@ -76,19 +132,9 @@ func (c Cell) normalize(opt Options) Cell {
 func (c Cell) Canonical(opt Options) string {
 	opt = opt.apply()
 	c = c.normalize(opt)
-	s := fmt.Sprintf("v1 case=%s policy=%s mtps=%d seed=%d scale=%d saturated=%t scalediv=%d warmup=%d measure=%d refresh=%t",
+	return fmt.Sprintf("v1 case=%s policy=%s mtps=%d seed=%d scale=%d saturated=%t scalediv=%d warmup=%d measure=%d refresh=%t",
 		c.Case, c.Policy, c.DataRateMTps, c.Seed, c.Scale, c.Saturated,
 		opt.ScaleDiv, opt.WarmupFrames, opt.MeasureFrames, opt.Refresh)
-	if opt.DomainWorkers > 1 {
-		// The domain-parallel build is a different topology (per-channel
-		// ingress routers) with different — though internally
-		// worker-count-invariant — results, so it hashes to a different
-		// journal key. The goroutine count itself is absent on purpose:
-		// it never changes results. Appending keeps every serial-run key
-		// stable.
-		s += " kernel=domains"
-	}
-	return s
 }
 
 // Key is the canonical config hash journal entries are keyed by.
@@ -118,7 +164,7 @@ func (c Cell) Repro(opt Options) string {
 	if opt.Refresh {
 		parts = append(parts, "-refresh")
 	}
-	if opt.ScaleDiv != 256 {
+	if opt.ScaleDiv != config.DefaultScaleDiv {
 		parts = append(parts, "-scale", fmt.Sprint(opt.ScaleDiv))
 	}
 	if opt.WarmupFrames > 0 {
@@ -126,9 +172,6 @@ func (c Cell) Repro(opt Options) string {
 	}
 	if opt.MeasureFrames != 1 {
 		parts = append(parts, "-measure", fmt.Sprint(opt.MeasureFrames))
-	}
-	if opt.DomainWorkers > 1 {
-		parts = append(parts, "-domain-workers", fmt.Sprint(opt.DomainWorkers))
 	}
 	return repro.Command(parts...)
 }
@@ -223,11 +266,11 @@ func (o Options) Watchdog() *sim.Watchdog {
 // same seed — so a reproducible failure fails every attempt and an
 // environmental one (OOM-killed neighbor, timeout on a loaded host) gets
 // a clean second chance.
-func runCell(c Cell, opt Options) PolicyRun {
+func runCell(c Cell, cfg core.Config, opt Options) PolicyRun {
 	c = c.normalize(opt)
 	var last *RunError
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
-		run, rerr := runCellOnce(c, opt, attempt)
+		run, rerr := runCellOnce(c, cfg, opt, attempt)
 		if rerr == nil {
 			return run
 		}
@@ -240,7 +283,7 @@ func runCell(c Cell, opt Options) PolicyRun {
 // runCellOnce builds, arms and measures the cell's system once. With
 // analysis or monitoring enabled it attaches the analyzer right after the
 // build — before any cycle runs — and folds the report into the run.
-func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunError) {
+func runCellOnce(c Cell, cfg core.Config, opt Options, attempt int) (run PolicyRun, rerr *RunError) {
 	var mon *analysis.RunHandle
 	defer func() {
 		if r := recover(); r != nil {
@@ -255,9 +298,7 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 			mon.Finish(false)
 		}
 	}()
-	cfg := c.Config(opt)
-	sys := opt.buildSystem(cfg)
-	defer sys.Close()
+	sys := core.Build(cfg)
 	var az *analysis.Analyzer
 	if opt.Analyze || opt.Monitor != nil {
 		mon = opt.Monitor.StartRun(c.String())
@@ -297,10 +338,17 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 // With Options.Journal set, completed cells are appended to the journal
 // as they finish; with Options.Resume also set, cells already present in
 // the journal are served from it instead of re-simulated — bit-identical
-// to a fresh run, which the kill-and-resume tests assert. The returned
-// error reports journal open/write failures only; the runs themselves
-// are always valid.
+// to a fresh run, which the kill-and-resume tests assert.
+//
+// A cell that Cell.Validate refuses fails the whole call before anything
+// is built or journaled: RunCells returns no runs and that error.
+// Otherwise the returned error reports journal open/write failures only,
+// and the runs themselves are always valid.
 func RunCells(cells []Cell, opt Options) ([]PolicyRun, error) {
+	cfgs, err := checkCells(cells, opt)
+	if err != nil {
+		return nil, err
+	}
 	opt = opt.apply()
 	var j *Journal
 	var jerr atomic.Value // first journal write error
@@ -339,7 +387,7 @@ func RunCells(cells []Cell, opt Options) ([]PolicyRun, error) {
 			}}
 			return
 		}
-		run := runCell(c, opt)
+		run := runCell(c, cfgs[i], opt)
 		if run.Err == nil && j != nil {
 			if err := j.Record(key, c, run); err != nil {
 				jerr.CompareAndSwap(nil, err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sara"
+	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
@@ -55,7 +56,7 @@ func captureParallel(t *testing.T, cfg sara.Config, workers int, drive func(*sar
 		mu  sync.Mutex
 		res parSnapshot
 	)
-	sys := sara.BuildParallel(cfg, workers)
+	sys := core.BuildParallel(cfg, workers)
 	if sys.Domains() < 2 {
 		t.Fatalf("BuildParallel(workers=%d) fell back to the serial kernel", workers)
 	}
@@ -373,7 +374,7 @@ func TestParallelFallback(t *testing.T) {
 		name string
 		sys  *sara.System
 	}{
-		{"unpartitionable", sara.BuildParallel(unpart, 4)},
+		{"unpartitionable", core.BuildParallel(unpart, 4)},
 		{"Build", sara.Build(sara.Camcorder(sara.CaseA))},
 	} {
 		sys := tc.sys
@@ -396,7 +397,7 @@ func TestParallelFallback(t *testing.T) {
 	// The partitioned build clamps workers to a divisor of the domain
 	// count, never changing the topology (results stay machine-independent
 	// when a budget caps the goroutine count).
-	par := sara.BuildParallel(sara.ScaledSaturated(4), 3)
+	par := core.BuildParallel(sara.ScaledSaturated(4), 3)
 	channels := par.Config().DRAM.Geometry.Channels
 	if par.Domains() != channels {
 		t.Fatalf("got %d domains, want one per channel (%d)", par.Domains(), channels)
@@ -416,7 +417,7 @@ func TestParallelFallback(t *testing.T) {
 // 20,000), and on a one-domain System it is the kernel's own count.
 func TestSkippedCyclesPerDomainMean(t *testing.T) {
 	const horizon = 20000
-	par := sara.BuildParallel(sara.ScaledSaturated(4), 2)
+	par := core.BuildParallel(sara.ScaledSaturated(4), 2)
 	defer par.Close()
 	par.Run(horizon)
 	if par.Domains() < 2 {
@@ -436,7 +437,7 @@ func TestSkippedCyclesPerDomainMean(t *testing.T) {
 // run, and a tripped run poisons the System (the epoch exchange stopped
 // mid-flight, so its state is no longer trustworthy).
 func TestParallelWatchdog(t *testing.T) {
-	sys := sara.BuildParallel(sara.ScaledSaturated(2), 2)
+	sys := core.BuildParallel(sara.ScaledSaturated(2), 2)
 	sys.SetWatchdog(&sara.Watchdog{MaxExecuted: 500})
 	err := sys.RunChecked(1 << 20)
 	var dl *sara.DeadlockError

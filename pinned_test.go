@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sara"
+	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
@@ -68,7 +69,7 @@ func TestBuildOutputsPinned(t *testing.T) {
 			return sara.Build(sara.ScaledSaturated(2))
 		}, 1, "0548bd8e515fa94fe7a6325d"},
 		{"domains/saturated-2x-w2", func() *sara.System {
-			return sara.BuildParallel(sara.ScaledSaturated(2), 2)
+			return core.BuildParallel(sara.ScaledSaturated(2), 2)
 		}, 1, "755f72735cffc0122111039c"},
 	}
 	for _, tc := range cases {

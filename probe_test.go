@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sara"
+	"sara/internal/core"
 	"sara/internal/sim"
 )
 
@@ -91,7 +92,7 @@ func TestCloseReleasesDomainWorkers(t *testing.T) {
 	cfg := sara.ScaledSaturated(4)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
-		sys := sara.BuildParallel(cfg, 4)
+		sys := core.BuildParallel(cfg, 4)
 		if sys.DomainWorkers() < 2 {
 			t.Fatalf("BuildParallel(4) runs on %d workers; the test needs extra worker goroutines", sys.DomainWorkers())
 		}
@@ -109,10 +110,10 @@ func TestCloseReleasesDomainWorkers(t *testing.T) {
 		t.Fatalf("%d goroutines after closing every System, baseline %d", n, base)
 	}
 
-	straight := sara.BuildParallel(cfg, 4)
+	straight := core.BuildParallel(cfg, 4)
 	defer straight.Close()
 	straight.Run(4000)
-	restarted := sara.BuildParallel(cfg, 4)
+	restarted := core.BuildParallel(cfg, 4)
 	defer restarted.Close()
 	restarted.Run(2000)
 	restarted.Close()

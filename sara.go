@@ -89,23 +89,13 @@ type Unit = core.Unit
 // install it once per System with System.Probe.
 type Probes = core.Probes
 
-// Build assembles the serial System (one domain) from a Config.
+// Build assembles the System from a Config. It panics with
+// Config.Validate's error on a config it refuses.
 func Build(cfg Config) *System { return core.Build(cfg) }
 
-// BuildParallel assembles the domain-parallel System: one domain per
-// memory channel, run on workers goroutines synchronized at
-// conservative-lookahead epoch barriers. Results are bit-identical
-// across worker counts; unpartitionable configs build the serial System,
-// the one-domain case. See core.BuildParallel.
-func BuildParallel(cfg Config, workers int) *System { return core.BuildParallel(cfg, workers) }
-
-// PartitionPlan describes how a config shards into per-channel domains.
-type PartitionPlan = core.PartitionPlan
-
-// Partition reports the per-channel domain decomposition of a config,
-// or ok=false when the topology cannot be safely sharded; such a config
-// builds as one domain owning every channel, the serial System.
-func Partition(cfg Config) (PartitionPlan, bool) { return core.Partition(cfg) }
+// DefaultScaleDiv is the calibrated evaluation time scale every default
+// uses (Camcorder, ExpOptions, the commands' -scale flags).
+const DefaultScaleDiv = config.DefaultScaleDiv
 
 // Case identifies one of the paper's test cases.
 type Case = config.Case
@@ -149,7 +139,7 @@ var (
 	WithPolicy = config.WithPolicy
 	// WithSeed sets the workload seed.
 	WithSeed = config.WithSeed
-	// WithScaleDiv sets the time-scaling factor (default 32).
+	// WithScaleDiv sets the time-scaling factor (default DefaultScaleDiv).
 	WithScaleDiv = config.WithScaleDiv
 	// WithDataRate overrides the DRAM data rate in MT/s.
 	WithDataRate = config.WithDataRate
@@ -168,7 +158,8 @@ var (
 
 // Experiments re-exports the per-figure harness.
 
-// ExpOptions tunes experiment fidelity versus runtime.
+// ExpOptions tunes experiment fidelity versus runtime; the zero value is
+// the standard fidelity.
 type ExpOptions = exp.Options
 
 // PolicyRun is one (test case, policy) experiment outcome.
@@ -181,10 +172,6 @@ type FreqHistogram = exp.FreqHistogram
 type BandwidthResult = exp.BandwidthResult
 
 var (
-	// DefaultExpOptions is the standard experiment fidelity.
-	DefaultExpOptions = exp.DefaultOptions
-	// FastExpOptions is the reduced fidelity used by tests.
-	FastExpOptions = exp.FastOptions
 	// RunPolicy measures one test case under one policy.
 	RunPolicy = exp.RunPolicy
 	// Fig5 regenerates Fig. 5 (case A, four policies).
