@@ -57,10 +57,10 @@ type System struct {
 // router), which can grant into the slot from the next cycle on (the
 // controller ticks after the router, so the freed slot is usable at
 // now+1). Accept is also the enqueue edge of the controller's per-bank
-// candidate buckets: Enqueue files the transaction into its bank bucket
-// and resets the controller's dormancy window, so a packet granted
-// mid-quiescence is scheduled on the very next executed cycle (see
-// memctrl/bucket.go).
+// candidate buckets: Enqueue files the transaction into its bank bucket,
+// marks the bank dirty and re-arms the controller's kernel wake at now,
+// so a packet granted mid-quiescence is considered in the cycle it
+// arrives (see memctrl/bucket.go).
 type mcSink struct {
 	ctrl *memctrl.Controller
 }

@@ -97,6 +97,10 @@ type Options struct {
 	// windowed snapshots. Monitoring alone attaches the same analyzer as
 	// Analyze but keeps no report.
 	Monitor *analysis.Monitor
+
+	// priorityShares makes every run record PolicyRun.PriorityShare; only
+	// Fig. 7 sets it, so other runs (and their JSON) are unchanged.
+	priorityShares bool
 }
 
 // apply fills the defaults of zero fields and changes nothing else.
@@ -177,8 +181,8 @@ func (o Options) forEach(n int, fn func(i int)) {
 	// A panic inside one slot must not tear down the process before the
 	// other workers finish their slots: capture the first one, let every
 	// remaining slot complete, then re-raise it on the caller's goroutine.
-	// (Supervised runs recover their own panics first; this is the safety
-	// net for the unsupervised Fig. 7 path.)
+	// (Every caller runs supervised cells, which recover their own panics
+	// first; this net catches a panic in a caller's own bookkeeping.)
 	var panicOnce sync.Once
 	var panicVal any
 	for w := 0; w < workers; w++ {
@@ -238,6 +242,11 @@ type PolicyRun struct {
 	RefreshDuty float64 `json:"refresh_duty,omitempty"`
 	// CriticalCores lists the cores the corresponding paper figure plots.
 	CriticalCores []string `json:"critical_cores,omitempty"`
+	// PriorityShare maps each critical core to the share of time its
+	// DMAs' adapters spent at each priority level over the whole run,
+	// warmup included. Only Fig. 7's runs record it; other runs, and
+	// journal lines written before it was recorded, leave it nil.
+	PriorityShare map[string][]float64 `json:"priority_share,omitempty"`
 	// Analysis carries the windowed observability report when the run
 	// executed with Options.Analyze; it round-trips through the journal
 	// like every other field.
@@ -300,6 +309,17 @@ func measure(sys *core.System, cfg core.Config, tc config.Case, opt Options) (Po
 		Refreshes:     sys.DRAMStats().Totals().Refreshes,
 		RefreshDuty:   sys.RefreshDuty(to),
 		CriticalCores: sys.CriticalCores(),
+	}
+	if opt.priorityShares {
+		run.PriorityShare = make(map[string][]float64)
+		for _, c := range run.CriticalCores {
+			hist := sys.PriorityHistogramByCore(c)
+			share := make([]float64, hist.Levels())
+			for lvl := range share {
+				share[lvl] = hist.Fraction(lvl)
+			}
+			run.PriorityShare[c] = share
+		}
 	}
 	for _, u := range sys.Units() {
 		if u.Series == nil {
@@ -399,27 +419,28 @@ func Fig7Frequencies() []int { return []int{1700, 1600, 1500, 1400, 1300} }
 
 // Fig7 reproduces Fig. 7: the image processor's priority-level
 // distribution during one frame as DRAM frequency decreases, under the
-// priority-based QoS policy. It refuses the options before building
-// anything if any frequency's cell is invalid.
+// priority-based QoS policy. Its cells run supervised, like Fig. 5's, and
+// it returns RunCells' error. A failed cell, or one served from a journal
+// line that predates PriorityShare, has no bar: the first such cell's
+// error is returned with the bars of the others.
 func Fig7(opt Options) ([]FreqHistogram, error) {
-	opt = opt.apply()
 	cells := FigureCells(7)
-	cfgs, err := checkCells(cells, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FreqHistogram, len(cells))
-	opt.forEach(len(cells), func(i int) {
-		sys := core.Build(cfgs[i])
-		sys.RunFrames(opt.WarmupFrames + opt.MeasureFrames)
-		hist := sys.PriorityHistogramByCore("Image Proc.")
-		h := FreqHistogram{DataRateMTps: cells[i].DataRateMTps, Fraction: make([]float64, hist.Levels())}
-		for lvl := 0; lvl < hist.Levels(); lvl++ {
-			h.Fraction[lvl] = hist.Fraction(lvl)
+	opt.priorityShares = true
+	runs, err := RunCells(cells, opt)
+	var out []FreqHistogram
+	for i, r := range runs {
+		share, ok := r.PriorityShare["Image Proc."]
+		switch {
+		case r.Err != nil && err == nil:
+			err = r.Err
+		case r.Err == nil && !ok && err == nil:
+			err = fmt.Errorf("exp: cell %s: journaled run has no Image Proc. priority shares (written before they were recorded); rerun it without -resume",
+				cells[i].normalize(opt.apply()))
+		case r.Err == nil && ok:
+			out = append(out, FreqHistogram{DataRateMTps: cells[i].DataRateMTps, Fraction: share})
 		}
-		out[i] = h
-	})
-	return out, nil
+	}
+	return out, err
 }
 
 // LowShare sums the fraction of time at priority levels 0..1 (healthy).

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +227,94 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if fw, fg := FormatSeedSummary(want), FormatSeedSummary(got); fw != fg {
 		t.Errorf("seed summary differs after resume:\nwant:\n%s\ngot:\n%s", fw, fg)
+	}
+}
+
+// TestFig7Supervised runs Fig. 7 through the supervisor: a panic in one
+// frequency's cell comes back as that cell's RunError with the other
+// bars intact, a journaled Fig. 7 resumes bit-identical to a fresh one,
+// and a journal line without the priority shares (one written before
+// they were recorded) is an error naming its cell, never an empty bar.
+func TestFig7Supervised(t *testing.T) {
+	t.Parallel()
+	want, err := Fig7(chaosOptions())
+	if err != nil {
+		t.Fatalf("fresh Fig. 7: %v", err)
+	}
+
+	opt := chaosOptions()
+	opt.Chaos = func(c Cell, attempt int) Chaos {
+		if c.DataRateMTps == 1400 {
+			return Chaos{PanicAtCycle: 1000}
+		}
+		return Chaos{}
+	}
+	got, err := Fig7(opt)
+	var re *RunError
+	if !errors.As(err, &re) || re.Cell.DataRateMTps != 1400 || !strings.Contains(re.Reason, "injected panic") {
+		t.Fatalf("panicking 1400 MT/s cell: error %v, want its RunError", err)
+	}
+	if len(got) != len(want)-1 {
+		t.Fatalf("%d bars around the failed cell, want %d", len(got), len(want)-1)
+	}
+	for _, h := range got {
+		if h.DataRateMTps == 1400 {
+			t.Fatal("the failed cell has a bar")
+		}
+	}
+
+	journal := filepath.Join(t.TempDir(), "fig7.jsonl")
+	opt = chaosOptions()
+	opt.Journal = journal
+	if _, err := Fig7(opt); err != nil {
+		t.Fatalf("journaled Fig. 7: %v", err)
+	}
+	opt.Resume = true
+	resumed, err := Fig7(opt)
+	if err != nil {
+		t.Fatalf("resumed Fig. 7: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, want) || FormatFig7(resumed) != FormatFig7(want) {
+		t.Fatalf("resumed Fig. 7 differs from a fresh one:\n%s\nwant\n%s", FormatFig7(resumed), FormatFig7(want))
+	}
+
+	// Strip the shares from the 1500 MT/s line, as a journal written
+	// before they were recorded has it.
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var e struct {
+			Cell Cell                       `json:"cell"`
+			Run  map[string]json.RawMessage `json:"run"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Cell.DataRateMTps == 1500 {
+			if _, ok := e.Run["priority_share"]; !ok {
+				t.Fatal("the journal line carries no priority shares")
+			}
+			line = strings.Replace(line, `"priority_share":`, `"priority_share_absent":`, 1)
+		}
+		lines = append(lines, line)
+	}
+	if err := os.WriteFile(journal, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := Fig7(opt)
+	if err == nil || !strings.Contains(err.Error(), "1500 MT/s") || !strings.Contains(err.Error(), "priority shares") {
+		t.Fatalf("stale journal line: error %v, want one naming the 1500 MT/s cell", err)
+	}
+	if len(stale) != len(want)-1 {
+		t.Fatalf("%d bars around the stale line, want %d", len(stale), len(want)-1)
+	}
+	for _, h := range stale {
+		if h.DataRateMTps == 1500 || len(h.Fraction) == 0 {
+			t.Fatalf("stale journal line rendered as a bar: %+v", h)
+		}
 	}
 }
 

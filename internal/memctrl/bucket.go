@@ -8,7 +8,8 @@ import (
 	"sara/internal/sim"
 )
 
-// Per-bank candidate buckets: incremental maintenance of the queue scan.
+// Per-bank candidate buckets: incremental maintenance of the queue scan,
+// and the controller's only record of when it acts next.
 //
 // The controller's scheduling scan used to re-probe every queued
 // transaction against the channel's timing gates on every eligible cycle.
@@ -20,11 +21,13 @@ import (
 // bitmaps, 64 banks to a word so any geometry fits, say which buckets a
 // scan must look at: the live mask marks the non-empty buckets and the
 // dirty mask the buckets to re-probe whatever their cached bound. A scan
-// walks only the live banks (bits.TrailingZeros64 over the words) and
-// probes only banks whose readiness could have changed since the last
-// event — clean buckets parked in the future contribute their cached
-// cycle to the dormancy window (nextTry, and through it the controller's
-// sim.Idler hint) without probing a single entry.
+// (pickBuckets) walks only the live banks (bits.TrailingZeros64 over the
+// words), probes only banks whose readiness could have changed since the
+// last event, and keeps the best candidate as it goes. Clean buckets
+// parked in the future are skipped without probing a single entry, and
+// their bounds, read in place, are the controller's wake answer
+// (queueWake, through NextActivity): a dirty live bank answers now, and
+// otherwise the earliest bound or coming aging deadline does.
 //
 // # Invalidation contract
 //
@@ -43,19 +46,23 @@ import (
 //     row-hit picture all changed; issue() and issueRefreshPre call
 //     bankChanged, which sets the bank's dirty bit and rebuilds its cached
 //     row-hit priority from the device's bank state as the command left it.
+//     So after any issue the wake answer is the next cycle.
 //   - CAS release: the served entry leaves its bucket (bucketRemove in
 //     issueCAS) before bankChanged rebuilds the hit cache, so the
 //     open-page guard (allowPrecharge) unblocks followers the same cycle.
-//     The entry that empties a bucket clears the bank's live bit.
+//     The entry that empties a bucket clears the bank's live bit; beyond
+//     its own bank, a CAS moves only ChRead/ChWrite, which only move
+//     later, and the round-robin pointer, which reorders candidates but
+//     readies none.
 //   - REF issue: the rank's forced-drain gate (refBlocked) clears and
 //     every activate gate of the rank moved; issueRefresh calls
 //     dirtyRank, which sets the dirty bits of the rank's banks. The
 //     opposite transitions (a drain starting, gates moving later) only
 //     delay entries and need no invalidation.
 //   - enqueue: the new entry may be issuable immediately; Enqueue pushes
-//     it into its bucket, sets the bank's live and dirty bits and raises
-//     the cached row-hit priority if the entry hits the open row.
-//     (nextTry is also reset to zero, as before, so the next Tick scans.)
+//     it into its bucket, sets the bank's live and dirty bits, raises the
+//     cached row-hit priority if the entry hits the open row, and re-arms
+//     the kernel wake at now, the one event from outside the controller.
 //
 // Entry attributes the probe reads (Priority, Urgent, Enqueue, ID,
 // decoded Location) are stamped at injection and immutable while queued,
@@ -64,16 +71,22 @@ import (
 // Aging is the one non-bank-local input: once any class-queue head
 // crosses the starvation limit the "serve only over-age work" rule makes
 // the candidate set a function of age, not of banks, so the controller
-// falls back to the full legacy rescan for those (rare) cycles. The full
-// scan leaves the cached bounds untouched; they remain sound because
-// aged-pass issues dirty their banks like any other issue.
+// falls back to the full rescan (pickFull) for those (rare) cycles. Its
+// policy pass probes every entry, so it refreshes every live bucket's
+// bound and clears the dirty bits, bounding an over-age entry the policy
+// blocks as the aged pass probes it, with the open-page guard lifted. A
+// deadline crossing is the one readiness change no event marks: it
+// changes the candidate rule and lifts the guard for the crossing entry,
+// which no bound yet covers. So the wake answer includes the first
+// deadline at or after the queried cycle, and the controller ticks, and
+// rescans, at every crossing before it may sleep past it.
 //
 // The kernel's reference mode keeps the contract honest: it ticks the
 // controller every cycle, and the controller, whose wake handle then
 // reports Reference, re-derives candidates from scratch every tick — no
 // bucket caches, full bankHit recompute, refresh machine polled every
 // cycle — giving the differential suites a stepped reference that any
-// stale bound or missed invalidation diverges from.
+// stale bound, missed invalidation or late wake answer diverges from.
 
 // bucket indexes the queued entries of one bank.
 type bucket struct {
@@ -182,30 +195,23 @@ func (c *Controller) dirtyRank(r int) {
 	}
 }
 
-// collectBuckets is the incremental scan: clean buckets parked in the
-// future contribute their cached bound without any per-entry work; dirty
-// or due buckets are re-probed and their bound refreshed. Empty buckets
-// are not visited at all: the scan walks the set bits of the live mask,
-// in ascending bank order, so candidates are collected in the order a
-// walk over every bucket would collect them. It is only valid while no
-// queued transaction is over the aging limit (the caller checks),
-// because aging changes the candidate rule globally.
+// pickBuckets is the incremental scan: clean buckets parked in the
+// future are skipped without any per-entry work; dirty or due buckets are
+// re-probed and their bound refreshed. Empty buckets are not visited at
+// all: the scan walks the set bits of the live mask, in ascending bank
+// order, keeping the best candidate so far under the policy, so it meets
+// candidates in the order a walk over every bucket would. It is only
+// valid while no queued transaction is over the aging limit (the caller
+// checks), because aging changes the candidate rule globally.
 //
 //sara:hotpath
-func (c *Controller) collectBuckets(now sim.Cycle) {
-	c.scratch = c.scratch[:0]
-	c.agedPass = false
-	tryAt := neverTry
+func (c *Controller) pickBuckets(now sim.Cycle) (best candidate, found bool) {
 	for w, live := range c.live {
 		for live != 0 {
 			bit := bits.TrailingZeros64(live)
 			live &= live - 1
-			k := w<<6 | bit
-			b := &c.buckets[k]
+			b := &c.buckets[w<<6|bit]
 			if c.dirty[w]&(1<<bit) == 0 && b.readyAt > now {
-				if b.readyAt < tryAt {
-					tryAt = b.readyAt
-				}
 				continue
 			}
 			c.dirty[w] &^= 1 << bit
@@ -214,19 +220,48 @@ func (c *Controller) collectBuckets(now sim.Cycle) {
 				e := &c.slots[s]
 				ok, rowHit, eAt, eOK := c.probeScan(e, c.allowPrecharge(e), now)
 				if ok {
-					c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
+					if cand := (candidate{e, s, rowHit}); !found || c.cfg.Policy.better(cand, best, c.rrPtr, c.cfg.Delta) {
+						best, found = cand, true
+					}
 				}
 				if eOK && eAt < at {
 					at = eAt
 				}
 			}
 			b.readyAt = at
-			if at < tryAt {
-				tryAt = at
-			}
 		}
 	}
-	if len(c.scratch) == 0 {
-		c.parkEmptyScan(now, tryAt)
+	return best, found
+}
+
+// queueWake reports the earliest cycle, at or after now, at which a queue
+// scan could find an issuable command. It reads the only record there is:
+// a live bank whose dirty bit is set answers now; otherwise the answer is
+// the earliest of the live buckets' cached bounds and the first aging
+// deadline at or after now. ok is false when nothing is queued, or when
+// every bound is neverTry and no deadline is left: then only an Enqueue
+// (which re-arms the wake) can unblock the queue. The invalidation
+// contract above states why the answer is never late.
+//
+//sara:hotpath
+func (c *Controller) queueWake(now sim.Cycle) (sim.Cycle, bool) {
+	if c.npending == 0 {
+		return 0, false
 	}
+	at := neverTry
+	for w, live := range c.live {
+		if live&c.dirty[w] != 0 {
+			return now, true
+		}
+		for ; live != 0; live &= live - 1 {
+			at = min(at, c.buckets[w<<6|bits.TrailingZeros64(live)].readyAt)
+		}
+	}
+	if at <= now {
+		return now, true // a bucket is due; no aging deadline answers earlier
+	}
+	if at = min(at, c.nextDeadline(now)); at == neverTry {
+		return 0, false
+	}
+	return at, true
 }

@@ -16,15 +16,55 @@ type issueRecord struct {
 	kind byte
 }
 
+// arrivals is a test ticker that runs burst at each of its arrival
+// cycles and sleeps in between, so a skipping kernel fast-forwards
+// wherever the controller sleeps too. Each cycle is an arrival with
+// probability p, drawn from the ticker's own stream one arrival ahead.
+type arrivals struct {
+	at    sim.Cycle
+	p     float64
+	rng   *sim.Rand
+	burst func(now sim.Cycle)
+}
+
+func newArrivals(rng *sim.Rand, p float64, burst func(now sim.Cycle)) *arrivals {
+	a := &arrivals{p: p, rng: rng, burst: burst}
+	a.draw(0)
+	return a
+}
+
+// draw sets the next arrival at or after cycle from.
+func (a *arrivals) draw(from sim.Cycle) {
+	for a.at = from; !a.rng.Bool(a.p); a.at++ {
+	}
+}
+
+func (a *arrivals) Tick(now sim.Cycle) {
+	if now != a.at {
+		return // the stepped reference ticks every cycle
+	}
+	a.burst(now)
+	a.draw(now + 1)
+}
+
+func (a *arrivals) NextActivity(now sim.Cycle) (sim.Cycle, bool) { return max(a.at, now), true }
+
 // driveRandom runs one controller under a seeded random enqueue stream
-// for the given cycles, recording every issued command. With force set
-// the controller is registered with a reference-mode kernel and
-// re-derives candidates from scratch every cycle; without it the per-bank
-// buckets and the dormancy window are live. Both must produce identical
-// command streams. A nil geo keeps the paper geometry and draws banks 0-3;
+// for the given cycles, recording every issued command. Both legs run
+// through sim.Kernel.Run, with the enqueues done by two arrivals
+// tickers: one registered ahead of the controller, whose arrivals the
+// controller can serve the same cycle, and one behind it, whose arrivals
+// wait for the next cycle's tick and meet the kernel's due-wake probe of
+// the controller first. With force set the kernel is the stepped
+// reference: it ticks the controller every cycle, and the controller
+// re-derives candidates from scratch. Without it the kernel ticks the
+// controller only when its NextActivity answer (or an Enqueue's re-arm)
+// comes due, and the per-bank buckets are live. Both must produce
+// identical command streams, so a late wake answer fails here. A nil geo
+// keeps the paper geometry and draws banks 0-3;
 // otherwise the channel gets geo's ranks and banks, and the stream draws
 // four banks spread across each rank.
-func driveRandom(t *testing.T, geo *dram.Geometry, policy PolicyKind, seed uint64, refresh, force bool, cycles sim.Cycle) []issueRecord {
+func driveRandom(t *testing.T, geo *dram.Geometry, policy PolicyKind, seed uint64, refresh bool, agingT sim.Cycle, force bool, cycles sim.Cycle) []issueRecord {
 	t.Helper()
 
 	dcfg := dram.PaperConfig(1866)
@@ -39,11 +79,8 @@ func driveRandom(t *testing.T, geo *dram.Geometry, policy PolicyKind, seed uint6
 	d := dram.New(dcfg)
 	cfg := DefaultConfig(0)
 	cfg.Policy = policy
-	cfg.AgingT = 500 // low enough that aged passes actually happen
+	cfg.AgingT = agingT
 	c := New(cfg, d)
-	var k sim.Kernel
-	k.SetReference(force)
-	k.Register(c)
 
 	var out []issueRecord
 	c.SetTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
@@ -53,56 +90,111 @@ func driveRandom(t *testing.T, geo *dram.Geometry, policy PolicyKind, seed uint6
 
 	rng := sim.NewRand(seed)
 	id := uint64(0)
-	for now := sim.Cycle(0); now < cycles; now++ {
+	burst := func(now sim.Cycle) {
+		checkBuckets(t, c, now)
 		// A bursty, bank-colliding arrival pattern: some cycles enqueue
 		// several transactions, many enqueue none, rows collide often so
 		// conflicts, reservations and the open-page guard all trigger.
-		if rng.Bool(0.25) {
-			for n := rng.Intn(3); n >= 0; n-- {
-				class := txn.Class(rng.Intn(txn.NumClasses))
-				if !c.SpaceFor(class) {
-					continue
-				}
-				id++
-				loc := dram.Location{
-					Channel: 0,
-					Rank:    rng.Intn(dcfg.Geometry.Ranks),
-					Bank:    rng.Intn(4) * bankStride, // few banks: heavy collisions
-					Row:     uint64(rng.Intn(3)),
-				}
-				kind := txn.Read
-				if rng.Bool(0.3) {
-					kind = txn.Write
-				}
-				tr := &txn.Transaction{
-					ID:       id,
-					Kind:     kind,
-					Addr:     d.Mapper().Encode(loc),
-					Size:     128,
-					Class:    class,
-					Priority: txn.Priority(rng.Intn(8)),
-					Urgent:   rng.Bool(0.1),
-				}
-				c.Enqueue(tr, now)
+		for n := rng.Intn(3); n >= 0; n-- {
+			class := txn.Class(rng.Intn(txn.NumClasses))
+			if !c.SpaceFor(class) {
+				continue
+			}
+			id++
+			loc := dram.Location{
+				Channel: 0,
+				Rank:    rng.Intn(dcfg.Geometry.Ranks),
+				Bank:    rng.Intn(4) * bankStride, // few banks: heavy collisions
+				Row:     uint64(rng.Intn(3)),
+			}
+			kind := txn.Read
+			if rng.Bool(0.3) {
+				kind = txn.Write
+			}
+			tr := &txn.Transaction{
+				ID:       id,
+				Kind:     kind,
+				Addr:     d.Mapper().Encode(loc),
+				Size:     128,
+				Class:    class,
+				Priority: txn.Priority(rng.Intn(8)),
+				Urgent:   rng.Bool(0.1),
+			}
+			c.Enqueue(tr, now)
+		}
+	}
+	var k sim.Kernel
+	k.SetReference(force)
+	k.Register(newArrivals(rng.Fork(1), 0.125, burst))
+	k.Register(c)
+	k.Register(newArrivals(rng.Fork(2), 0.125, burst))
+	k.Run(cycles)
+	checkBuckets(t, c, cycles)
+	return out
+}
+
+// checkBuckets asserts the bucket invariants at cycle now: a bank's live
+// bit is set exactly when its bucket holds entries, and, per bucket.go's
+// invalidation contract, a clean live bucket's bound is no later than the
+// cycle a fresh probe gives any of its entries.
+func checkBuckets(t *testing.T, c *Controller, now sim.Cycle) {
+	t.Helper()
+	for k := range c.buckets {
+		w, bit := k>>6, uint64(1)<<(k&63)
+		b := &c.buckets[k]
+		if live := c.live[w]&bit != 0; live != (b.head >= 0) {
+			t.Fatalf("cycle %d: bank %d: live bit %v, bucket head %d", now, k, live, b.head)
+		}
+		if c.dirty[w]&bit != 0 {
+			continue
+		}
+		for s := b.head; s >= 0; s = c.next[s] {
+			e := &c.slots[s]
+			if _, _, at, ok := c.probeScan(e, c.allowPrecharge(e), now); ok && at < b.readyAt {
+				t.Fatalf("cycle %d: clean bank %d parked at %d, but txn %d clears its gates at %d",
+					now, k, b.readyAt, e.t.ID, at)
 			}
 		}
-		c.Tick(now)
 	}
-	for k := range c.buckets {
-		if live := c.live[k>>6]&(1<<(k&63)) != 0; live != (c.buckets[k].head >= 0) {
-			t.Fatalf("bank %d: live bit %v, bucket head %d", k, live, c.buckets[k].head)
+}
+
+// matchForceScan runs driveRandom's two legs for each seed and aging
+// limit and requires identical command streams.
+func matchForceScan(t *testing.T, geo *dram.Geometry, policy PolicyKind, refresh bool, seeds uint64, agings []sim.Cycle, cycles sim.Cycle) {
+	t.Helper()
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, agingT := range agings {
+			ref := driveRandom(t, geo, policy, seed, refresh, agingT, true, cycles)
+			fast := driveRandom(t, geo, policy, seed, refresh, agingT, false, cycles)
+			if len(ref) == 0 {
+				t.Fatalf("seed %d, aging %d: reference issued nothing", seed, agingT)
+			}
+			if len(ref) != len(fast) {
+				t.Fatalf("seed %d, aging %d: issue counts differ: full %d, bucket %d",
+					seed, agingT, len(ref), len(fast))
+			}
+			for i := range ref {
+				if ref[i] != fast[i] {
+					t.Fatalf("seed %d, aging %d: issue %d differs: full %+v, bucket %+v",
+						seed, agingT, i, ref[i], fast[i])
+				}
+			}
 		}
 	}
-	return out
 }
 
 // TestBucketScanMatchesForceScan is the unit-level differential for the
 // per-bank buckets: across every policy, with and without refresh, the
 // incrementally maintained scan must issue the exact same command stream
 // — same transactions, same cycles, same command kinds — as the
-// per-cycle full rescan reference. Random bank collisions exercise every
-// invalidation edge (reservation release, open-page guard, refresh
-// drains, aging passes, dormancy-window resets).
+// per-cycle full rescan reference, and the controller's wake answers
+// must never let the kernel sleep through a command. Random bank
+// collisions exercise every invalidation edge (reservation release,
+// open-page guard, refresh drains, aging passes, enqueue re-arms). Both
+// aging limits are low enough that aged passes happen; the shorter one
+// also lands aging deadlines inside the timing waits of misses the
+// open-page guard holds back, which only the deadline in the wake answer
+// catches.
 func TestBucketScanMatchesForceScan(t *testing.T) {
 	t.Parallel()
 	for _, policy := range AllPolicies() {
@@ -110,23 +202,7 @@ func TestBucketScanMatchesForceScan(t *testing.T) {
 			policy, refresh := policy, refresh
 			t.Run(fmt.Sprintf("%v/refresh=%v", policy, refresh), func(t *testing.T) {
 				t.Parallel()
-				for seed := uint64(1); seed <= 5; seed++ {
-					ref := driveRandom(t, nil, policy, seed, refresh, true, 30000)
-					fast := driveRandom(t, nil, policy, seed, refresh, false, 30000)
-					if len(ref) == 0 {
-						t.Fatalf("seed %d: reference issued nothing", seed)
-					}
-					if len(ref) != len(fast) {
-						t.Fatalf("seed %d: issue counts differ: full %d, bucket %d",
-							seed, len(ref), len(fast))
-					}
-					for i := range ref {
-						if ref[i] != fast[i] {
-							t.Fatalf("seed %d: issue %d differs: full %+v, bucket %+v",
-								seed, i, ref[i], fast[i])
-						}
-					}
-				}
+				matchForceScan(t, nil, policy, refresh, 5, []sim.Cycle{500, 100}, 30000)
 			})
 		}
 	}
@@ -144,21 +220,7 @@ func TestBucketScanAnyGeometry(t *testing.T) {
 			policy, refresh := policy, refresh
 			t.Run(fmt.Sprintf("%v/refresh=%v", policy, refresh), func(t *testing.T) {
 				t.Parallel()
-				for seed := uint64(1); seed <= 3; seed++ {
-					ref := driveRandom(t, geo, policy, seed, refresh, true, 20000)
-					fast := driveRandom(t, geo, policy, seed, refresh, false, 20000)
-					if len(ref) == 0 {
-						t.Fatalf("seed %d: reference issued nothing", seed)
-					}
-					if len(ref) != len(fast) {
-						t.Fatalf("seed %d: issue counts differ: full %d, bucket %d", seed, len(ref), len(fast))
-					}
-					for i := range ref {
-						if ref[i] != fast[i] {
-							t.Fatalf("seed %d: issue %d differs: full %+v, bucket %+v", seed, i, ref[i], fast[i])
-						}
-					}
-				}
+				matchForceScan(t, geo, policy, refresh, 3, []sim.Cycle{500}, 20000)
 			})
 		}
 	}
@@ -207,7 +269,8 @@ func TestBucketMembershipTracksQueues(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectBuckets prices the incremental bucket scan at queue
+// BenchmarkCollectBuckets prices the incremental bucket scan (pickBuckets;
+// the benchmark keeps the scan's earlier name) at queue
 // depths 4, 32 and 128, in the loaded steady state: the queued entries
 // sit on 4 of the 16 banks (the 4x saturated SoC averages 3.9 non-empty
 // banks per scan), every bank's device gates hold an open row the
@@ -236,16 +299,16 @@ func BenchmarkCollectBuckets(b *testing.B) {
 					Size: 128, Class: txn.Class(i % txn.NumClasses)}, 1)
 			}
 			now := sim.Cycle(2)
-			c.collectBuckets(now)
-			if len(c.scratch) != 0 || c.nextTry <= now {
-				b.Fatalf("scan found %d candidates, parked at %d: want every bank gated past %d",
-					len(c.scratch), c.nextTry, now)
+			_, found := c.pickBuckets(now)
+			if at, ok := c.queueWake(now); found || !ok || at <= now {
+				b.Fatalf("scan found a candidate (%v) or woke at %d (%v): want every bank gated past %d",
+					found, at, ok, now)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.bankChanged(i % live * stride)
-				c.collectBuckets(now)
+				c.pickBuckets(now)
 			}
 		})
 	}

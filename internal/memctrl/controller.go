@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sara/internal/dram"
 	"sara/internal/sim"
@@ -91,10 +92,6 @@ type Controller struct {
 
 	stats Stats
 
-	// scratch is reused every cycle to collect issuable candidates.
-	scratch []candidate
-	// aged marks that scratch currently holds only over-age candidates.
-	agedPass bool
 	// bankHit caches, per (rank, bank), the highest priority among queued
 	// transactions that hit the currently open row, offset by one so zero
 	// means "no queued hit". Row-aware policies use it to avoid
@@ -127,16 +124,6 @@ type Controller struct {
 	// which the kernel's due-wake validation queries per probe.
 	npending int
 
-	// nextTry is the next cycle a queue scan can possibly yield a
-	// command. After a scan finds nothing issuable, the blockers are pure
-	// DRAM timing (plus aging thresholds), both of which are exactly
-	// predictable, and nothing outside this controller mutates its
-	// channel's state — so the controller reports nextTry as its next
-	// activity and sleeps until then or the next Enqueue instead of
-	// re-scanning every cycle. neverTry means no queued transaction can
-	// ever issue without a queue change.
-	nextTry sim.Cycle
-
 	// gates is the device's timing state for this channel, read in place:
 	// entries are evaluated against it with plain arithmetic instead of
 	// per-entry device probes. Only this controller issues commands to
@@ -156,9 +143,10 @@ type Controller struct {
 	// a window-limited source whose queue merely blinks empty between
 	// requests does not eat a blackout at the worst moment. refNextAction
 	// is the next cycle the refresh state machine could issue a command or
-	// change the forced-rank mask — the refresh analogue of nextTry, and
-	// the wake NextActivity reports so skipped stretches cannot slide past
-	// a due refresh.
+	// change the forced-rank mask, and the wake NextActivity reports so
+	// skipped stretches cannot slide past a due refresh. It is the refresh
+	// machine's own schedule, kept rather than derived per query because
+	// deriving it asks the device about every rank.
 	refreshOn     bool
 	refCfg        dram.RefreshConfig
 	nRanks        int
@@ -182,8 +170,9 @@ type Controller struct {
 	wake sim.WakeHandle
 }
 
-// neverTry marks a dormant controller whose queue contents must change
-// before any command can issue.
+// neverTry is the cycle that never comes: the bound of a bucket whose
+// entries all wait on a queue change or a refresh rather than on a timing
+// gate, and the aging deadline with aging off.
 const neverTry = ^sim.Cycle(0)
 
 const (
@@ -266,7 +255,6 @@ func (c *Controller) Enqueue(t *txn.Transaction, now sim.Cycle) {
 	}
 	t.Enqueue = now
 	t.RowPath = neededNothing
-	wasEmpty := c.npending == 0
 	q := &c.queues[t.Class]
 	if q.full() {
 		panic(fmt.Sprintf("memctrl: queue %s overflow", q.class))
@@ -281,18 +269,11 @@ func (c *Controller) Enqueue(t *txn.Transaction, now sim.Cycle) {
 	if c.refreshOn {
 		c.rankPending[loc.Rank]++
 	}
-	// A new transaction invalidates the dormancy window: it may be
-	// issuable immediately, and it changes the row-hit picture. The
-	// kernel wake is re-armed alongside (the upstream router ticks
-	// before this controller, so the entry is schedulable this cycle) —
-	// but only when the controller was parked in the future, or was
-	// empty (an empty controller's hint ignores nextTry entirely, so its
-	// kernel bound may be parked at never regardless of nextTry); a
-	// nonempty controller already due now has a bound at or below now.
-	if wasEmpty || c.nextTry > now {
-		c.wake.Rearm(now)
-	}
-	c.nextTry = 0
+	// The new entry may be issuable immediately (bucketPush dirtied its
+	// bank), so the kernel wake is re-armed at now: the upstream router
+	// ticks before this controller, so the entry is schedulable this
+	// cycle. A wake already at or below now makes the re-arm a no-op.
+	c.wake.Rearm(now)
 }
 
 // BindWake implements sim.WakeBinder: the kernel hands the controller its
@@ -302,48 +283,45 @@ func (c *Controller) BindWake(h sim.WakeHandle) { c.wake = h }
 // Pending reports the total number of queued transactions.
 func (c *Controller) Pending() int { return c.npending }
 
-// rrDist measures how far class is from the round-robin pointer; the class
-// whose turn is next has distance 0.
-func (c *Controller) rrDist(class txn.Class) int {
-	return (int(class) - int(c.rrPtr) + txn.NumClasses) % txn.NumClasses
-}
-
-// NextActivity implements sim.Idler: an empty controller never wakes the
-// kernel, and a controller whose queued transactions are all blocked on
-// DRAM timing wakes exactly when the first timing gate opens. With
-// refresh modeled the controller additionally wakes for the refresh state
-// machine — REF issue, forced-drain precharges and tREFI boundary
-// crossings — so a skipped stretch can never slide past a due refresh or
-// mis-time a tRFC blackout.
+// NextActivity implements sim.Idler: the queue's wake (queueWake), read
+// from live state, and with refresh modeled the refresh state machine's —
+// REF issue, forced-drain precharges and tREFI boundary crossings — so a
+// skipped stretch can never slide past a due refresh or mis-time a tRFC
+// blackout.
 //
 //sara:hotpath
 func (c *Controller) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
-	var queueAt sim.Cycle
-	queueOK := false
-	if c.npending > 0 && c.nextTry != neverTry {
-		// nextTry == neverTry: every queued transaction is blocked on a
-		// queue-shape change (e.g. the open-page guard); only an Enqueue
-		// can unblock it.
-		queueAt = c.nextTry
-		if queueAt < now {
-			queueAt = now
-		}
-		queueOK = true
-	}
+	at, ok := c.queueWake(now)
 	if !c.refreshOn {
-		if !queueOK {
-			return 0, false
-		}
-		return queueAt, true
+		return at, ok
 	}
-	refAt := c.refNextAction
-	if refAt < now {
-		refAt = now
-	}
-	if !queueOK || refAt < queueAt {
+	refAt := max(c.refNextAction, now)
+	if !ok || refAt < at {
 		return refAt, true
 	}
-	return queueAt, true
+	return at, true
+}
+
+// nextDeadline reports the earliest aging deadline at or after from: the
+// first cycle from then on at which a queued transaction crosses the aging
+// limit (neverTry with aging off, or when none crosses from then on).
+// Queues are FIFO and Enqueue stamps are monotone, so each class's first
+// entry whose deadline is at or after from carries the class minimum;
+// from 0 that is the head, the queue's oldest entry.
+func (c *Controller) nextDeadline(from sim.Cycle) sim.Cycle {
+	at := neverTry
+	if c.cfg.AgingT == 0 {
+		return at
+	}
+	for qi := range c.queues {
+		for _, s := range c.queues[qi].slots {
+			if d := c.slots[s].t.Enqueue + c.cfg.AgingT; d >= from {
+				at = min(at, d)
+				break
+			}
+		}
+	}
+	return at
 }
 
 // Tick issues at most one DRAM command for this channel.
@@ -355,20 +333,20 @@ func (c *Controller) Tick(now sim.Cycle) {
 			return // the refresh machine consumed this cycle's command slot
 		}
 	}
-	c.collectCandidates(now)
-	if len(c.scratch) == 0 {
-		return // collectCandidates computed the dormancy window
+	// The common case walks the per-bank buckets (pickBuckets), probing
+	// only banks whose readiness could have changed since the last event.
+	// Aged cycles — and every cycle in the kernel's reference mode — take
+	// the full rescan (pickFull), which re-derives everything from the
+	// queues.
+	var best candidate
+	var found bool
+	if aged := now >= c.nextDeadline(0); aged || c.wake.Reference() {
+		best, found = c.pickFull(now, aged)
+	} else {
+		best, found = c.pickBuckets(now)
 	}
-	c.nextTry = now + 1
-	best := c.scratch[0]
-	for _, cand := range c.scratch[1:] {
-		if c.agedPass {
-			if olderFirst(cand, best) {
-				best = cand
-			}
-		} else if c.cfg.Policy.better(cand, best, c.rrDist, c.cfg.Delta) { //sara:alloc-ok method value does not escape; stack-allocated (0 allocs/op bench gate)
-			best = cand
-		}
+	if !found {
+		return
 	}
 	c.issue(best, now)
 	if c.refreshOn {
@@ -458,9 +436,6 @@ func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
 		c.stats.ForcedRefreshes++
 	}
 	c.refNextAction = now + 1
-	if c.nextTry > now+1 {
-		c.nextTry = now + 1
-	}
 }
 
 // issueRefreshPre precharges bank b of rank r on behalf of a forced
@@ -475,9 +450,6 @@ func (c *Controller) issueRefreshPre(r, b int, now sim.Cycle) {
 	c.bankChanged(c.bankKey(loc))
 	c.stats.RefreshPrecharges++
 	c.refNextAction = now + 1
-	if c.nextTry > now+1 {
-		c.nextTry = now + 1
-	}
 }
 
 // nextRefreshAction reports the earliest cycle the refresh machine could
@@ -526,120 +498,62 @@ func (c *Controller) nextRefreshAction(now sim.Cycle) sim.Cycle {
 	return best
 }
 
-// collectCandidates fills c.scratch with every queued transaction that can
-// issue a DRAM command at cycle now, honoring bank reservations. When any
-// transaction is over the aging limit, only over-age transactions are
-// candidates (the "clear the backlog" rule of Section 3.3).
+// pickFull is the full rescan: every queued entry of every class is
+// probed, in queue order, and the row-hit table recomputed. It serves the
+// aged pass and the kernel's reference mode. With aged set, only over-age
+// entries are candidates, oldest first, and they may precharge past
+// queued row hits (the "clear the backlog" rule of Section 3.3); when
+// none of them can issue, every entry competes under the policy.
 //
-// When the scan comes up empty, the same pass has already gathered the
-// next cycle anything could change — the minimum over per-bank cached
-// bounds (or per-entry timing gates on a full rescan) and upcoming
-// aging-threshold crossings — and parks the controller there via nextTry.
-// The bounds are sound lower bounds: nothing outside this controller
-// mutates its channel's DRAM state, and Enqueue resets the window.
-//
-// The common case walks the per-bank buckets (collectBuckets), probing
-// only banks whose readiness could have changed since the last event.
-// Aged cycles — and every cycle in the kernel's reference mode — take the
-// full legacy rescan (collectFull), which re-derives everything from
-// scratch.
-func (c *Controller) collectCandidates(now sim.Cycle) {
-	// Queues are FIFO and Enqueue stamps are monotone, so each class head
-	// is its queue's oldest entry: five compares decide whether any aging
-	// work exists at all.
-	hasAged := false
-	if c.cfg.AgingT > 0 {
-		for qi := range c.queues {
-			if qs := c.queues[qi].slots; len(qs) > 0 && now >= c.slots[qs[0]].t.Enqueue+c.cfg.AgingT {
-				hasAged = true
-				break
-			}
-		}
-	}
-	if hasAged || c.wake.Reference() {
-		c.collectFull(now, hasAged)
-		return
-	}
-	c.collectBuckets(now)
-}
-
-// collectFull is the legacy full rescan: every queued entry of every
-// class is probed and the row-hit table recomputed. It serves the aged
-// pass (where candidacy is a function of age, not banks) and the forced
-// per-cycle reference mode. Bucket caches are left untouched — they stay
-// sound lower bounds because issued commands dirty their banks.
-func (c *Controller) collectFull(now sim.Cycle, hasAged bool) {
-	c.scratch = c.scratch[:0]
-	c.agedPass = false
+// That second pass probes every entry, so it also refreshes every live
+// bucket's bound and clears its dirty bit. An over-age entry the policy
+// blocks is bounded as the aged pass probes it, with the open-page guard
+// lifted, so the bound stays a lower bound for as long as the entry is
+// queued, aged or not.
+func (c *Controller) pickFull(now sim.Cycle, aged bool) (best candidate, found bool) {
 	c.refreshBankHits()
-	if hasAged {
+	if aged {
 		for qi := range c.queues {
-			for _, qs := range c.queues[qi].slots {
-				e := &c.slots[qs]
+			for _, s := range c.queues[qi].slots {
+				e := &c.slots[s]
 				if now < e.t.Enqueue+c.cfg.AgingT {
 					continue
 				}
 				if ok, rowHit, _, _ := c.probeScan(e, true, now); ok {
-					c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
+					if cand := (candidate{e, s, rowHit}); !found || olderFirst(cand, best) {
+						best, found = cand, true
+					}
 				}
 			}
 		}
-		if len(c.scratch) > 0 {
-			c.agedPass = true
-			return
+		if found {
+			return best, true
 		}
 	}
-	tryAt := neverTry
+	for w, live := range c.live {
+		c.dirty[w] &^= live
+		for ; live != 0; live &= live - 1 {
+			c.buckets[w<<6|bits.TrailingZeros64(live)].readyAt = neverTry
+		}
+	}
 	for qi := range c.queues {
-		for _, qs := range c.queues[qi].slots {
-			e := &c.slots[qs]
+		for _, s := range c.queues[qi].slots {
+			e := &c.slots[s]
 			ok, rowHit, at, atOK := c.probeScan(e, c.allowPrecharge(e), now)
 			if ok {
-				c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
-				continue
-			}
-			if hasAged && !atOK && now >= e.t.Enqueue+c.cfg.AgingT {
-				// Already aged but policy-blocked: the aged pass
-				// bypasses the open-page guard, so probe with it.
-				_, _, at, atOK = c.probeScan(e, true, now)
-			}
-			if atOK && at < tryAt {
-				tryAt = at
-			}
-		}
-	}
-	if len(c.scratch) == 0 {
-		c.parkEmptyScan(now, tryAt)
-	}
-}
-
-// parkEmptyScan finalizes a scan that produced no candidates: the next
-// aging-threshold crossing changes both the candidate set and the
-// open-page bypass, so it bounds the dormancy window alongside tryAt,
-// the timing-gate minimum the scan gathered. Entries are sorted by
-// Enqueue, so the first not-yet-aged entry of each class carries the
-// class minimum — the head itself whenever nothing is aged (the bucket
-// scan's case). Both scan flavors park through this one tail so their
-// dormancy windows cannot drift apart.
-func (c *Controller) parkEmptyScan(now, tryAt sim.Cycle) {
-	if c.cfg.AgingT > 0 {
-		for qi := range c.queues {
-			for _, qs := range c.queues[qi].slots {
-				if deadline := c.slots[qs].t.Enqueue + c.cfg.AgingT; deadline > now {
-					if deadline < tryAt {
-						tryAt = deadline
-					}
-					break
+				if cand := (candidate{e, s, rowHit}); !found || c.cfg.Policy.better(cand, best, c.rrPtr, c.cfg.Delta) {
+					best, found = cand, true
 				}
 			}
+			if !atOK && aged && now >= e.t.Enqueue+c.cfg.AgingT {
+				_, _, at, atOK = c.probeScan(e, true, now)
+			}
+			if b := &c.buckets[c.bankKey(e.loc)]; atOK && at < b.readyAt {
+				b.readyAt = at
+			}
 		}
 	}
-	if tryAt <= now {
-		// Defensive: the scan just failed at now, so nothing can
-		// issue before the next cycle.
-		tryAt = now + 1
-	}
-	c.nextTry = tryAt
+	return best, found
 }
 
 // probeScan evaluates entry e against the channel's timing gates: whether
@@ -740,9 +654,9 @@ type TraceFn = func(ch int, now sim.Cycle, id uint64, kind byte)
 // it). Install it only while the controller is not running.
 func (c *Controller) SetTrace(fn TraceFn) { c.trace = fn }
 
-// issue performs e's next command at cycle now.
+// issue performs the picked entry's next command at cycle now.
 func (c *Controller) issue(best candidate, now sim.Cycle) {
-	e := best.e
+	e := *best.e // a copy: a CAS frees the slot
 	key := c.bankKey(e.loc)
 	b := &c.gates.Banks[key]
 	open, hit := b.Open, b.Open && b.Row == e.loc.Row
@@ -757,7 +671,7 @@ func (c *Controller) issue(best candidate, now sim.Cycle) {
 	}
 	switch {
 	case hit:
-		c.issueCAS(e, now)
+		c.issueCAS(e, best.s, now)
 	case open:
 		c.dram.Reserve(e.loc, e.t.ID)
 		c.dram.Precharge(e.loc, now)
@@ -772,7 +686,7 @@ func (c *Controller) issue(best candidate, now sim.Cycle) {
 	c.bankChanged(key)
 }
 
-func (c *Controller) issueCAS(e entry, now sim.Cycle) {
+func (c *Controller) issueCAS(e entry, s int32, now sim.Cycle) {
 	var done sim.Cycle
 	if e.t.Kind == txn.Read {
 		done = c.dram.Read(e.loc, now)
@@ -784,7 +698,7 @@ func (c *Controller) issueCAS(e entry, now sim.Cycle) {
 	c.dram.Release(e.loc, e.t.ID)
 	q := &c.queues[e.t.Class]
 	wasFull := q.full()
-	s := q.remove(c.slots, e.t.ID)
+	q.remove(s)
 	c.npending--
 	c.bucketRemove(c.bankKey(e.loc), s)
 	c.slots[s] = entry{}

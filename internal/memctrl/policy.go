@@ -61,20 +61,26 @@ func AllPolicies() []PolicyKind {
 // candidate is a queued transaction that can issue a DRAM command this
 // cycle, with the attributes the comparators need.
 type candidate struct {
-	e      entry
-	rowHit bool // a CAS would hit the open row (ignoring timing)
+	e      *entry // in the controller's slot table
+	s      int32  // e's slot
+	rowHit bool   // a CAS would hit the open row (ignoring timing)
 }
 
-// better reports whether a should be served before b under policy p.
-// rrDist maps a class to its distance from the controller's round-robin
-// pointer (0 = next in turn). delta is Policy 2's threshold.
-func (p PolicyKind) better(a, b candidate, rrDist func(txn.Class) int, delta txn.Priority) bool {
+// rrDist measures how far class is from the round-robin pointer rr; the
+// class whose turn is next has distance 0.
+func rrDist(class, rr txn.Class) int {
+	return (int(class) - int(rr) + txn.NumClasses) % txn.NumClasses
+}
+
+// better reports whether a should be served before b under policy p. rr
+// is the controller's round-robin pointer and delta Policy 2's threshold.
+func (p PolicyKind) better(a, b candidate, rr txn.Class, delta txn.Priority) bool {
 	switch p {
 	case FCFS:
 		return olderFirst(a, b)
 
 	case RR:
-		da, db := rrDist(a.e.t.Class), rrDist(b.e.t.Class)
+		da, db := rrDist(a.e.t.Class, rr), rrDist(b.e.t.Class, rr)
 		if da != db {
 			return da < db
 		}
@@ -93,7 +99,7 @@ func (p PolicyKind) better(a, b candidate, rrDist func(txn.Class) int, delta txn
 		return olderFirst(a, b)
 
 	case QoS:
-		return qosBetter(a, b, rrDist)
+		return qosBetter(a, b, rr)
 
 	case QoSRB:
 		pa, pb := a.e.t.Priority, b.e.t.Priority
@@ -104,9 +110,9 @@ func (p PolicyKind) better(a, b candidate, rrDist func(txn.Class) int, delta txn
 			if (pa < delta && pb < delta) || pa == pb {
 				return a.rowHit
 			}
-			return qosBetter(a, b, rrDist)
+			return qosBetter(a, b, rr)
 		}
-		return qosBetter(a, b, rrDist)
+		return qosBetter(a, b, rr)
 
 	default:
 		panic("memctrl: unknown policy")
@@ -115,12 +121,12 @@ func (p PolicyKind) better(a, b candidate, rrDist func(txn.Class) int, delta txn
 
 // qosBetter implements Policy 1: priority descending, then round-robin
 // across queues, then age.
-func qosBetter(a, b candidate, rrDist func(txn.Class) int) bool {
+func qosBetter(a, b candidate, rr txn.Class) bool {
 	pa, pb := a.e.t.Priority, b.e.t.Priority
 	if pa != pb {
 		return pa > pb
 	}
-	da, db := rrDist(a.e.t.Class), rrDist(b.e.t.Class)
+	da, db := rrDist(a.e.t.Class, rr), rrDist(b.e.t.Class, rr)
 	if da != db {
 		return da < db
 	}

@@ -30,17 +30,16 @@ type classQueue struct {
 
 func (q *classQueue) full() bool { return len(q.slots) >= q.cap }
 
-// remove deletes the entry holding transaction id, preserving order, and
-// returns its slot.
-func (q *classQueue) remove(slots []entry, id uint64) int32 {
-	for i, s := range q.slots {
-		if slots[s].t.ID == id {
+// remove deletes slot s, preserving order.
+func (q *classQueue) remove(s int32) {
+	for i, qs := range q.slots {
+		if qs == s {
 			copy(q.slots[i:], q.slots[i+1:])
 			q.slots = q.slots[:len(q.slots)-1]
-			return s
+			return
 		}
 	}
-	panic(fmt.Sprintf("memctrl: remove of unknown txn %d", id))
+	panic(fmt.Sprintf("memctrl: remove of unqueued slot %d", s))
 }
 
 // QueueCaps is the per-class capacity split. The paper's controller has 42
