@@ -84,11 +84,9 @@ func TestSteadyStateAllocationsScaled(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocationsParallel pins the domain-parallel kernel's
-// steady state: the per-worker epoch loop — barrier waits, mailbox-ring
-// exchange, cross-link credit returns, per-domain kernel runs — must run
-// entirely on preallocated state. AllocsPerRun counts mallocs
-// process-wide, so the parked worker goroutines are covered too.
+// TestSteadyStateAllocationsParallel pins the partitioned System's
+// steady state: the mailbox-ring exchange event and the cross-link
+// credit returns must run entirely on preallocated state.
 func TestSteadyStateAllocationsParallel(t *testing.T) {
 	sys := core.BuildParallel(sara.ScaledSaturated(4), 2)
 	if sys.Domains() < 2 {
@@ -97,7 +95,7 @@ func TestSteadyStateAllocationsParallel(t *testing.T) {
 	sys.RunFrames(1)
 
 	if allocs := allocsPer1000(sys, 20); allocs > 0 {
-		t.Fatalf("parallel steady state allocates %.1f times per 1000 cycles, want 0", allocs)
+		t.Fatalf("partitioned steady state allocates %.1f times per 1000 cycles, want 0", allocs)
 	}
 }
 

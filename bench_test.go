@@ -270,33 +270,22 @@ func BenchmarkLoadedPhaseThroughputScaled(b *testing.B) {
 }
 
 // BenchmarkLoadedPhaseThroughputParallel measures the saturated phase on
-// the 4x SoC under the domain-parallel kernel at 1, 2 and 4 workers.
-// Compare ns/cycle against BenchmarkLoadedPhaseThroughputScaled/4x: the
-// w1 leg prices the partitioned topology plus the epoch machinery on one
-// goroutine, and the multi-worker legs price the barrier against the
-// sharded work — they win only when the per-epoch work per domain
-// exceeds the synchronization cost, which needs real hardware
-// parallelism (on a single-core host every leg is serial plus barrier
-// overhead). Allocs/op must stay at 0 at every worker count.
+// the 4x SoC's partitioned topology. Compare ns/cycle against
+// BenchmarkLoadedPhaseThroughputScaled/4x: the difference prices the
+// ingress hop and the mailbox exchange. Allocs/op must stay at 0.
 func BenchmarkLoadedPhaseThroughputParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			sys := core.BuildParallel(sara.ScaledSaturated(4), workers)
-			if sys.Domains() < 2 {
-				b.Fatal("4x saturated config should partition")
-			}
-			sys.RunFrames(1)
-			growSeries(sys, sara.Cycle(b.N)*1000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Run(1000)
-			}
-			b.ReportMetric(1000, "cycles/op")
-			b.ReportMetric(float64(sys.Config().DRAM.Geometry.Channels), "channels")
-			b.ReportMetric(float64(sys.DomainWorkers()), "workers")
-		})
+	sys := core.BuildParallel(sara.ScaledSaturated(4), 1)
+	if sys.Domains() < 2 {
+		b.Fatal("4x saturated config should partition")
 	}
+	sys.RunFrames(1)
+	growSeries(sys, sara.Cycle(b.N)*1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Run(1000)
+	}
+	b.ReportMetric(1000, "cycles/op")
+	b.ReportMetric(float64(sys.Config().DRAM.Geometry.Channels), "channels")
 }
 
 // BenchmarkLoadedPhaseThroughputReference is the loaded-phase measurement

@@ -75,7 +75,7 @@ func parseBenchLine(line string) (Bench, bool) {
 	if len(fields) < 4 || len(fields[0]) < len("Benchmark") || fields[0][:len("Benchmark")] != "Benchmark" {
 		return Bench{}, false
 	}
-	b := Bench{Name: fields[0], Metrics: map[string]float64{}}
+	b := Bench{Name: trimCPUSuffix(fields[0]), Metrics: map[string]float64{}}
 	if _, err := fmt.Sscan(fields[1], &b.Iterations); err != nil {
 		return Bench{}, false
 	}
@@ -109,6 +109,22 @@ func parseBenchLine(line string) (Bench, bool) {
 		b.Metrics = nil
 	}
 	return b, true
+}
+
+// trimCPUSuffix strips the "-N" that go test appends to every benchmark
+// name when GOMAXPROCS is N > 1, so a report matches a baseline recorded
+// on a host with any CPU count.
+func trimCPUSuffix(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func main() {

@@ -167,6 +167,44 @@ func TestBaselineToleranceFlag(t *testing.T) {
 	}
 }
 
+// TestBaselineIgnoresCPUSuffix: go test names every benchmark with a
+// "-N" suffix when GOMAXPROCS is N > 1; the baseline's names carry none,
+// so the suffix must not turn the comparison into a disjoint-names
+// failure, and a real regression must still trip the gate.
+func TestBaselineIgnoresCPUSuffix(t *testing.T) {
+	suffixed := strings.NewReplacer(
+		"BenchmarkSimulatorThroughput ", "BenchmarkSimulatorThroughput-2 ",
+		"BenchmarkLoadedPhaseThroughputScaled/4x ", "BenchmarkLoadedPhaseThroughputScaled/4x-2 ",
+	).Replace(sample)
+	if suffixed == sample {
+		t.Fatal("sample lines not rewritten")
+	}
+	rep, err := parse(strings.NewReader(suffixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Benchmarks[1].Name; got != "BenchmarkLoadedPhaseThroughputScaled/4x" {
+		t.Fatalf("parsed name %q, want the suffix stripped", got)
+	}
+
+	path := writeBaseline(t, 258.009/1.1, 2201.684/1.1)
+	var out, errb strings.Builder
+	if code := run([]string{"-baseline", path}, strings.NewReader(suffixed), &out, &errb); code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, errb.String())
+	}
+	for _, name := range []string{"BenchmarkSimulatorThroughput", "BenchmarkLoadedPhaseThroughputScaled/4x"} {
+		if !strings.Contains(errb.String(), "ok "+name+":") {
+			t.Errorf("stderr lacks an ok line for %s:\n%s", name, errb.String())
+		}
+	}
+
+	slow := writeBaseline(t, 258.009/2, 2201.684)
+	errb.Reset()
+	if code := run([]string{"-baseline", slow}, strings.NewReader(suffixed), &out, &errb); code != 3 {
+		t.Fatalf("2x-slower input: exit code %d, want 3; stderr:\n%s", code, errb.String())
+	}
+}
+
 func TestBaselineDisjointNamesFail(t *testing.T) {
 	// A baseline sharing no benchmark names must fail loudly, not pass
 	// vacuously.

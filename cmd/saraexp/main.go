@@ -142,10 +142,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			runs, err = sara.Fig9(opt)
 		}
 		report(n, runs)
-		if err != nil {
-			// The cells passed validation above, so this is a journal
-			// error or a failed Fig. 8 cell.
-			fmt.Fprintf(stderr, "saraexp: %v\n", err)
+		if err == nil {
+			continue
+		}
+		// The cells passed validation above, so this is a journal error
+		// or the failed cells of Fig. 7 or 8, joined: count each.
+		errs := []error{err}
+		if joined, ok := err.(interface{ Unwrap() []error }); ok {
+			errs = joined.Unwrap()
+		}
+		for _, e := range errs {
+			fmt.Fprintf(stderr, "saraexp: %v\n", e)
 			failed++
 		}
 	}

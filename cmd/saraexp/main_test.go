@@ -69,6 +69,23 @@ func TestMaxCyclesFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestFig7CountsEveryFailedCell trips the cycle budget on all five
+// Fig. 7 cells: the command must print each cell's failure with its
+// rerun command and count all five, not only the first.
+func TestFig7CountsEveryFailedCell(t *testing.T) {
+	var out, errb strings.Builder
+	code := run([]string{"-fig", "7", "-max-cycles", "100"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, errb.String())
+	}
+	if n := strings.Count(errb.String(), "Repro: go run ./cmd/sarasweep -sweep cell"); n != 5 {
+		t.Errorf("want 5 failed cells with Repro lines, got %d:\n%s", n, errb.String())
+	}
+	if !strings.Contains(errb.String(), "5 run(s) failed") {
+		t.Errorf("stderr lacks the failure tally:\n%s", errb.String())
+	}
+}
+
 func TestAnalysisOutRequiresAnalyze(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-analysis-out", "x.json"}, &out, &errb); code != 2 {

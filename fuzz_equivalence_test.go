@@ -43,10 +43,10 @@ func fuzzScale() int {
 var fuzzPolicies = []sara.Policy{sara.FCFS, sara.RR, sara.FRFCFS, sara.FrameRate, sara.QoS, sara.QoSRB}
 
 // fuzzConfig deterministically derives a full system configuration from
-// seed, with the domain-worker count the pool's parallel leg builds it
-// at. Keep this function stable: failure messages identify configs by
-// seed only.
-func fuzzConfig(seed uint64) (cfg sara.Config, desc string, domainWorkers int) {
+// seed, and whether the pool's partitioned leg also runs it on the
+// per-channel topology. Keep this function stable: failure messages
+// identify configs by seed only.
+func fuzzConfig(seed uint64) (cfg sara.Config, desc string, partitioned bool) {
 	rng := sim.NewRand(seed)
 	tc := sara.CaseA
 	if rng.Bool(0.3) {
@@ -158,16 +158,17 @@ func fuzzConfig(seed uint64) (cfg sara.Config, desc string, domainWorkers int) {
 		}
 	}
 
-	// Domain-parallel kernel: a slice of the pool re-runs the partitioned
-	// topology at this worker count against its 1-worker reference (drawn
-	// last — appending keeps every historic failure seed meaningful). The
-	// serial differential modes always run with the serial kernel.
-	domainWorkers = []int{1, 2, 4}[rng.Intn(3)]
+	// Partitioned topology: two thirds of the pool also run the
+	// per-channel topology stepped and skipping (drawn last — appending
+	// keeps every historic failure seed meaningful; the draw once picked
+	// a domain-worker count of 1, 2 or 4). The serial differential modes
+	// always run the serial System.
+	partitioned = rng.Intn(3) != 0
 
-	desc = fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s/dw=%d",
+	desc = fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s/part=%v",
 		tc, policy, refresh, len(cfg.DMAs), cfg.NoC.PortDepth, cfg.NoC.HopLatency, factor, dormancy,
-		domainWorkers)
-	return cfg, desc, domainWorkers
+		partitioned)
+	return cfg, desc, partitioned
 }
 
 // diffResult is everything one run exposes that the differential compares.
@@ -190,7 +191,7 @@ type diffResult struct {
 // System's kernel, so concurrent captures never see each other's mode.
 func captureRun(cfg sara.Config, skip bool, horizon sara.Cycle) diffResult {
 	var res diffResult
-	// Both differential modes compare serial kernels; the parallel leg
+	// Both differential modes run the serial System; the partitioned leg
 	// builds its own systems through captureParallel.
 	sys := sara.Build(cfg)
 	sys.Probe(sara.Probes{
@@ -295,12 +296,11 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 		configs = 10
 	}
 	configs *= fuzzScale()
-	// Deterministic parallel runs cost two extra builds per config, so the
-	// worker-count differential runs a shorter horizon than the serial
-	// legs — determinism violations show up within a few epochs.
+	// The partitioned leg costs two extra builds per config, so it runs
+	// a shorter horizon than the serial legs.
 	const parHorizon = sara.Cycle(12000)
 	var mu sync.Mutex
-	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns, parallelRuns uint64
+	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns, partitionedRuns uint64
 	// Cleanup runs after every parallel subtest has completed, so the
 	// totals are final there.
 	t.Cleanup(func() {
@@ -320,13 +320,13 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 		if dormancyRuns == 0 {
 			t.Error("fuzz pool exercised no adversarial dormancy configs")
 		}
-		if parallelRuns == 0 {
-			t.Error("fuzz pool exercised no multi-worker parallel runs")
+		if partitionedRuns == 0 {
+			t.Error("fuzz pool exercised no partitioned runs")
 		}
 	})
 	for i := 0; i < configs; i++ {
 		seed := sim.NewRand(baseSeed).Fork(uint64(i)).Uint64()
-		cfg, desc, dw := fuzzConfig(seed)
+		cfg, desc, partitioned := fuzzConfig(seed)
 		if !strings.Contains(desc, "dorm=none") {
 			dormancyRuns++
 		}
@@ -349,22 +349,20 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 				scaledRuns++
 			}
 			mu.Unlock()
-			// Worker-count differential: on partitionable configs that drew
-			// a parallel worker count, the partitioned topology at that
-			// count must be bit-identical to its own 1-worker reference.
-			if dw > 1 {
-				if _, ok := core.Partition(cfg); ok {
-					drive := func(s *sara.System) { s.Run(parHorizon) }
-					pref := captureParallel(t, cfg, 1, drive)
-					pgot := captureParallel(t, cfg, dw, drive)
-					compareParSnapshots(t,
-						fmt.Sprintf("config seed %#x: dw=%d vs 1 worker", seed, dw), pref, pgot)
-					if pgot.workers > 1 {
-						mu.Lock()
-						parallelRuns++
-						mu.Unlock()
-					}
+			// Partitioned leg: on partitionable configs that drew it, the
+			// per-channel topology's skipping run must be bit-identical to
+			// its stepped reference.
+			if _, ok := core.Partition(cfg); ok && partitioned {
+				drive := func(s *sara.System) { s.Run(parHorizon) }
+				pref := captureParallel(t, cfg, true, drive)
+				pfast := captureParallel(t, cfg, false, drive)
+				if pref.skipped != 0 {
+					t.Fatalf("config seed %#x: partitioned reference skipped %d cycles", seed, pref.skipped)
 				}
+				compareParSnapshots(t, fmt.Sprintf("config seed %#x: partitioned step vs skip", seed), pref, pfast)
+				mu.Lock()
+				partitionedRuns++
+				mu.Unlock()
 			}
 		})
 	}
@@ -402,5 +400,31 @@ func TestReferenceIsolationConcurrentSystems(t *testing.T) {
 	}
 	if fast.skipped == 0 || len(fast.grants) == 0 {
 		t.Fatalf("%s: vacuous run: %d skipped cycles, %d grants", desc, fast.skipped, len(fast.grants))
+	}
+}
+
+// TestRepoConfigsValidate: every config the repository builds — the
+// camcorder use cases, the saturated workload, their 1x/2x/4x scaled
+// SoCs and the fuzz pool at its full CI size — passes Config.Validate.
+func TestRepoConfigsValidate(t *testing.T) {
+	t.Parallel()
+	cfgs := map[string]sara.Config{"saturated": sara.Saturated()}
+	for _, tc := range []sara.Case{sara.CaseA, sara.CaseB} {
+		cfgs[fmt.Sprintf("camcorder-%v", tc)] = sara.Camcorder(tc)
+		for _, f := range []int{1, 2, 4} {
+			cfgs[fmt.Sprintf("camcorder-%v-%dx", tc, f)] = sara.ScaledCamcorder(tc, f)
+		}
+	}
+	for _, f := range []int{1, 2, 4} {
+		cfgs[fmt.Sprintf("saturated-%dx", f)] = sara.ScaledSaturated(f)
+	}
+	for i := 0; i < 100; i++ {
+		cfg, desc, _ := fuzzConfig(sim.NewRand(0x5a7a_2026_07_29).Fork(uint64(i)).Uint64())
+		cfgs[fmt.Sprintf("fuzz%02d_%s", i, desc)] = cfg
+	}
+	for name, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -25,11 +25,7 @@ type Probes struct {
 // controller, so an unset field keeps its edge on the zero-cost disabled
 // path. A System takes one subscriber; Probe panics on a second call. The
 // edges belong to this System alone, so concurrent Systems never see each
-// other's events.
-//
-// Subscribe only before running the System. On the domain-parallel
-// kernel the probes run on the domain worker goroutines, so a probe
-// shared across domains must synchronize.
+// other's events. Subscribe only before running the System.
 func (s *System) Probe(p Probes) {
 	if s.probed {
 		panic("core: Probe called twice on one System")

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"sara/internal/dram"
@@ -192,12 +193,13 @@ func (c Config) Validate() error {
 	// The rows run in order, so a frame-bound row is only reached once
 	// the fields the frame is derived from have passed.
 	frame := c.FramePeriod()
-	for _, f := range []struct {
+	type row struct {
 		bad  bool
 		name string
 		v    any
 		want string
-	}{
+	}
+	for _, f := range []row{
 		{!slices.Contains(memctrl.AllPolicies(), c.Policy), "Policy", c.Policy, "one of memctrl.AllPolicies"},
 		{c.PriorityBits < 1 || c.PriorityBits > 4, "PriorityBits", c.PriorityBits, "1..4"},
 		{!(c.RealFrameSeconds > 0 && c.RealFrameSeconds <= maxFrameSeconds), "RealFrameSeconds", c.RealFrameSeconds, "(0, 3600]"},
@@ -226,8 +228,37 @@ func (c Config) Validate() error {
 		if d.Source.Kind > SrcCPU {
 			return fmt.Errorf("core: DMA %q: unknown source kind %v", d.Label(), d.Source.Kind)
 		}
+		levels := 1 << c.PriorityBits
+		src := d.Source
+		for _, f := range []row{
+			{len(d.LUTBounds) > 0 && (len(d.LUTBounds) != levels || !decreasing(d.LUTBounds)), "LUTBounds", d.LUTBounds,
+				fmt.Sprintf("none, or %d strictly decreasing bounds (1<<PriorityBits)", levels)},
+			{d.Window < 0, "Window", d.Window, ">= 0 (0 selects the default)"},
+			{!(src.RateBps >= 0 && src.RateBps <= math.MaxFloat64), "Source.RateBps", src.RateBps, "finite and >= 0"},
+			{!unitInterval(src.ReadFrac), "Source.ReadFrac", src.ReadFrac, "[0, 1]"},
+			{!unitInterval(src.Locality), "Source.Locality", src.Locality, "[0, 1]"},
+			{!unitInterval(src.StartOffsetFrac), "Source.StartOffsetFrac", src.StartOffsetFrac, "[0, 1]"},
+		} {
+			if f.bad {
+				return fmt.Errorf("core: DMA %q: %s %v: want %s", d.Label(), f.name, f.v, f.want)
+			}
+		}
 	}
 	return nil
+}
+
+// unitInterval reports whether v lies in [0, 1] (NaN does not).
+func unitInterval(v float64) bool { return v >= 0 && v <= 1 }
+
+// decreasing reports whether bounds is strictly decreasing, the shape
+// adapt.NewLUT requires.
+func decreasing(bounds []float64) bool {
+	for i := 1; i < len(bounds); i++ {
+		if !(bounds[i] < bounds[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FramePeriod reports the scaled frame period in cycles.

@@ -30,16 +30,18 @@ type Unit struct {
 // Label returns the unit's full DMA name.
 func (u *Unit) Label() string { return u.Spec.Label() }
 
-// System is a fully wired MPSoC memory subsystem, built as a set of
-// domains (see parallel.go). A domain owns a set of memory channels and
-// runs its own sim.Kernel over their controllers, its DRAM instance and
-// its share of the DMA roster. The serial System is one domain owning
-// every channel — one kernel, one DRAM, the single-root Fig. 1 topology
-// — and the domain-parallel System built by BuildParallel has one domain
-// per channel, advanced in lookahead epochs. The run-control and
-// statistics methods work identically on both.
+// System is a fully wired MPSoC memory subsystem: one sim.Kernel and one
+// dram.DRAM, with the components built as a set of domains (see
+// parallel.go). A domain owns a set of memory channels, their
+// controllers and a share of the DMA roster. The serial System is one
+// domain owning every channel — the single-root Fig. 1 topology — and
+// the partitioned System built by BuildParallel has one domain per
+// channel, exchanging cross-domain traffic in a periodic kernel event.
+// The run-control and statistics methods work identically on both.
 type System struct {
 	cfg     Config
+	kernel  *sim.Kernel
+	dram    *dram.DRAM
 	units   []*Unit
 	ctrls   []*memctrl.Controller
 	byLabel map[string]*Unit
@@ -48,7 +50,9 @@ type System struct {
 	probed bool
 
 	domains []*domain
-	epochs  *parRun // advances the domains (see parRun.run)
+	// deliver is the long-lived completion event function (so AtArg
+	// never captures a transaction in a closure).
+	deliver func(now sim.Cycle, arg any)
 }
 
 // mcSink adapts a memory controller into a NoC sink with credit returns:
@@ -95,48 +99,40 @@ const regionBytes = 16 << 20
 // Build assembles the serial System from cfg: one domain owning every
 // channel. It panics with cfg.Validate's error on a config it refuses
 // (configs are code, not user input). BuildParallel builds the
-// domain-parallel System.
+// partitioned System.
 func Build(cfg Config) *System {
-	return build(cfg, serialPlan(cfg), 1)
+	return build(cfg, serialPlan(cfg))
 }
 
-// build assembles cfg as plan's domains, run on workers goroutines
-// (clamped to a divisor of the domain count in 1..Domains, so every
-// worker owns the same number of domains). Channel c belongs to domain
-// c % plan.Domains: one domain owns every channel, and a per-channel
-// plan gives each domain exactly one, the shape the epoch exchange
-// (ingress routers, cross links, mailboxes) is built for.
-func build(cfg Config, plan PartitionPlan, workers int) *System {
+// build assembles cfg as plan's domains on one kernel and one DRAM.
+// Channel c belongs to domain c % plan.Domains: one domain owns every
+// channel, and a per-channel plan gives each domain exactly one, the
+// shape the exchange (ingress routers, cross links, mailboxes) is built
+// for.
+func build(cfg Config, plan PartitionPlan) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nd := plan.Domains
 	channels := cfg.DRAM.Geometry.Channels
-	workers = max(1, min(workers, nd))
-	for nd%workers != 0 {
-		workers--
-	}
 
-	s := &System{cfg: cfg, byLabel: make(map[string]*Unit), domains: make([]*domain, nd)}
+	k := &sim.Kernel{}
+	s := &System{cfg: cfg, kernel: k, dram: dram.New(cfg.DRAM), byLabel: make(map[string]*Unit), domains: make([]*domain, nd)}
 	nocParams := cfg.NoC
 	nocParams.Arb = cfg.NoCArb()
 	rng := sim.NewRand(cfg.Seed)
 	burst := uint32(cfg.DRAM.Geometry.BurstBytes(cfg.DRAM.Timing))
 	resp := cfg.NoC.RespLatency
 
-	// Domains: a kernel and a full-geometry DRAM instance each (a
-	// domain's instance only ever sees its own channels' commands, so
-	// rank refresh phases match the device layout and the other
-	// channels' counters stay zero). One long-lived deliver function plus
-	// a per-event transaction pointer keeps the completion path
-	// allocation-free (a closure capturing t would allocate on every
-	// completion).
-	deliver := func(now sim.Cycle, arg any) {
+	// One long-lived deliver function plus a per-event transaction
+	// pointer keeps the completion path allocation-free (a closure
+	// capturing t would allocate on every completion).
+	s.deliver = func(now sim.Cycle, arg any) {
 		t := arg.(*txn.Transaction)
 		s.units[t.Source].Engine.Deliver(t, now)
 	}
 	for d := range s.domains {
-		dom := &domain{idx: d, kernel: &sim.Kernel{}, dram: dram.New(cfg.DRAM), deliver: deliver}
+		dom := &domain{idx: d}
 		if nd > 1 {
 			// Per-domain ID spaces: the top byte is the domain, so IDs
 			// stay globally unique and deterministic without a shared
@@ -168,13 +164,13 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 			Delta:     cfg.Delta,
 			AgingT:    cfg.AgingT,
 			QueueCaps: cfg.QueueCaps,
-		}, dom.dram)
+		}, s.dram)
 		ctrl.OnComplete = func(t *txn.Transaction, done sim.Cycle) {
 			if owner := plan.UnitDomain[t.Source]; owner != dom.idx {
 				dom.respOut[owner].push(t, done+resp)
 				return
 			}
-			dom.kernel.AtArg(done+resp, dom.deliver, t)
+			k.AtArg(done+resp, s.deliver, t)
 		}
 		dom.ctrls = append(dom.ctrls, ctrl)
 		s.ctrls = append(s.ctrls, ctrl)
@@ -188,7 +184,7 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 			dom.inPort[a] = dom.chanRouter.Port(a)
 			if a != dom.idx {
 				// Count pops so the sending domain earns its credits
-				// back at the next barrier.
+				// back at the next exchange.
 				dom.inPort[a].OnPop(func(now sim.Cycle) { dom.credFor[a]++ })
 			}
 		}
@@ -248,7 +244,7 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 		if len(system) > 0 {
 			rootPorts++
 		}
-		mapper := dom.dram.Mapper()
+		mapper := s.dram.Mapper()
 		dom.rootRouter = noc.NewRouter("root"+suffix, nocParams, rootPorts, outs,
 			func(t *txn.Transaction) int { return mapper.Channel(t.Addr) })
 
@@ -306,7 +302,7 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 		}
 	}
 
-	// Per-cycle pipeline order within each domain: sources generate,
+	// Per-cycle pipeline order, domain by domain: sources generate,
 	// DMAs inject, aggregation routers forward, the root router delivers
 	// (through the channel ingress router, with several domains) into
 	// the controllers, and the controllers issue DRAM commands. Every
@@ -319,7 +315,6 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 	// next activity earlier (a pending-queue pop from full, a completion
 	// delivery), so it owns those re-arms.
 	for _, dom := range s.domains {
-		k := dom.kernel
 		srcWakes := make([]sim.WakeHandle, len(dom.units))
 		for i, u := range dom.units {
 			srcWakes[i] = k.Register(u.Source)
@@ -356,7 +351,11 @@ func build(cfg Config, plan PartitionPlan, workers int) *System {
 			}
 		})
 	}
-	s.epochs = newParRun(s.domains, plan.Lookahead, workers)
+	// Cross-domain traffic waits in the mailboxes until the next grid
+	// cycle.
+	if nd > 1 {
+		k.Every(plan.Lookahead, s.exchange)
+	}
 	return s
 }
 
@@ -545,22 +544,12 @@ func roundTo(v float64, reqSize uint32) uint64 {
 
 // --- accessors and run control ---
 
-// Kernel exposes the simulation kernel of a one-domain (serial) System;
-// tests drive it directly. It is nil with several domains, each of which
-// has its own kernel; use the System-level run control and statistics
-// methods instead.
-func (s *System) Kernel() *sim.Kernel { return s.epochs.sole() }
+// Kernel exposes the System's simulation kernel; tests drive it
+// directly.
+func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
-// DRAM exposes the device model of a one-domain (serial) System. It is
-// nil with several domains, each of which has its own instance; use
-// DRAMStats, RowHitRate, RefreshDuty and BandwidthOverWindowGBps, which
-// work on every System.
-func (s *System) DRAM() *dram.DRAM {
-	if len(s.domains) != 1 {
-		return nil
-	}
-	return s.domains[0].dram
-}
+// DRAM exposes the System's device model.
+func (s *System) DRAM() *dram.DRAM { return s.dram }
 
 // Controllers exposes the per-channel memory controllers, in channel
 // order.
@@ -579,28 +568,11 @@ func (s *System) Routers() []*noc.Router {
 }
 
 // Domains reports the number of domains: 1 on the serial System, the
-// channel count on a domain-parallel System.
+// channel count on a partitioned System.
 func (s *System) Domains() int { return len(s.domains) }
 
-// DomainWorkers reports the goroutine count the System runs on (1 on the
-// serial System). It can be lower than requested: the worker count is
-// clamped to a divisor of the domain count so every worker owns the same
-// number of domains.
-func (s *System) DomainWorkers() int { return s.epochs.workers }
-
-// DRAMStats snapshots the per-channel DRAM counters, merged across
-// domains (each domain only touches its own channels, so the merge is
-// exact).
-func (s *System) DRAMStats() dram.Stats {
-	if len(s.domains) == 1 {
-		return s.domains[0].dram.Stats()
-	}
-	parts := make([]dram.Stats, len(s.domains))
-	for i, dom := range s.domains {
-		parts[i] = dom.dram.Stats()
-	}
-	return dram.MergeStats(parts...)
-}
+// DRAMStats snapshots the per-channel DRAM counters.
+func (s *System) DRAMStats() dram.Stats { return s.dram.Stats() }
 
 // RowHitRate reports the device-wide row-buffer hit rate.
 func (s *System) RowHitRate() float64 { return s.DRAMStats().RowHitRate() }
@@ -618,23 +590,8 @@ func (s *System) BandwidthOverWindowGBps(before dram.Stats, from, to sim.Cycle) 
 }
 
 // SkippedCycles reports how many cycles idle skipping fast-forwarded
-// over: the mean over the domains' kernels, rounded down, so it lies in
-// [0, Now()] like a one-domain System's count (which is its kernel's
-// exactly). Every domain kernel runs the same Now() cycles, so a sum would
-// overstate the skipped share by up to the domain count.
-func (s *System) SkippedCycles() uint64 {
-	var n uint64
-	for _, dom := range s.domains {
-		n += dom.kernel.SkippedCycles()
-	}
-	return n / uint64(len(s.domains))
-}
-
-// Close releases the worker goroutines of a domain-parallel System, which
-// otherwise stay parked for the System's lifetime; a later Run restarts
-// them. Close is idempotent and a no-op on a System that never started
-// extra workers.
-func (s *System) Close() { s.epochs.close() }
+// over.
+func (s *System) SkippedCycles() uint64 { return s.kernel.SkippedCycles() }
 
 // Units exposes every assembled DMA.
 func (s *System) Units() []*Unit { return s.units }
@@ -648,13 +605,11 @@ func (s *System) Unit(label string) (*Unit, bool) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Now reports the current cycle. Every domain kernel agrees on the cycle
-// between Run calls (they rendezvous at the run horizon), so domain 0's
-// clock is the system clock.
-func (s *System) Now() sim.Cycle { return s.epochs.now() }
+// Now reports the current cycle.
+func (s *System) Now() sim.Cycle { return s.kernel.Now() }
 
 // Run advances the simulation by n cycles.
-func (s *System) Run(n sim.Cycle) { s.epochs.run(s.Now()+n, false) }
+func (s *System) Run(n sim.Cycle) { s.kernel.RunFor(n) }
 
 // RunFrames advances the simulation by k frame periods. It panics with
 // Config.FrameCycles' error on a negative k or an overflowing horizon.
@@ -669,12 +624,8 @@ func (s *System) RunFrames(k int) {
 // RunChecked advances the simulation by n cycles with failures contained:
 // panics raised anywhere in the system surface as a *sim.PanicError, and
 // any watchdog installed with SetWatchdog bounds the run (see
-// sim.Kernel.RunChecked). With several domains a worker panic or
-// watchdog trip aborts the epoch barrier, so every worker unwinds and
-// the first error is returned.
-func (s *System) RunChecked(n sim.Cycle) error {
-	return s.epochs.run(s.Now()+n, true)
-}
+// sim.Kernel.RunChecked).
+func (s *System) RunChecked(n sim.Cycle) error { return s.kernel.RunForChecked(n) }
 
 // RunFramesChecked is RunChecked over k frame periods. A k that
 // Config.FrameCycles refuses returns its error and runs nothing.
@@ -688,12 +639,8 @@ func (s *System) RunFramesChecked(k int) error {
 
 // SetWatchdog installs wd, defaulting its Outstanding and Progress
 // probes to the system-level ones (in-flight transactions and completed
-// transactions) when unset, so callers only pick budgets. A one-domain
-// System hands wd to its kernel, with the full parked-deadlock check and
-// per-idler dump. With several domains the watchdog is evaluated by
-// worker 0 at epoch boundaries — the only points where every domain is
-// quiescent — so CheckEvery is effectively the epoch length and the
-// parked-deadlock check is subsumed by the progress budget.
+// transactions) when unset, so callers only pick budgets, and hands wd
+// to the kernel, with its parked-deadlock check and per-idler dump.
 func (s *System) SetWatchdog(wd *sim.Watchdog) {
 	if wd != nil {
 		if wd.Outstanding == nil {
@@ -703,7 +650,7 @@ func (s *System) SetWatchdog(wd *sim.Watchdog) {
 			wd.Progress = s.CompletedTransactions
 		}
 	}
-	s.epochs.setWatchdog(wd)
+	s.kernel.SetWatchdog(wd)
 }
 
 // Outstanding counts transactions that are in flight somewhere in the

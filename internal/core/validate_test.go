@@ -13,8 +13,10 @@ import (
 
 // TestConfigValidateEveryNumericField sets each numeric field of a
 // core.Config (and of its NoC, QueueCaps and data rate) to zero, a
-// negative value where the type has one, and a huge value; two more rows
-// give the DMA roster a duplicate label and an unknown source kind.
+// negative value where the type has one, and a huge value; the per-DMA
+// rows give the first DMA a malformed LUT, a negative window, a negative
+// or non-finite rate and fractions outside [0, 1], and the last rows give
+// the DMA roster a duplicate label and an unknown source kind.
 // Validate must refuse the value with an error that names the field, or
 // accept it; an accepted config must build and run two NPI sample
 // periods without a panic. Build must panic exactly when Validate
@@ -78,6 +80,36 @@ func TestConfigValidateEveryNumericField(t *testing.T) {
 			{func(c *core.Config) { c.DRAM.DataRateMTps = 0 }, false},
 			{func(c *core.Config) { c.DRAM.DataRateMTps = -1 }, false},
 			{func(c *core.Config) { c.DRAM.DataRateMTps = dram.MaxDataRateMTps + 1 }, false}}},
+		{"LUTBounds", []value{
+			{func(c *core.Config) { c.DMAs[0].LUTBounds = nil }, true},
+			{func(c *core.Config) { c.DMAs[0].LUTBounds = []float64{1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 0.95, 0} }, true},
+			{func(c *core.Config) { c.DMAs[0].LUTBounds = []float64{0, 0.5, 1, 1.1, 1.2, 1.3, 1.4, 1.5} }, false},
+			{func(c *core.Config) { c.DMAs[0].LUTBounds = []float64{1.2, 1.0, 0.7, 0} }, false},
+			{func(c *core.Config) {
+				c.DMAs[0].LUTBounds = []float64{2, 1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1, 1, 0.9, 0.8, 0.7, 0.6, 0}
+			}, false}}},
+		{"Window", []value{
+			{func(c *core.Config) { c.DMAs[0].Window = 0 }, true},
+			{func(c *core.Config) { c.DMAs[0].Window = -1 }, false}}},
+		{"RateBps", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.RateBps *= 2 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.RateBps = -1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.RateBps = math.Inf(1) }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.RateBps = math.NaN() }, false}}},
+		{"ReadFrac", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.ReadFrac = 0 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.ReadFrac = 1 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.ReadFrac = -0.5 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.ReadFrac = 1.5 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.ReadFrac = math.NaN() }, false}}},
+		{"Locality", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.Locality = 1 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.Locality = -1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.Locality = 2 }, false}}},
+		{"StartOffsetFrac", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 1 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = -0.5 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 3 }, false}}},
 		{"DMA", []value{
 			{func(c *core.Config) { c.DMAs = append(c.DMAs, c.DMAs[0]) }, false},
 			{func(c *core.Config) { c.DMAs[0].Source.Kind = core.SrcCPU + 1 }, false}}},

@@ -31,32 +31,6 @@ func (s Stats) Totals() ChannelStats {
 	return t
 }
 
-// MergeStats sums snapshots elementwise per channel. The domain-parallel
-// System keeps one full-geometry DRAM instance per domain with only the
-// domain's own channel attached — every other channel's row is zero — so
-// the elementwise sum over domains reconstructs the whole device's
-// per-channel counters exactly.
-func MergeStats(parts ...Stats) Stats {
-	var out Stats
-	for _, p := range parts {
-		if len(p.Channels) > len(out.Channels) {
-			grown := make([]ChannelStats, len(p.Channels))
-			copy(grown, out.Channels)
-			out.Channels = grown
-		}
-		for i, c := range p.Channels {
-			o := &out.Channels[i]
-			o.ReadBursts += c.ReadBursts
-			o.WriteBursts += c.WriteBursts
-			o.BytesMoved += c.BytesMoved
-			o.Activates += c.Activates
-			o.Precharges += c.Precharges
-			o.Refreshes += c.Refreshes
-		}
-	}
-	return out
-}
-
 // RowHitRate reports the fraction of CAS commands in the snapshot that
 // did not require a fresh activate: 1 - activates/(reads+writes). It is
 // an aggregate measure of row-buffer locality actually exploited.

@@ -421,26 +421,27 @@ func Fig7Frequencies() []int { return []int{1700, 1600, 1500, 1400, 1300} }
 // distribution during one frame as DRAM frequency decreases, under the
 // priority-based QoS policy. Its cells run supervised, like Fig. 5's, and
 // it returns RunCells' error. A failed cell, or one served from a journal
-// line that predates PriorityShare, has no bar: the first such cell's
-// error is returned with the bars of the others.
+// line that predates PriorityShare, has no bar: every such cell's error
+// is returned, joined with RunCells' and with the bars of the others.
 func Fig7(opt Options) ([]FreqHistogram, error) {
 	cells := FigureCells(7)
 	opt.priorityShares = true
 	runs, err := RunCells(cells, opt)
+	errs := []error{err}
 	var out []FreqHistogram
 	for i, r := range runs {
 		share, ok := r.PriorityShare["Image Proc."]
 		switch {
-		case r.Err != nil && err == nil:
-			err = r.Err
-		case r.Err == nil && !ok && err == nil:
-			err = fmt.Errorf("exp: cell %s: journaled run has no Image Proc. priority shares (written before they were recorded); rerun it without -resume",
-				cells[i].normalize(opt.apply()))
-		case r.Err == nil && ok:
+		case r.Err != nil:
+			errs = append(errs, r.Err)
+		case !ok:
+			errs = append(errs, fmt.Errorf("exp: cell %s: journaled run has no Image Proc. priority shares (written before they were recorded); rerun it without -resume",
+				cells[i].normalize(opt.apply())))
+		default:
 			out = append(out, FreqHistogram{DataRateMTps: cells[i].DataRateMTps, Fraction: share})
 		}
 	}
-	return out, err
+	return out, errors.Join(errs...)
 }
 
 // LowShare sums the fraction of time at priority levels 0..1 (healthy).
@@ -469,19 +470,20 @@ func Fig8Policies() []memctrl.PolicyKind {
 // RR, FCFS, QoS (Policy 1), QoS-RB (Policy 2) and FR-FCFS, on the
 // saturated variant of test case A (see config.Saturated). Bandwidth
 // comparisons exclude the cold start: a WarmupFrames of 0 warms up one
-// frame. The cells run supervised, like Fig. 5's; the first failed
-// cell's RunError is returned with the bars.
+// frame. The cells run supervised, like Fig. 5's; every failed cell's
+// RunError is returned, joined with RunCells' error, with the bars.
 func Fig8(opt Options) ([]BandwidthResult, error) {
 	opt.WarmupFrames = max(opt.WarmupFrames, 1)
 	runs, err := RunCells(FigureCells(8), opt)
+	errs := []error{err}
 	out := make([]BandwidthResult, len(runs))
 	for i, r := range runs {
 		out[i] = BandwidthResult{Policy: r.Policy, BandwidthGBps: r.BandwidthGBps, RowHitRate: r.RowHitRate}
-		if r.Err != nil && err == nil {
-			err = r.Err
+		if r.Err != nil {
+			errs = append(errs, r.Err)
 		}
 	}
-	return out, err
+	return out, errors.Join(errs...)
 }
 
 // Fig9 reproduces Fig. 9: NPI of the critical cores of test case A under

@@ -99,11 +99,11 @@ func DefaultParams() Params {
 // CrossDomainLatency is the minimum latency of a request crossing a
 // router-to-router link plus its injection stage: the link hop plus the
 // one-cycle store-and-forward step of the receiving port. It is the
-// conservative lookahead of the domain-parallel kernel (core.BuildParallel):
+// conservative lookahead of the partitioned System (core.BuildParallel):
 // a packet granted at cycle t cannot influence another domain before
-// t + CrossDomainLatency, so domains may run that many cycles ahead of
-// each other between barriers. Derived from the config, never hardcoded —
-// fuzzed hop latencies change the epoch length with it.
+// t + CrossDomainLatency, so domains exchange their mailboxes only every
+// that many cycles. Derived from the config, never hardcoded — fuzzed hop
+// latencies change the exchange period with it.
 func (p Params) CrossDomainLatency() sim.Cycle { return p.HopLatency + 1 }
 
 // Waker is the wake-propagation half of the event-driven arbitration
@@ -144,10 +144,11 @@ type Port struct {
 	// wakes it cannot use.
 	creditTo Waker
 	// onPop, when set, observes every pop (not just full ones) with the
-	// pop cycle. The domain-parallel kernel uses it on cross-domain
-	// ingress ports to count credits owed to the sending domain; credits
-	// travel back through the barrier exchange instead of a Waker because
-	// the sender lives on another goroutine.
+	// pop cycle. The partitioned System uses it on cross-domain ingress
+	// ports to count credits owed to the sending domain; credits travel
+	// back through the mailbox exchange at the next grid cycle instead of
+	// a Waker, because a domain may not touch another's state between
+	// grid cycles.
 	onPop func(now sim.Cycle)
 }
 
@@ -321,10 +322,7 @@ type Router struct {
 // SoC assembly does it for a whole System through core.System.Probe).
 // With no subscriber the field is nil and the disabled path costs one
 // load and a nil test (the steady-state alloc gates cover it). Install
-// probes only while the router is not running; a probe runs on the
-// goroutine that ticks the router, so under the domain-parallel kernel
-// probes of one System may run concurrently and must synchronize shared
-// state.
+// probes only while the router is not running.
 
 // StallFn observes a stall accrual: name's router stalled for n cycles
 // ending at now. Stalls are batched across dormant stretches, so one call

@@ -55,9 +55,7 @@ type Watchdog struct {
 }
 
 // Interval reports the number of executed cycles between the periodic
-// checks: CheckEvery, or 4096 when it is 0. Every run loop that honors a
-// watchdog (the serial kernel's and the domain-parallel epoch loop's)
-// reads its cadence here.
+// checks: CheckEvery, or 4096 when it is 0.
 func (wd *Watchdog) Interval() uint64 {
 	if wd.CheckEvery == 0 {
 		return 4096

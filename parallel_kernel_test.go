@@ -3,11 +3,11 @@ package sara_test
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 	"testing"
 
 	"sara"
+	"sara/internal/analysis"
 	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
@@ -15,20 +15,16 @@ import (
 	"sara/internal/sim"
 )
 
-// The domain-parallel kernel's equivalence contract: on a partitionable
-// config, every worker count produces bit-identical results — aggregate
-// statistics, NPI series, and the full grant / credit / DRAM-command /
-// injection / injection-wake traces. workers=1 runs the partitioned
-// topology serially on the calling goroutine, so it is the serial
-// reference execution; 2- and N-worker runs must reproduce it exactly.
-// Domains emit trace events concurrently, so the collectors lock and the
-// streams are canonicalized by sorting on their full field tuple: each
-// per-component stream is deterministic (a domain is single-threaded),
-// so the sorted union is too.
+// The partitioned topology's equivalence contract: on a partitionable
+// config, the idle-skipping run and the cycle-stepped reference
+// (SetReference on the System's one kernel) produce bit-identical
+// results — aggregate statistics, NPI series, and the full grant /
+// credit / DRAM-command / injection / injection-wake traces. The streams
+// are canonicalized by sorting on their full field tuple, so a
+// comparison names the first differing event in cycle order.
 
-// parSnapshot is everything one parallel run exposes for comparison.
+// parSnapshot is everything one partitioned run exposes for comparison.
 type parSnapshot struct {
-	workers int // actual goroutine count (after the divisor clamp)
 	domains int
 
 	grants  []tracedGrant
@@ -47,52 +43,37 @@ type parSnapshot struct {
 	now     sim.Cycle
 }
 
-// captureParallel builds cfg with the given worker count, drives it with
-// drive, and snapshots every comparable surface. The domains run
-// concurrently and share the System's probes, so collection locks.
-func captureParallel(t *testing.T, cfg sara.Config, workers int, drive func(*sara.System)) parSnapshot {
+// captureParallel builds cfg's partitioned System, on the stepped
+// reference kernel when reference is set, drives it with drive, and
+// snapshots every comparable surface.
+func captureParallel(t *testing.T, cfg sara.Config, reference bool, drive func(*sara.System)) parSnapshot {
 	t.Helper()
-	var (
-		mu  sync.Mutex
-		res parSnapshot
-	)
-	sys := core.BuildParallel(cfg, workers)
+	var res parSnapshot
+	sys := core.BuildParallel(cfg, 1)
 	if sys.Domains() < 2 {
-		t.Fatalf("BuildParallel(workers=%d) fell back to the serial kernel", workers)
+		t.Fatalf("BuildParallel fell back to the serial System")
 	}
-	defer sys.Close()
 	sys.Probe(sara.Probes{
 		Grant: func(name string, now sim.Cycle, port, out int, id uint64) {
-			mu.Lock()
 			res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
-			mu.Unlock()
 		},
 		Credit: func(name string, now sim.Cycle, port int, wasFull bool) {
-			mu.Lock()
 			res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
-			mu.Unlock()
 		},
 		Command: func(ch int, now sim.Cycle, id uint64, kind byte) {
-			mu.Lock()
 			res.cmds = append(res.cmds, tracedCmd{ch, now, id, kind})
-			mu.Unlock()
 		},
 		Inject: func(now sim.Cycle, source int, id uint64, addr uint64) {
-			mu.Lock()
 			res.injs = append(res.injs, tracedInj{now, source, id, addr})
-			mu.Unlock()
 		},
 		Wake: func(source int, at sim.Cycle, cause byte) {
-			mu.Lock()
 			res.wakes = append(res.wakes, tracedWake{source, at, cause})
-			mu.Unlock()
 		},
 	})
+	sys.Kernel().SetReference(reference)
 	drive(sys)
 
-	res.workers = sys.DomainWorkers()
 	res.domains = sys.Domains()
-	sortParTraces(&res)
 	for _, c := range sys.Controllers() {
 		res.ctrls = append(res.ctrls, c.Stats())
 	}
@@ -112,78 +93,6 @@ func captureParallel(t *testing.T, cfg sara.Config, workers int, drive func(*sar
 	res.skipped = sys.SkippedCycles()
 	res.now = sys.Now()
 	return res
-}
-
-// sortParTraces canonicalizes the concurrent trace streams: a total
-// order over every field makes sorted equality a multiset comparison,
-// and each per-component substream is deterministic, so the whole sorted
-// stream is reproducible across worker counts.
-func sortParTraces(res *parSnapshot) {
-	sort.Slice(res.grants, func(i, j int) bool {
-		a, b := res.grants[i], res.grants[j]
-		if a.now != b.now {
-			return a.now < b.now
-		}
-		if a.router != b.router {
-			return a.router < b.router
-		}
-		if a.port != b.port {
-			return a.port < b.port
-		}
-		if a.out != b.out {
-			return a.out < b.out
-		}
-		return a.id < b.id
-	})
-	sort.Slice(res.credits, func(i, j int) bool {
-		a, b := res.credits[i], res.credits[j]
-		if a.now != b.now {
-			return a.now < b.now
-		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		if a.port != b.port {
-			return a.port < b.port
-		}
-		return !a.wasFull && b.wasFull
-	})
-	sort.Slice(res.cmds, func(i, j int) bool {
-		a, b := res.cmds[i], res.cmds[j]
-		if a.now != b.now {
-			return a.now < b.now
-		}
-		if a.ch != b.ch {
-			return a.ch < b.ch
-		}
-		if a.id != b.id {
-			return a.id < b.id
-		}
-		return a.kind < b.kind
-	})
-	sort.Slice(res.injs, func(i, j int) bool {
-		a, b := res.injs[i], res.injs[j]
-		if a.now != b.now {
-			return a.now < b.now
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.id != b.id {
-			return a.id < b.id
-		}
-		return a.addr < b.addr
-	})
-	sort.Slice(res.wakes, func(i, j int) bool {
-		a, b := res.wakes[i], res.wakes[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.cause < b.cause
-	})
 }
 
 // compareParSnapshots asserts two runs are bit-identical on every
@@ -283,9 +192,6 @@ func compareParSnapshots(t *testing.T, label string, ref, got parSnapshot) {
 			}
 		}
 	}
-	if ref.skipped != got.skipped {
-		fail("skipped-cycle totals differ: %d vs %d", ref.skipped, got.skipped)
-	}
 }
 
 // crossDomainGrants counts grants at channel-ingress routers coming from
@@ -302,11 +208,11 @@ func crossDomainGrants(s parSnapshot) int {
 	return n
 }
 
-// TestParallelWorkerCountEquivalence is the headline differential: the
-// partitioned topology at 1, 2 and 4 workers (clamped to the channel
-// count's divisors) over the 1x/2x/4x saturated SoCs must be
-// bit-identical on every trace and statistic.
-func TestParallelWorkerCountEquivalence(t *testing.T) {
+// TestPartitionedSkipVsStep is the headline differential of the
+// partitioned topology: over the 1x/2x/4x saturated SoCs the
+// idle-skipping run must be bit-identical to the stepped reference on
+// every trace and statistic, with cross-domain traffic in the mix.
+func TestPartitionedSkipVsStep(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     sara.Config
@@ -317,12 +223,13 @@ func TestParallelWorkerCountEquivalence(t *testing.T) {
 		{"4x", sara.ScaledSaturated(4), 10000},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			drive := func(s *sara.System) { s.Run(tc.horizon) }
-			ref := captureParallel(t, tc.cfg, 1, drive)
-			if ref.workers != 1 {
-				t.Fatalf("reference run used %d workers, want 1", ref.workers)
+			ref := captureParallel(t, tc.cfg, true, drive)
+			fast := captureParallel(t, tc.cfg, false, drive)
+			if ref.skipped != 0 || fast.skipped == 0 {
+				t.Fatalf("skipped %d cycles stepped and %d skipping, want 0 and some", ref.skipped, fast.skipped)
 			}
 			if len(ref.grants) == 0 {
 				t.Fatalf("vacuous run: no grants at horizon %d", tc.horizon)
@@ -330,44 +237,35 @@ func TestParallelWorkerCountEquivalence(t *testing.T) {
 			if n := crossDomainGrants(ref); n == 0 {
 				t.Fatalf("vacuous run: no cross-domain grants (mailboxes untested)")
 			}
-			for _, workers := range []int{2, 4} {
-				got := captureParallel(t, tc.cfg, workers, drive)
-				if got.workers < 2 {
-					t.Fatalf("requested %d workers, got %d goroutines (domains=%d)",
-						workers, got.workers, got.domains)
-				}
-				compareParSnapshots(t, tc.name, ref, got)
-			}
+			compareParSnapshots(t, tc.name, ref, fast)
 		})
 	}
 }
 
 // TestParallelRunSegmentation: cutting a run at an arbitrary (off-grid)
-// horizon and resuming must be invisible — the epoch grid is absolute,
-// so segmentation changes no exchange point.
+// horizon and resuming must be invisible — the exchange grid is
+// absolute, so segmentation changes no exchange point. Skipped-cycle
+// counts are not compared: the settle at a cut point executes cycles an
+// uncut run would have skipped, and that is scheduler bookkeeping, not a
+// simulation result.
 func TestParallelRunSegmentation(t *testing.T) {
 	cfg := sara.ScaledSaturated(2)
-	one := captureParallel(t, cfg, 2, func(s *sara.System) { s.Run(8000) })
-	cut := captureParallel(t, cfg, 2, func(s *sara.System) {
-		s.Run(700) // off the epoch grid for every fuzzed hop latency
+	one := captureParallel(t, cfg, false, func(s *sara.System) { s.Run(8000) })
+	cut := captureParallel(t, cfg, false, func(s *sara.System) {
+		s.Run(700) // off the exchange grid for every fuzzed hop latency
 		s.Run(2500)
 		s.Run(4800)
 	})
-	// Idle-skip accounting is boundary-sensitive — the settle at a cut
-	// point executes cycles an uncut run would have skipped — and is
-	// scheduler bookkeeping, not a simulation result. Everything else
-	// must match exactly.
-	cut.skipped = one.skipped
 	compareParSnapshots(t, "segmented", one, cut)
 }
 
 // TestParallelFallback: unpartitionable configs and plain Build build
 // the serial System — one domain owning every channel, with the
-// single-root Fig. 1 topology — and the partitioned build has no single
-// kernel.
+// single-root Fig. 1 topology — and every System, partitioned or not,
+// runs on one kernel and one DRAM.
 func TestParallelFallback(t *testing.T) {
 	// Hop latency pushes the lookahead past the response latency: a
-	// completion could outrun the barrier, so Partition refuses.
+	// completion could outrun the exchange, so Partition refuses.
 	unpart := sara.Camcorder(sara.CaseA)
 	unpart.NoC.HopLatency = unpart.NoC.RespLatency // lookahead = resp+1 > resp
 	for _, tc := range []struct {
@@ -378,9 +276,8 @@ func TestParallelFallback(t *testing.T) {
 		{"Build", sara.Build(sara.Camcorder(sara.CaseA))},
 	} {
 		sys := tc.sys
-		if sys.Domains() != 1 || sys.DomainWorkers() != 1 {
-			t.Fatalf("%s: %d domains on %d workers, want the serial System (1 on 1)",
-				tc.name, sys.Domains(), sys.DomainWorkers())
+		if sys.Domains() != 1 {
+			t.Fatalf("%s: %d domains, want the serial System's 1", tc.name, sys.Domains())
 		}
 		if sys.Kernel() == nil || sys.DRAM() == nil {
 			t.Fatalf("%s: serial System has no kernel or DRAM", tc.name)
@@ -394,48 +291,35 @@ func TestParallelFallback(t *testing.T) {
 		}
 	}
 
-	// The partitioned build clamps workers to a divisor of the domain
-	// count, never changing the topology (results stay machine-independent
-	// when a budget caps the goroutine count).
 	par := core.BuildParallel(sara.ScaledSaturated(4), 3)
 	channels := par.Config().DRAM.Geometry.Channels
 	if par.Domains() != channels {
 		t.Fatalf("got %d domains, want one per channel (%d)", par.Domains(), channels)
 	}
-	if par.DomainWorkers() != 2 {
-		t.Fatalf("8 domains at 3 requested workers: got %d, want divisor clamp to 2", par.DomainWorkers())
-	}
-	if par.Kernel() != nil || par.DRAM() != nil {
-		t.Fatalf("8-domain System exposes a single kernel or DRAM")
+	if par.Kernel() == nil || par.DRAM() == nil {
+		t.Fatalf("%d-domain System has no kernel or DRAM", par.Domains())
 	}
 }
 
-// TestSkippedCyclesPerDomainMean pins System.SkippedCycles as the mean
-// over the domain kernels, which each run every cycle up to Now: on a
-// partitioned System it lies in [0, Now()] (a sum over domains would not
-// on the 4x SoC's eight domains, whose sum runs past twice Now by cycle
-// 20,000), and on a one-domain System it is the kernel's own count.
-func TestSkippedCyclesPerDomainMean(t *testing.T) {
+// TestSkippedCyclesIsKernelCount pins System.SkippedCycles as the count
+// of the System's one kernel, on a partitioned and a serial System.
+func TestSkippedCyclesIsKernelCount(t *testing.T) {
 	const horizon = 20000
-	par := core.BuildParallel(sara.ScaledSaturated(4), 2)
-	defer par.Close()
-	par.Run(horizon)
-	if par.Domains() < 2 {
-		t.Fatalf("4x SoC partitioned into %d domains, want several", par.Domains())
-	}
-	if got := par.SkippedCycles(); got == 0 || got > uint64(par.Now()) {
-		t.Fatalf("%d domains: SkippedCycles %d after %d cycles, want in (0, Now]", par.Domains(), got, par.Now())
-	}
-	serial := sara.Build(sara.Camcorder(sara.CaseA))
-	serial.Run(horizon)
-	if got, want := serial.SkippedCycles(), serial.Kernel().SkippedCycles(); got != want || got == 0 {
-		t.Fatalf("one domain: SkippedCycles %d, kernel skipped %d", got, want)
+	for _, sys := range []*sara.System{
+		core.BuildParallel(sara.ScaledSaturated(4), 1),
+		sara.Build(sara.Camcorder(sara.CaseA)),
+	} {
+		sys.Run(horizon)
+		if got, want := sys.SkippedCycles(), sys.Kernel().SkippedCycles(); got != want || got == 0 {
+			t.Fatalf("%d domains: SkippedCycles %d, kernel skipped %d", sys.Domains(), got, want)
+		}
 	}
 }
 
-// TestParallelWatchdog: the boundary watchdog bounds a checked parallel
-// run, and a tripped run poisons the System (the epoch exchange stopped
-// mid-flight, so its state is no longer trustworthy).
+// TestParallelWatchdog: the kernel watchdog bounds a checked run of a
+// partitioned System, and refuses a further run once tripped (its
+// executed-cycle count stays past the budget until SetWatchdog resets
+// it).
 func TestParallelWatchdog(t *testing.T) {
 	sys := core.BuildParallel(sara.ScaledSaturated(2), 2)
 	sys.SetWatchdog(&sara.Watchdog{MaxExecuted: 500})
@@ -444,7 +328,39 @@ func TestParallelWatchdog(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("RunChecked under a 500-cycle budget: got %v, want DeadlockError", err)
 	}
+	if len(dl.Idlers) == 0 {
+		t.Fatalf("watchdog trip on a partitioned System carries no per-idler dump")
+	}
 	if err2 := sys.RunChecked(10); err2 == nil {
-		t.Fatalf("tripped parallel system accepted another run")
+		t.Fatalf("tripped partitioned System accepted another run")
+	}
+}
+
+// TestAnalyzerOnPartitionedSystem: an analyzer attached to a partitioned
+// System samples the channel ingress routers with the rest, and its
+// sampler events and settle points change no simulated output.
+func TestAnalyzerOnPartitionedSystem(t *testing.T) {
+	bare := core.BuildParallel(sara.ScaledSaturated(2), 1)
+	bare.RunFrames(1)
+	sys := core.BuildParallel(sara.ScaledSaturated(2), 1)
+	az := analysis.Attach(sys, analysis.Options{})
+	sys.RunFrames(1)
+	az.Detach()
+
+	rep := az.Report()
+	if rep.Samples == 0 {
+		t.Fatal("report has no samples")
+	}
+	chans := 0
+	for _, r := range rep.Routers {
+		if strings.HasPrefix(r.Name, "chan") {
+			chans++
+		}
+	}
+	if want := sys.Domains(); chans != want {
+		t.Fatalf("report has %d chanN routers, want one per domain (%d)", chans, want)
+	}
+	if got, want := digestOutputs(t, sys), digestOutputs(t, bare); got != want {
+		t.Fatalf("analyzed outputs digest %s, bare %s", got, want)
 	}
 }

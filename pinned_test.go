@@ -75,7 +75,6 @@ func TestBuildOutputsPinned(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := tc.build()
-			defer sys.Close()
 			sys.RunFrames(tc.frames)
 			if got := digestOutputs(t, sys); got != tc.want {
 				t.Fatalf("outputs digest %s, want %s", got, tc.want)

@@ -2,13 +2,10 @@ package sara_test
 
 import (
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"sara"
-	"sara/internal/core"
 	"sara/internal/sim"
 )
 
@@ -81,50 +78,6 @@ func TestProbeIsolationConcurrentSystems(t *testing.T) {
 			t.Errorf("system %d: injection stream differs from the solo run (%d vs %d events)", i, len(lg.injs), len(solo.injs))
 		}
 	}
-}
-
-// TestCloseReleasesDomainWorkers builds, runs and closes several 4x
-// domain-parallel Systems and requires the goroutine count to return to
-// its baseline: without Close every dropped System keeps its parked
-// domain workers alive. Close is idempotent, a no-op on the serial
-// kernel, and a later Run restarts the workers without changing results.
-func TestCloseReleasesDomainWorkers(t *testing.T) {
-	cfg := sara.ScaledSaturated(4)
-	base := runtime.NumGoroutine()
-	for i := 0; i < 4; i++ {
-		sys := core.BuildParallel(cfg, 4)
-		if sys.DomainWorkers() < 2 {
-			t.Fatalf("BuildParallel(4) runs on %d workers; the test needs extra worker goroutines", sys.DomainWorkers())
-		}
-		sys.Run(2000)
-		sys.Close()
-		sys.Close()
-	}
-	// Close waits for each worker's final Done, which the worker signals
-	// just before it returns; give the runtime a moment to retire them.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after closing every System, baseline %d", n, base)
-	}
-
-	straight := core.BuildParallel(cfg, 4)
-	defer straight.Close()
-	straight.Run(4000)
-	restarted := core.BuildParallel(cfg, 4)
-	defer restarted.Close()
-	restarted.Run(2000)
-	restarted.Close()
-	restarted.Run(2000)
-	if a, b := straight.CompletedTransactions(), restarted.CompletedTransactions(); a != b || straight.Now() != restarted.Now() {
-		t.Fatalf("run across Close diverged: %d vs %d completions, cycle %d vs %d", a, b, straight.Now(), restarted.Now())
-	}
-
-	serial := sara.Build(sara.Camcorder(sara.CaseA))
-	serial.Close()
-	serial.Run(1000)
 }
 
 // TestProbeSecondSubscriptionPanics pins the one-subscriber contract: a
