@@ -193,13 +193,12 @@ func (c Config) Validate() error {
 	// The rows run in order, so a frame-bound row is only reached once
 	// the fields the frame is derived from have passed.
 	frame := c.FramePeriod()
-	type row struct {
+	for _, f := range []struct {
 		bad  bool
 		name string
 		v    any
 		want string
-	}
-	for _, f := range []row{
+	}{
 		{!slices.Contains(memctrl.AllPolicies(), c.Policy), "Policy", c.Policy, "one of memctrl.AllPolicies"},
 		{c.PriorityBits < 1 || c.PriorityBits > 4, "PriorityBits", c.PriorityBits, "1..4"},
 		{!(c.RealFrameSeconds > 0 && c.RealFrameSeconds <= maxFrameSeconds), "RealFrameSeconds", c.RealFrameSeconds, "(0, 3600]"},
@@ -228,21 +227,34 @@ func (c Config) Validate() error {
 		if d.Source.Kind > SrcCPU {
 			return fmt.Errorf("core: DMA %q: unknown source kind %v", d.Label(), d.Source.Kind)
 		}
-		levels := 1 << c.PriorityBits
-		src := d.Source
-		for _, f := range []row{
-			{len(d.LUTBounds) > 0 && (len(d.LUTBounds) != levels || !decreasing(d.LUTBounds)), "LUTBounds", d.LUTBounds,
-				fmt.Sprintf("none, or %d strictly decreasing bounds (1<<PriorityBits)", levels)},
-			{d.Window < 0, "Window", d.Window, ">= 0 (0 selects the default)"},
-			{!(src.RateBps >= 0 && src.RateBps <= math.MaxFloat64), "Source.RateBps", src.RateBps, "finite and >= 0"},
-			{!unitInterval(src.ReadFrac), "Source.ReadFrac", src.ReadFrac, "[0, 1]"},
-			{!unitInterval(src.Locality), "Source.Locality", src.Locality, "[0, 1]"},
-			{!unitInterval(src.StartOffsetFrac), "Source.StartOffsetFrac", src.StartOffsetFrac, "[0, 1]"},
-		} {
-			if f.bad {
-				return fmt.Errorf("core: DMA %q: %s %v: want %s", d.Label(), f.name, f.v, f.want)
-			}
+		if err := validateDMA(d, 1<<c.PriorityBits); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// validateDMA checks d's numeric fields for a System with levels
+// priority levels. The values are boxed into the error only on the
+// failing branch, so a valid roster validates without allocating.
+func validateDMA(d DMASpec, levels int) error {
+	bad := func(name string, v any, want string) error {
+		return fmt.Errorf("core: DMA %q: %s %v: want %s", d.Label(), name, v, want)
+	}
+	src := d.Source
+	switch {
+	case len(d.LUTBounds) > 0 && (len(d.LUTBounds) != levels || !decreasing(d.LUTBounds)):
+		return bad("LUTBounds", d.LUTBounds, fmt.Sprintf("none, or %d strictly decreasing bounds (1<<PriorityBits)", levels))
+	case d.Window < 0:
+		return bad("Window", d.Window, ">= 0 (0 selects the default)")
+	case !(src.RateBps >= 0 && src.RateBps <= math.MaxFloat64):
+		return bad("Source.RateBps", src.RateBps, "finite and >= 0")
+	case !unitInterval(src.ReadFrac):
+		return bad("Source.ReadFrac", src.ReadFrac, "[0, 1]")
+	case !unitInterval(src.Locality):
+		return bad("Source.Locality", src.Locality, "[0, 1]")
+	case !unitInterval(src.StartOffsetFrac):
+		return bad("Source.StartOffsetFrac", src.StartOffsetFrac, "[0, 1]")
 	}
 	return nil
 }

@@ -19,9 +19,8 @@ import (
 // config, the idle-skipping run and the cycle-stepped reference
 // (SetReference on the System's one kernel) produce bit-identical
 // results — aggregate statistics, NPI series, and the full grant /
-// credit / DRAM-command / injection / injection-wake traces. The streams
-// are canonicalized by sorting on their full field tuple, so a
-// comparison names the first differing event in cycle order.
+// credit / DRAM-command / injection / injection-wake traces, compared
+// event by event in emission order.
 
 // parSnapshot is everything one partitioned run exposes for comparison.
 type parSnapshot struct {
