@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablation sweeps DESIGN.md calls out. Run with
+// evaluation, plus the ablation sweeps of cmd/sarasweep (README,
+// "Regenerating the figures"). Run with
 //
 //	go test -bench=. -benchmem
 //

@@ -1,8 +1,10 @@
-// Command sarasweep runs the design-space sweeps DESIGN.md calls out as
-// ablations: Policy 2's row-buffer threshold delta, the priority
-// quantization k, the aging limit T, the refresh on/off comparison, a
-// seed fan-out with confidence intervals, the scaled-SoC cost curve —
-// and "cell", the single-cell runner the supervisor's Repro lines name.
+// Command sarasweep runs the design-space sweeps listed in README's
+// "Regenerating the figures" section: the ablations of Policy 2's
+// row-buffer threshold delta, the priority quantization k and the aging
+// limit T, the refresh on/off comparison, a seed fan-out with confidence
+// intervals, the scaled-SoC cost curve — and "cell", the single-cell
+// runner the supervisor's Repro lines name (README, "Crash safety &
+// resume").
 //
 //	sarasweep -sweep delta
 //	sarasweep -sweep bits

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -88,10 +89,10 @@ type SourceSpec struct {
 	// Locality is a CPU source's sequential-run probability.
 	Locality float64
 	// BufSeconds sizes a display/camera buffer in seconds of traffic at
-	// RateBps (scaled); 0 selects a default of 2 adaptation intervals.
+	// RateBps (scaled); 0 selects a default of 16 adaptation intervals.
 	BufSeconds float64
 	// LatencyLimit is a sporadic source's average-latency QoS limit in
-	// cycles (Eqn. 1).
+	// cycles (Eqn. 1; 0 selects 500).
 	LatencyLimit sim.Cycle
 	// ChunkPeriodFrac is a chunk source's arrival period as a fraction of
 	// the frame period (default 0.25).
@@ -227,21 +228,24 @@ func (c Config) Validate() error {
 		if d.Source.Kind > SrcCPU {
 			return fmt.Errorf("core: DMA %q: unknown source kind %v", d.Label(), d.Source.Kind)
 		}
-		if err := validateDMA(d, 1<<c.PriorityBits); err != nil {
+		if err := c.validateDMA(d, frame); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validateDMA checks d's numeric fields for a System with levels
-// priority levels. The values are boxed into the error only on the
+// validateDMA checks d's numeric fields for a System of c, whose frame
+// is frame cycles. The values are boxed into the error only on the
 // failing branch, so a valid roster validates without allocating.
-func validateDMA(d DMASpec, levels int) error {
+func (c *Config) validateDMA(d DMASpec, frame sim.Cycle) error {
 	bad := func(name string, v any, want string) error {
 		return fmt.Errorf("core: DMA %q: %s %v: want %s", d.Label(), name, v, want)
 	}
 	src := d.Source
+	levels := 1 << c.PriorityBits
+	req := cmp.Or(uint64(src.ReqSize), uint64(c.DRAM.Geometry.BurstBytes(c.DRAM.Timing)))
+	period, deadline := chunkTiming(src, frame)
 	switch {
 	case len(d.LUTBounds) > 0 && (len(d.LUTBounds) != levels || !decreasing(d.LUTBounds)):
 		return bad("LUTBounds", d.LUTBounds, fmt.Sprintf("none, or %d strictly decreasing bounds (1<<PriorityBits)", levels))
@@ -255,8 +259,30 @@ func validateDMA(d DMASpec, levels int) error {
 		return bad("Source.Locality", src.Locality, "[0, 1]")
 	case !unitInterval(src.StartOffsetFrac):
 		return bad("Source.StartOffsetFrac", src.StartOffsetFrac, "[0, 1]")
+	case req > regionBytes:
+		return bad("Source.ReqSize", src.ReqSize, "at most the 16 MiB DMA region (0 selects one DRAM burst)")
+	case src.BurstReqs < 0 || uint64(src.BurstReqs) > regionBytes/req:
+		return bad("Source.BurstReqs", src.BurstReqs, ">= 0, a burst of at most the 16 MiB DMA region (0 selects 1)")
+	case !(src.RefFactor >= 0 && src.RefFactor <= math.MaxFloat64):
+		return bad("Source.RefFactor", src.RefFactor, "finite and >= 0 (0 selects 1)")
+	case !(src.BufSeconds >= 0 && src.BufSeconds <= c.RealFrameSeconds):
+		return bad("Source.BufSeconds", src.BufSeconds, "at most one frame, RealFrameSeconds (0 selects 16 adaptation intervals)")
+	case src.LatencyLimit > MaxHorizon:
+		return bad("Source.LatencyLimit", src.LatencyLimit, "at most MaxHorizon (0 selects 500)")
+	case !unitInterval(src.ChunkPeriodFrac) || src.Kind == SrcChunk && period == 0:
+		return bad("Source.ChunkPeriodFrac", src.ChunkPeriodFrac, "[0, 1] and a chunk period of at least one cycle (0 selects 0.25)")
+	case !unitInterval(src.DeadlineFrac) || src.Kind == SrcChunk && deadline == 0:
+		return bad("Source.DeadlineFrac", src.DeadlineFrac, "[0, 1] and a chunk deadline of at least one cycle (0 selects 0.6)")
 	}
 	return nil
+}
+
+// chunkTiming is a chunk source's arrival period and deadline in cycles
+// for a frame of frame cycles. A zero ChunkPeriodFrac selects a quarter
+// of the frame, a zero DeadlineFrac 0.6 of the period.
+func chunkTiming(src SourceSpec, frame sim.Cycle) (period, deadline sim.Cycle) {
+	period = sim.Cycle(cmp.Or(src.ChunkPeriodFrac, 0.25) * float64(frame))
+	return period, sim.Cycle(cmp.Or(src.DeadlineFrac, 0.6) * float64(period))
 }
 
 // unitInterval reports whether v lies in [0, 1] (NaN does not).

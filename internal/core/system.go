@@ -455,19 +455,11 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 		u.Meter = bm
 
 	case SrcChunk:
-		periodFrac := src.ChunkPeriodFrac
-		if periodFrac <= 0 {
-			periodFrac = 0.25
-		}
-		deadlineFrac := src.DeadlineFrac
-		if deadlineFrac <= 0 {
-			deadlineFrac = 0.6
-		}
-		period := sim.Cycle(periodFrac * float64(framePeriod))
+		period, deadline := chunkTiming(src, framePeriod)
 		chunkBytes := roundTo(bpc*float64(period), src.ReqSize)
 		// The progress probe is wired after the source exists; the meter
 		// tolerates a nil probe in the interim.
-		cm := meter.NewChunkMeter(sim.Cycle(deadlineFrac*float64(period)), nil)
+		cm := meter.NewChunkMeter(deadline, nil)
 		csrc := traffic.NewChunkSource(spec.Label(), engine, rng, region,
 			chunkBytes, period, src.ReqSize, src.ReadFrac, cm)
 		csrc.Scatter = src.Scatter

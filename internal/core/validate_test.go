@@ -14,8 +14,11 @@ import (
 // TestConfigValidateEveryNumericField sets each numeric field of a
 // core.Config (and of its NoC, QueueCaps and data rate) to zero, a
 // negative value where the type has one, and a huge value; the per-DMA
-// rows give the first DMA a malformed LUT, a negative window, a negative
-// or non-finite rate and fractions outside [0, 1], and the last rows give
+// rows give the first DMA (or the first chunk source) a malformed LUT, a
+// negative window, a negative or non-finite rate or reference factor,
+// fractions outside [0, 1], a request or burst larger than its address
+// region, a buffer longer than a frame, a latency limit past MaxHorizon
+// and a chunk period or deadline under one cycle, and the last rows give
 // the DMA roster a duplicate label and an unknown source kind.
 // Validate must refuse the value with an error that names the field, or
 // accept it; an accepted config must build and run two NPI sample
@@ -110,6 +113,44 @@ func TestConfigValidateEveryNumericField(t *testing.T) {
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 1 }, true},
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = -0.5 }, false},
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 3 }, false}}},
+		{"ReqSize", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 0 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 128 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 16<<20 + 1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = math.MaxUint32 }, false}}},
+		{"BurstReqs", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.BurstReqs = 16 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.BurstReqs = -1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.BurstReqs = math.MaxInt }, false}}},
+		{"RefFactor", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.RefFactor = 0 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.RefFactor = 0.5 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.RefFactor = -1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.RefFactor = math.Inf(1) }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.RefFactor = math.NaN() }, false}}},
+		{"BufSeconds", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.BufSeconds = 1e-3 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.BufSeconds = -1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.BufSeconds = 1 }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.BufSeconds = math.Inf(1) }, false},
+			{func(c *core.Config) { c.DMAs[0].Source.BufSeconds = math.NaN() }, false}}},
+		{"LatencyLimit", []value{
+			{func(c *core.Config) { c.DMAs[0].Source.LatencyLimit = 0 }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.LatencyLimit = core.MaxHorizon }, true},
+			{func(c *core.Config) { c.DMAs[0].Source.LatencyLimit = 1 << 63 }, false}}},
+		{"ChunkPeriodFrac", []value{
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = 0 }, true},
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = 1 }, true},
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = 1e-9 }, false},
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = -0.25 }, false},
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = 1.5 }, false},
+			{func(c *core.Config) { chunkDMA(c).Source.ChunkPeriodFrac = math.NaN() }, false}}},
+		{"DeadlineFrac", []value{
+			{func(c *core.Config) { chunkDMA(c).Source.DeadlineFrac = 0 }, true},
+			{func(c *core.Config) { chunkDMA(c).Source.DeadlineFrac = 1 }, true},
+			{func(c *core.Config) { chunkDMA(c).Source.DeadlineFrac = 1e-9 }, false},
+			{func(c *core.Config) { chunkDMA(c).Source.DeadlineFrac = -1 }, false},
+			{func(c *core.Config) { chunkDMA(c).Source.DeadlineFrac = 2 }, false}}},
 		{"DMA", []value{
 			{func(c *core.Config) { c.DMAs = append(c.DMAs, c.DMAs[0]) }, false},
 			{func(c *core.Config) { c.DMAs[0].Source.Kind = core.SrcCPU + 1 }, false}}},
@@ -136,6 +177,16 @@ func TestConfigValidateEveryNumericField(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chunkDMA is c's first chunk source.
+func chunkDMA(c *core.Config) *core.DMASpec {
+	for i := range c.DMAs {
+		if c.DMAs[i].Source.Kind == core.SrcChunk {
+			return &c.DMAs[i]
+		}
+	}
+	panic("no chunk source")
 }
 
 // TestFrameCyclesBoundsTheHorizon: frame counts whose cycles exceed

@@ -159,8 +159,7 @@ func (s *DisplaySource) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 	// opens at the first c with c+1-drained >= steps. The bound is
 	// anchored at the drain cursor, not now: a fast-forward probe may
 	// query while the integration lags now, and a now-relative answer
-	// would raise the cached wake past the true cycle (see
-	// RateSource.NextActivity).
+	// would raise the cached wake past the true cycle (see bucket.next).
 	needFP := s.occFP + s.inflightFP + s.reqFP - s.bufFP
 	needBytes := ceilDiv(needFP, fpOne)
 	steps := ceilDiv(needBytes<<fpShift-s.carryFP, s.drainFP)

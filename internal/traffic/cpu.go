@@ -15,12 +15,8 @@ type CPUSource struct {
 	name   string
 	engine *dma.Engine
 
-	// RatePerCycle is the average demand in bytes/cycle.
-	RatePerCycle float64
 	// ReqSize is the transaction size.
 	ReqSize uint32
-	// ReadFrac is the fraction of requests that are reads.
-	ReadFrac float64
 	// Locality is the probability that the next access continues the
 	// current sequential run instead of jumping to a random address.
 	Locality float64
@@ -30,98 +26,49 @@ type CPUSource struct {
 	picker kindPicker
 	cursor txn.Addr
 
-	rateFP   uint64 // Q32 bytes/cycle
-	reqFP    uint64
-	tokensFP uint64
-	funded   sim.Cycle
-	// saturated marks a tick that ended against a full DMA queue; the
-	// next tick clamps retroactively over the un-ticked stretch (see
-	// RateSource.saturated).
-	saturated bool
+	bucket
+	reqFP uint64
 }
 
 // NewCPUSource builds a CPU background source over region r.
 func NewCPUSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 	ratePerCycle float64, reqSize uint32, readFrac, locality float64) *CPUSource {
 	return &CPUSource{
-		name:         name,
-		engine:       e,
-		RatePerCycle: ratePerCycle,
-		ReqSize:      reqSize,
-		ReadFrac:     readFrac,
-		Locality:     locality,
-		rng:          rng,
-		region:       r,
-		picker:       kindPicker{readFrac: readFrac, rng: rng},
-		cursor:       r.Base,
-		rateFP:       toFP(ratePerCycle),
-		reqFP:        bytesFP(reqSize),
+		name:     name,
+		engine:   e,
+		ReqSize:  reqSize,
+		Locality: locality,
+		rng:      rng,
+		region:   r,
+		picker:   kindPicker{readFrac: readFrac, rng: rng},
+		cursor:   r.Base,
+		bucket:   bucket{rateFP: toFP(ratePerCycle)},
+		reqFP:    bytesFP(reqSize),
 	}
 }
 
 // Name returns the source label.
 func (s *CPUSource) Name() string { return s.name }
 
-// integrateTo accumulates tokens so that `total` single-cycle fills have
-// happened since the start of the run.
-func (s *CPUSource) integrateTo(total sim.Cycle) {
-	if total <= s.funded {
-		return
-	}
-	s.tokensFP += s.rateFP * uint64(total-s.funded)
-	s.funded = total
-}
-
 // NextActivity implements sim.Idler: the source acts on the first cycle
-// whose token fill funds one request. The bound is absolute, anchored at
-// the funding cursor rather than now, so a probe on lazily-integrated
-// state cannot raise the cached wake past the true fill cycle (see
-// RateSource.NextActivity).
+// whose token fill funds one request (see bucket.next).
 //
 //sara:hotpath
 func (s *CPUSource) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
-	if s.tokensFP >= s.reqFP {
-		if s.engine.PendingSpace() > 0 {
-			return now, true
-		}
-		return 0, false
-	}
-	if s.rateFP == 0 {
-		return 0, false
-	}
-	steps := ceilDiv(s.reqFP-s.tokensFP, s.rateFP)
-	if steps == 0 {
-		steps = 1
-	}
-	at := s.funded + sim.Cycle(steps) - 1
-	if at < now {
-		at = now
-	}
-	return at, true
+	return s.next(now, s.reqFP, s.engine)
 }
 
 // Tick emits rate-funded requests along the locality-mixed address walk.
-// The random walk advances only for requests actually enqueued, and the
-// saturation cap composes as min(tokens + n*rate, cap), so a tick after n
+// The random walk advances only for requests actually enqueued, so with
+// the bucket's batched clamp (see bucket.fund) a tick after n
 // fast-forwarded blocked cycles is bit-identical to n blocked
 // single-cycle ticks.
 func (s *CPUSource) Tick(now sim.Cycle) {
-	if s.saturated {
-		// Batched version of the per-cycle saturation clamp (see
-		// RateSource.Tick for the composition argument).
-		s.integrateTo(now)
-		if s.tokensFP > 8*s.reqFP {
-			s.tokensFP = 8 * s.reqFP
-		}
-		s.saturated = false
-	}
-	s.integrateTo(now + 1)
+	capFP := 8 * s.reqFP
+	s.fund(now, capFP)
 	for s.tokensFP >= s.reqFP {
 		if s.engine.PendingSpace() == 0 {
-			if s.tokensFP > 8*s.reqFP {
-				s.tokensFP = 8 * s.reqFP
-			}
-			s.saturated = true
+			s.saturate(capFP)
 			return
 		}
 		s.engine.Enqueue(s.picker.pick(), s.nextAddr(), s.ReqSize)

@@ -84,31 +84,20 @@ type RateSource struct {
 	name   string
 	engine *dma.Engine
 
-	// RatePerCycle is the target bandwidth in bytes/cycle.
-	RatePerCycle float64
 	// ReqSize is the transaction size.
 	ReqSize uint32
 	// BurstReqs groups emissions: tokens are paid out only once a full
 	// burst's worth has accumulated, creating the bursty arrival pattern
 	// of bulk I/O engines. 1 means smooth.
 	BurstReqs int
-	// ReadFrac is the fraction of requests that are reads.
-	ReadFrac float64
 
 	rng    *sim.Rand
 	str    *stream
 	picker kindPicker
 
-	rateFP   uint64 // Q32 bytes/cycle
-	reqFP    uint64
-	burstFP  uint64 // Q32 bytes per full burst
-	tokensFP uint64
-	funded   sim.Cycle
-	// saturated records that the last tick ended with the DMA queue full:
-	// a per-cycle reference run would have clamped the bucket on every
-	// blocked cycle since, so the next tick must clamp retroactively
-	// before funding its own cycle (see Tick).
-	saturated bool
+	bucket
+	reqFP   uint64
+	burstFP uint64 // Q32 bytes per full burst
 }
 
 // NewRateSource builds a rate-driven source over region r.
@@ -117,97 +106,42 @@ func NewRateSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 	if burstReqs <= 0 {
 		burstReqs = 1
 	}
-	s := &RateSource{
-		name:         name,
-		engine:       e,
-		RatePerCycle: ratePerCycle,
-		ReqSize:      reqSize,
-		BurstReqs:    burstReqs,
-		ReadFrac:     readFrac,
-		rng:          rng,
-		str:          newStream(r, reqSize),
-		picker:       kindPicker{readFrac: readFrac, rng: rng},
-		rateFP:       toFP(ratePerCycle),
-		reqFP:        bytesFP(reqSize),
+	return &RateSource{
+		name:      name,
+		engine:    e,
+		ReqSize:   reqSize,
+		BurstReqs: burstReqs,
+		rng:       rng,
+		str:       newStream(r, reqSize),
+		picker:    kindPicker{readFrac: readFrac, rng: rng},
+		bucket:    bucket{rateFP: toFP(ratePerCycle)},
+		reqFP:     bytesFP(reqSize),
+		burstFP:   bytesFP(reqSize) * uint64(burstReqs),
 	}
-	s.burstFP = s.reqFP * uint64(burstReqs)
-	return s
 }
 
 // Name returns the source label.
 func (s *RateSource) Name() string { return s.name }
 
-// integrateTo accumulates tokens so that `total` single-cycle fills have
-// happened since the start of the run.
-func (s *RateSource) integrateTo(total sim.Cycle) {
-	if total <= s.funded {
-		return
-	}
-	s.tokensFP += s.rateFP * uint64(total-s.funded)
-	s.funded = total
-}
-
 // NextActivity implements sim.Idler: the source acts on the first cycle
-// whose token fill completes a burst. The bound is computed in absolute
-// time from the funding cursor, NOT relative to now: the kernel's
-// fast-forward probe may query the hint while the bucket integration lags
-// now, and a now-relative answer would push the cached wake past the true
-// fill cycle (an unsound raise the active-ticker list would never
-// recover from).
+// whose token fill completes a burst (see bucket.next).
 //
 //sara:hotpath
 func (s *RateSource) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
-	if s.tokensFP >= s.burstFP {
-		if s.engine.PendingSpace() > 0 {
-			return now, true
-		}
-		// Saturated: Tick only clamps the bucket, which one batched
-		// clamp reproduces exactly at the next executed cycle.
-		return 0, false
-	}
-	if s.rateFP == 0 {
-		return 0, false
-	}
-	// A tick at cycle c funds through c+1; the burst completes at the
-	// first c with c+1-funded >= steps.
-	steps := ceilDiv(s.burstFP-s.tokensFP, s.rateFP)
-	if steps == 0 {
-		steps = 1
-	}
-	at := s.funded + sim.Cycle(steps) - 1
-	if at < now {
-		at = now
-	}
-	return at, true
+	return s.next(now, s.burstFP, s.engine)
 }
 
 // Tick accumulates tokens and emits whole bursts when funded. The random
-// stream is consumed only for requests that are actually enqueued, and
-// the saturation cap composes as min(tokens + n*rate, cap) — both
-// properties keep a tick after n fast-forwarded blocked cycles
-// bit-identical to n blocked single-cycle ticks.
+// stream is consumed only for requests that are actually enqueued, so
+// with the bucket's batched clamp (see bucket.fund) a tick after n
+// fast-forwarded blocked cycles is bit-identical to n blocked
+// single-cycle ticks.
 func (s *RateSource) Tick(now sim.Cycle) {
-	if s.saturated {
-		// Every un-ticked cycle since the saturating tick would have
-		// clamped the bucket in the per-cycle reference; one batched
-		// clamp after funding those cycles composes to the same value
-		// (min is affine-compatible: min(min(t+r,c)+r,c) = min(t+2r,c)).
-		s.integrateTo(now)
-		if s.tokensFP > 4*s.burstFP {
-			s.tokensFP = 4 * s.burstFP
-		}
-		s.saturated = false
-	}
-	s.integrateTo(now + 1)
+	capFP := 4 * s.burstFP // a few bursts
+	s.fund(now, capFP)
 	for s.tokensFP >= s.burstFP {
 		if s.engine.PendingSpace() == 0 {
-			// DMA saturated: stop accumulating unbounded debt so the
-			// source does not flood the instant space frees up. Cap the
-			// bucket at a few bursts.
-			if s.tokensFP > 4*s.burstFP {
-				s.tokensFP = 4 * s.burstFP
-			}
-			s.saturated = true
+			s.saturate(capFP)
 			return
 		}
 		emitted := uint64(0)
