@@ -134,24 +134,64 @@ func driveRandom(t *testing.T, geo *dram.Geometry, policy PolicyKind, seed uint6
 }
 
 // checkBuckets asserts the bucket invariants at cycle now: a bank's live
-// bit is set exactly when its bucket holds entries, and, per bucket.go's
-// invalidation contract, a clean live bucket's bound is no later than the
-// cycle a fresh probe gives any of its entries.
+// bit is set exactly when its bucket holds entries; a live bank's
+// category counts, reservation slot and cached row-hit priority equal a
+// recount from its bucket; and, per bucket.go's invalidation contract,
+// its bound is no later than the cycle a fresh probe gives any of its
+// entries. An entry over age since an earlier cycle is probed with the
+// open-page guard lifted, as the aged pass probes it, once pickFull has
+// had a cycle to re-bound its bank: with refresh modeled the refresh
+// machine may take the crossing cycle's command slot, and the controller
+// then ticks every cycle until its scan runs, so there the lifted probe
+// is checked only with refresh off.
 func checkBuckets(t *testing.T, c *Controller, now sim.Cycle) {
 	t.Helper()
 	for k := range c.buckets {
-		w, bit := k>>6, uint64(1)<<(k&63)
 		b := &c.buckets[k]
-		if live := c.live[w]&bit != 0; live != (b.head >= 0) {
+		if live := c.live[k>>6]&(1<<(k&63)) != 0; live != (b.head >= 0) {
 			t.Fatalf("cycle %d: bank %d: live bit %v, bucket head %d", now, k, live, b.head)
 		}
-		if c.dirty[w]&bit != 0 {
+		if b.head < 0 {
 			continue
+		}
+		bs := &c.gates.Banks[k]
+		var want [4]int32
+		hit, resv := uint16(0), int32(-1)
+		for s := b.head; s >= 0; s = c.next[s] {
+			e := &c.slots[s]
+			p := entryHit(bs, e)
+			switch {
+			case p == 0:
+				want[2]++
+			case e.t.Kind == txn.Read:
+				want[0]++
+			default:
+				want[1]++
+			}
+			hit = max(hit, p)
+			if e.t.ID == bs.ReservedBy {
+				resv = s
+			}
+		}
+		if c.rowAware && c.bankHit[k] != hit {
+			t.Fatalf("cycle %d: bank %d: bankHit %d, recount %d", now, k, c.bankHit[k], hit)
+		}
+		for s := b.head; s >= 0; s = c.next[s] {
+			if e := &c.slots[s]; entryHit(bs, e) == 0 && c.allowPrecharge(e) {
+				want[3]++
+			}
+		}
+		if got := [4]int32{b.hitR, b.hitW, b.miss, b.missOK}; got != want {
+			t.Fatalf("cycle %d: bank %d: counts (hitR, hitW, miss, missOK) %v, recount %v", now, k, got, want)
+		}
+		if b.resv != resv {
+			t.Fatalf("cycle %d: bank %d: reservation slot %d, recount %d", now, k, b.resv, resv)
 		}
 		for s := b.head; s >= 0; s = c.next[s] {
 			e := &c.slots[s]
-			if _, _, at, ok := c.probeScan(e, c.allowPrecharge(e), now); ok && at < b.readyAt {
-				t.Fatalf("cycle %d: clean bank %d parked at %d, but txn %d clears its gates at %d",
+			allow := c.allowPrecharge(e) || !c.refreshOn && c.cfg.AgingT > 0 && now > e.t.Enqueue+c.cfg.AgingT
+			if _, _, at, ok := c.probeScan(e, allow, now); ok && at < b.readyAt {
+				t.Fatalf("cycle %d: bank %d bounded at %d, but txn %d clears its gates at %d",
 					now, k, b.readyAt, e.t.ID, at)
 			}
 		}
@@ -270,15 +310,18 @@ func TestBucketMembershipTracksQueues(t *testing.T) {
 }
 
 // BenchmarkCollectBuckets prices the incremental bucket scan (pickBuckets;
-// the benchmark keeps the scan's earlier name) at queue
-// depths 4, 32 and 128, in the loaded steady state: the queued entries
-// sit on 4 of the 16 banks (the 4x saturated SoC averages 3.9 non-empty
-// banks per scan), every bank's device gates hold an open row the
-// entries conflict with, gated far in the future, so clean buckets park
-// on the precharge gate, and each scan follows one issue, which dirties
-// one bank (rotating over the live ones).
+// the benchmark keeps the scan's earlier name) at queue depths 4, 32 and
+// 128, in the loaded steady state: the queued entries sit on 6 of the 16
+// banks (the 4x saturated SoC averages 5.9 live banks per scan, counted
+// over 2M cycles after one frame),
+// every bank's device gates hold an open row the entries conflict with,
+// gated far in the future, so every bank parks on its precharge gate.
+// Each scan follows one issue, which recounts one bank (rotating over
+// the live ones) and leaves its bound due, as a command on another bank
+// leaves a stale-early bound, so the scan re-bounds it and parks it
+// again.
 func BenchmarkCollectBuckets(b *testing.B) {
-	const live = 4
+	const live = 6
 	for _, depth := range []int{4, 32, 128} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			d := dram.New(dram.PaperConfig(1866))
@@ -307,7 +350,9 @@ func BenchmarkCollectBuckets(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.bankChanged(i % live * stride)
+				k := i % live * stride
+				c.rowChanged(k)
+				c.buckets[k].readyAt = now
 				c.pickBuckets(now)
 			}
 		})

@@ -62,6 +62,19 @@ type Stats struct {
 	RefreshPrecharges uint64
 }
 
+// Work counts what the controller's scheduler did to reach its
+// decisions: the simulator's own cost, not the simulated system's. It is
+// kept apart from Stats, which describes the simulated system and must
+// be identical in every kernel mode, while Work depends on how often the
+// kernel ticks the controller.
+type Work struct {
+	Ticks      uint64 // Tick calls
+	Scans      uint64 // queue scans: pickBuckets or pickFull
+	EmptyScans uint64 // scans that found no issuable command
+	Probes     uint64 // entries probed against the timing gates
+	Bounds     uint64 // bank bounds computed
+}
+
 // Controller is one channel's transaction scheduler. It is driven by the
 // SoC assembly: Enqueue from the NoC side, Tick once per cycle to issue at
 // most one DRAM command.
@@ -91,24 +104,26 @@ type Controller struct {
 	trace TraceFn
 
 	stats Stats
+	work  Work
 
 	// bankHit caches, per (rank, bank), the highest priority among queued
 	// transactions that hit the currently open row, offset by one so zero
 	// means "no queued hit". Row-aware policies use it to avoid
 	// precharging a row that still has useful hits queued. A flat array
 	// indexed by rank*banks+bank keeps the per-cycle refresh free of map
-	// traffic. It is maintained incrementally (bucketPush/bankChanged)
-	// and recomputed from scratch only on full-rescan passes.
+	// traffic. It is maintained incrementally (bucketPush, bucketRemove
+	// and rowChanged) and recounted from every bucket on full-rescan
+	// passes.
 	bankHit []uint16
 	// rowAware marks policies that consult bankHit, gating its upkeep.
 	rowAware bool
 
-	// buckets index the queued entries by bank; live and dirty are the
-	// bank bitmaps that mark non-empty buckets and buckets to re-probe.
-	// See bucket.go for the incremental-maintenance and invalidation
+	// buckets index and count the queued entries by bank, each with its
+	// bound; live is the bank bitmap that marks non-empty buckets. See
+	// bucket.go for the incremental-maintenance and invalidation
 	// contract.
-	buckets     []bucket
-	live, dirty bankMask
+	buckets []bucket
+	live    bankMask
 
 	// slots holds every queued entry once, sized to the queue capacity in
 	// New; the class queues and the bank buckets index into it. next
@@ -123,6 +138,14 @@ type Controller struct {
 	// class queues; Pending is on the controller's activity-hint path,
 	// which the kernel's due-wake validation queries per probe.
 	npending int
+
+	// oldest is the earliest aging deadline of any queued entry
+	// (nextDeadline(0)), neverTry when none or with aging off. An Enqueue
+	// can lower it only when the queues were empty, and a CAS raises it
+	// only when it serves an entry whose deadline it is; both keep it
+	// exact, so Tick reads the aged test from it and queueWake the next
+	// deadline, without walking the class queues.
+	oldest sim.Cycle
 
 	// gates is the device's timing state for this channel, read in place:
 	// entries are evaluated against it with plain arithmetic instead of
@@ -196,7 +219,7 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 		rowAware:   cfg.Policy == FRFCFS || cfg.Policy == QoSRB,
 		buckets:    make([]bucket, nb),
 		live:       newBankMask(nb),
-		dirty:      newBankMask(nb),
+		oldest:     neverTry,
 		nBanks:     geo.Banks,
 		nRanks:     geo.Ranks,
 		refreshOn:  d.RefreshEnabled(),
@@ -222,7 +245,7 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 		c.next[s], c.free = c.free, int32(s)
 	}
 	for k := range c.buckets {
-		c.buckets[k].head, c.buckets[k].tail = -1, -1
+		c.buckets[k].head, c.buckets[k].tail, c.buckets[k].resv = -1, -1, -1
 	}
 	return c
 }
@@ -232,6 +255,9 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// Work returns a snapshot of the scheduler's work counters.
+func (c *Controller) Work() Work { return c.work }
 
 // SpaceFor reports whether the class queue can admit one more transaction.
 // The NoC uses it as the credit check before forwarding.
@@ -264,16 +290,24 @@ func (c *Controller) Enqueue(t *txn.Transaction, now sim.Cycle) {
 	c.slots[s] = entry{t: t, loc: loc}
 	q.slots = append(q.slots, s) //sara:alloc-ok New sizes every queue to its depth
 	c.npending++
-	c.bucketPush(s)
+	c.bucketPush(s, now)
 	c.stats.Enqueued++
 	if c.refreshOn {
 		c.rankPending[loc.Rank]++
 	}
-	// The new entry may be issuable immediately (bucketPush dirtied its
-	// bank), so the kernel wake is re-armed at now: the upstream router
-	// ticks before this controller, so the entry is schedulable this
-	// cycle. A wake already at or below now makes the re-arm a no-op.
-	c.wake.Rearm(now)
+	// The new entry changed only its own bank, and bucketPush re-bounded
+	// it, so the kernel wake is re-armed at that bound, no earlier than
+	// now (the upstream router ticks before this controller, so an entry
+	// issuable at once is schedulable this cycle) and no later than the
+	// entry's aging deadline, which no earlier wake answer covered when
+	// the queues were empty. A wake already at or below that makes the
+	// re-arm a no-op.
+	at := max(now, c.buckets[c.bankKey(loc)].readyAt)
+	if c.cfg.AgingT > 0 {
+		c.oldest = min(c.oldest, now+c.cfg.AgingT)
+		at = min(at, now+c.cfg.AgingT)
+	}
+	c.wake.Rearm(at)
 }
 
 // BindWake implements sim.WakeBinder: the kernel hands the controller its
@@ -328,24 +362,26 @@ func (c *Controller) nextDeadline(from sim.Cycle) sim.Cycle {
 //
 //sara:hotpath
 func (c *Controller) Tick(now sim.Cycle) {
+	c.work.Ticks++
 	if c.refreshOn && (now >= c.refNextAction || c.wake.Reference()) {
 		if c.tickRefresh(now) {
 			return // the refresh machine consumed this cycle's command slot
 		}
 	}
 	// The common case walks the per-bank buckets (pickBuckets), probing
-	// only banks whose readiness could have changed since the last event.
-	// Aged cycles — and every cycle in the kernel's reference mode — take
-	// the full rescan (pickFull), which re-derives everything from the
-	// queues.
+	// only banks whose bound has come due. Aged cycles — and every cycle
+	// in the kernel's reference mode — take the full rescan (pickFull),
+	// which re-derives everything from the queues.
 	var best candidate
 	var found bool
-	if aged := now >= c.nextDeadline(0); aged || c.wake.Reference() {
+	if aged := now >= c.oldest; aged || c.wake.Reference() {
 		best, found = c.pickFull(now, aged)
 	} else {
 		best, found = c.pickBuckets(now)
 	}
+	c.work.Scans++
 	if !found {
+		c.work.EmptyScans++
 		return
 	}
 	c.issue(best, now)
@@ -421,16 +457,16 @@ func (c *Controller) earliestPre(r int) sim.Cycle {
 	return at
 }
 
-// issueRefresh performs a REF to rank r and wakes both schedulers next
-// cycle: the REF moved every activate gate of the rank and may have
-// cleared the forced mask over queued work.
+// issueRefresh performs a REF to rank r, re-bounds the rank's banks and
+// wakes the refresh machine next cycle: the REF moved every activate gate
+// of the rank and may have cleared the forced mask over queued work.
 func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
 	if c.trace != nil {
 		c.trace(c.cfg.Channel, now, 0, 'R')
 	}
 	c.dram.Refresh(c.cfg.Channel, r, now)
 	c.refBlocked[r] = false
-	c.dirtyRank(r)
+	c.boundRank(r, now)
 	c.stats.Refreshes++
 	if forced {
 		c.stats.ForcedRefreshes++
@@ -447,7 +483,9 @@ func (c *Controller) issueRefreshPre(r, b int, now sim.Cycle) {
 	}
 	loc := dram.Location{Channel: c.cfg.Channel, Rank: r, Bank: b}
 	c.dram.Precharge(loc, now)
-	c.bankChanged(c.bankKey(loc))
+	key := c.bankKey(loc)
+	c.rowChanged(key)
+	c.rebound(key, now)
 	c.stats.RefreshPrecharges++
 	c.refNextAction = now + 1
 }
@@ -505,13 +543,19 @@ func (c *Controller) nextRefreshAction(now sim.Cycle) sim.Cycle {
 // queued row hits (the "clear the backlog" rule of Section 3.3); when
 // none of them can issue, every entry competes under the policy.
 //
-// That second pass probes every entry, so it also refreshes every live
-// bucket's bound and clears its dirty bit. An over-age entry the policy
-// blocks is bounded as the aged pass probes it, with the open-page guard
-// lifted, so the bound stays a lower bound for as long as the entry is
-// queued, aged or not.
+// Before either pass it recounts and re-bounds every live bank, the
+// reference's from-scratch bankHit among them. That is also what keeps
+// the bounds sound across aging: a bank whose oldest entry is now over
+// age gets its guarded misses' precharge gate in its bound here, at the
+// crossing, before the aged pass may return.
 func (c *Controller) pickFull(now sim.Cycle, aged bool) (best candidate, found bool) {
-	c.refreshBankHits()
+	for w, live := range c.live {
+		for ; live != 0; live &= live - 1 {
+			k := w<<6 | bits.TrailingZeros64(live)
+			c.rowChanged(k)
+			c.rebound(k, now)
+		}
+	}
 	if aged {
 		for qi := range c.queues {
 			for _, s := range c.queues[qi].slots {
@@ -530,26 +574,13 @@ func (c *Controller) pickFull(now sim.Cycle, aged bool) (best candidate, found b
 			return best, true
 		}
 	}
-	for w, live := range c.live {
-		c.dirty[w] &^= live
-		for ; live != 0; live &= live - 1 {
-			c.buckets[w<<6|bits.TrailingZeros64(live)].readyAt = neverTry
-		}
-	}
 	for qi := range c.queues {
 		for _, s := range c.queues[qi].slots {
 			e := &c.slots[s]
-			ok, rowHit, at, atOK := c.probeScan(e, c.allowPrecharge(e), now)
-			if ok {
+			if ok, rowHit, _, _ := c.probeScan(e, c.allowPrecharge(e), now); ok {
 				if cand := (candidate{e, s, rowHit}); !found || c.cfg.Policy.better(cand, best, c.rrPtr, c.cfg.Delta) {
 					best, found = cand, true
 				}
-			}
-			if !atOK && aged && now >= e.t.Enqueue+c.cfg.AgingT {
-				_, _, at, atOK = c.probeScan(e, true, now)
-			}
-			if b := &c.buckets[c.bankKey(e.loc)]; atOK && at < b.readyAt {
-				b.readyAt = at
 			}
 		}
 	}
@@ -561,6 +592,7 @@ func (c *Controller) pickFull(now sim.Cycle, aged bool) (best candidate, found b
 // row, and the earliest cycle the command clears the timing gates (atOK
 // false when blocked on a foreign reservation or a disallowed precharge).
 func (c *Controller) probeScan(e *entry, allowPre bool, now sim.Cycle) (ok, rowHit bool, at sim.Cycle, atOK bool) {
+	c.work.Probes++
 	if c.refBlocked[e.loc.Rank] {
 		// The rank is being drained for a forced refresh: nothing issues
 		// until the REF lands, and the refresh machine owns that wake.
@@ -595,26 +627,6 @@ func (c *Controller) probeScan(e *entry, allowPre bool, now sim.Cycle) (ok, rowH
 			at = g
 		}
 		return now >= at, false, at, true
-	}
-}
-
-// refreshBankHits recomputes the per-bank best queued row-hit priority.
-// Only the row-aware policies consult it, so other policies skip the scan.
-func (c *Controller) refreshBankHits() {
-	if !c.rowAware {
-		return
-	}
-	for k := range c.bankHit {
-		c.bankHit[k] = 0
-	}
-	for qi := range c.queues {
-		for _, qs := range c.queues[qi].slots {
-			e := &c.slots[qs]
-			key := c.bankKey(e.loc)
-			if p := entryHit(&c.gates.Banks[key], e); p > c.bankHit[key] {
-				c.bankHit[key] = p
-			}
-		}
 	}
 }
 
@@ -658,8 +670,8 @@ func (c *Controller) SetTrace(fn TraceFn) { c.trace = fn }
 func (c *Controller) issue(best candidate, now sim.Cycle) {
 	e := *best.e // a copy: a CAS frees the slot
 	key := c.bankKey(e.loc)
-	b := &c.gates.Banks[key]
-	open, hit := b.Open, b.Open && b.Row == e.loc.Row
+	bs := &c.gates.Banks[key]
+	open, hit := bs.Open, bs.Open && bs.Row == e.loc.Row
 	if c.trace != nil {
 		k := byte('C')
 		if open && !hit {
@@ -683,7 +695,11 @@ func (c *Controller) issue(best candidate, now sim.Cycle) {
 			e.t.RowPath = neededAct
 		}
 	}
-	c.bankChanged(key)
+	if !hit {
+		c.buckets[key].resv = best.s
+		c.rowChanged(key)
+	}
+	c.rebound(key, now)
 }
 
 func (c *Controller) issueCAS(e entry, s int32, now sim.Cycle) {
@@ -700,6 +716,9 @@ func (c *Controller) issueCAS(e entry, s int32, now sim.Cycle) {
 	wasFull := q.full()
 	q.remove(s)
 	c.npending--
+	if c.cfg.AgingT > 0 && e.t.Enqueue+c.cfg.AgingT == c.oldest {
+		c.oldest = c.nextDeadline(0)
+	}
 	c.bucketRemove(c.bankKey(e.loc), s)
 	c.slots[s] = entry{}
 	c.next[s] = c.free

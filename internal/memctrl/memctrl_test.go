@@ -164,7 +164,6 @@ func TestQoSRBDeltaGating(t *testing.T) {
 	for now := sim.Cycle(0); now < 200 && c2.Stats().Served == 0; now++ {
 		c2.Tick(now)
 	}
-	c2.refreshBankHits()
 	if !c2.allowPrecharge(&urgent) {
 		t.Fatal("priority-7 conflict should be allowed to precharge past a priority-0 hit")
 	}

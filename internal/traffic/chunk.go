@@ -21,8 +21,6 @@ type ChunkSource struct {
 	Period sim.Cycle
 	// ReqSize is the transaction size.
 	ReqSize uint32
-	// ReadFrac is the fraction of requests that are reads.
-	ReadFrac float64
 	// Scatter addresses the chunk randomly within the region instead of
 	// sequentially, defeating row-buffer locality (GPS correlators gather
 	// from scattered satellite-channel buffers).
@@ -59,7 +57,6 @@ func NewChunkSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		ChunkBytes: chunkBytes,
 		Period:     period,
 		ReqSize:    reqSize,
-		ReadFrac:   readFrac,
 		rng:        rng,
 		str:        newStream(r, reqSize),
 		picker:     kindPicker{readFrac: readFrac, rng: rng},

@@ -21,8 +21,6 @@ type FrameSource struct {
 	Period sim.Cycle
 	// ReqSize is the per-transaction size (one DRAM burst).
 	ReqSize uint32
-	// ReadFrac is the fraction of requests that are reads.
-	ReadFrac float64
 	// RefFactor scales the reference progress slope (Fig. 4(b)).
 	RefFactor float64
 	// StartOffset delays the first frame, de-phasing multiple sources.
@@ -52,7 +50,6 @@ func NewFrameSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		BytesPerFrame: bytesPerFrame,
 		Period:        period,
 		ReqSize:       reqSize,
-		ReadFrac:      readFrac,
 		RefFactor:     refFactor,
 		rng:           rng,
 		str:           newStream(r, reqSize),

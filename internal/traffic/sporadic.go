@@ -18,8 +18,6 @@ type SporadicSource struct {
 	MeanGap float64
 	// ReqSize is the transaction size.
 	ReqSize uint32
-	// ReadFrac is the fraction of requests that are reads.
-	ReadFrac float64
 
 	rng    *sim.Rand
 	region Region
@@ -38,7 +36,6 @@ func NewSporadicSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		engine:      e,
 		MeanGap:     meanGap,
 		ReqSize:     reqSize,
-		ReadFrac:    readFrac,
 		rng:         rng,
 		region:      r,
 		picker:      kindPicker{readFrac: readFrac, rng: rng},
