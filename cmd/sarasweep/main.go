@@ -2,9 +2,9 @@
 // "Regenerating the figures" section: the ablations of Policy 2's
 // row-buffer threshold delta, the priority quantization k and the aging
 // limit T, the refresh on/off comparison, a seed fan-out with confidence
-// intervals, the scaled-SoC cost curve — and "cell", the single-cell
-// runner the supervisor's Repro lines name (README, "Crash safety &
-// resume").
+// intervals, the scaled-SoC cost curve — and "cell", the single-run
+// inspector that every supervisor Repro line names (README, "Crash
+// safety & resume").
 //
 //	sarasweep -sweep delta
 //	sarasweep -sweep bits
@@ -12,10 +12,14 @@
 //	sarasweep -sweep refresh
 //	sarasweep -sweep seeds
 //	sarasweep -sweep scale
-//	sarasweep -sweep cell -case A -policy qos -seed 3
+//	sarasweep -sweep cell -case A -policy qos -seed 3 [-measure 2] [-csv npi.csv]
 //
-// The -refresh flag enables LPDDR4 refresh in the delta/bits/aging/seeds
-// and scale sweeps so any ablation can be re-run under refresh pressure.
+// The cell sweep prints each critical core's minimum NPI over the
+// measured frames, the DRAM bandwidth and row-hit rate and, with
+// refresh on, each below-target core's refresh/contention shortfall;
+// -csv dumps the per-DMA NPI time series. The ablations read -seed and
+// (but for the refresh sweep) -refresh. A flag the chosen sweep does
+// not read is a usage error.
 //
 // Crash safety: -timeout and -max-cycles bound each run with the kernel
 // watchdog (a tripped run reports a DeadlockError with its wake-state
@@ -29,8 +33,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,6 +45,7 @@ import (
 	"sara/internal/dram"
 	"sara/internal/exp"
 	"sara/internal/memctrl"
+	"sara/internal/meter"
 	"sara/internal/txn"
 )
 
@@ -47,26 +53,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// cliOptions carries one invocation's parsed flags to the sweep funcs.
-type cliOptions struct {
-	opt  exp.Options   // fidelity + supervisor budgets (timeout, journal, ...)
-	cell exp.Cell      // the -sweep cell target
-	sink *analysisSink // -analyze / -monitor / -analysis-out wiring
-}
-
-// analysisSink wires -analyze and -monitor into the sweeps and collects
-// the labeled reports -analysis-out writes. The RunCells-backed sweeps
-// (seeds, cell) get their analyzers from exp.Options and only deposit
-// reports here; the direct-build ablation sweeps attach per system via
-// attach, which also closes the previous system's analyzer first and
-// harvests its report — those sweeps build one system at a time.
-type analysisSink struct {
-	enabled bool
-	window  uint64
-	mon     *sara.Monitor
-	prefix  string
-	seq     int
-	reports map[string]*sara.AnalysisReport
+// invocation is one command line: its parsed run flags, and the
+// analyzer the ablation sweeps attach to each system they build. The
+// RunCells-backed sweeps (seeds, cell) get their analyzers from
+// exp.Options and only file reports; the ablations build one system at a
+// time, and attach closes the previous system's analyzer and files its
+// report first.
+type invocation struct {
+	*exp.Flags
+	sweep string // the -sweep value, the prefix of ablation report labels
+	seq   int
 
 	az    *sara.Analyzer
 	h     *sara.MonitorRun
@@ -74,74 +70,57 @@ type analysisSink struct {
 }
 
 // attach closes the previous system's analyzer and arms one on sys.
-func (s *analysisSink) attach(sys *core.System) {
-	if !s.enabled && s.mon == nil {
+func (o *invocation) attach(sys *core.System) {
+	if !o.Opt.Analyze && o.Opt.Monitor == nil {
 		return
 	}
-	s.close()
-	s.label = fmt.Sprintf("%s#%d", s.prefix, s.seq)
-	s.seq++
-	s.h = s.mon.StartRun(s.label)
-	aopt := sara.AnalysisOptions{Window: sara.Cycle(s.window)}
-	if s.h != nil {
-		aopt.Publish = s.h.Publish
+	o.detach()
+	o.label = fmt.Sprintf("%s#%d", o.sweep, o.seq)
+	o.seq++
+	o.h = o.Opt.Monitor.StartRun(o.label)
+	aopt := sara.AnalysisOptions{Window: sara.Cycle(o.Opt.AnalysisWindow)}
+	if o.h != nil {
+		aopt.Publish = o.h.Publish
 	}
-	s.az = sara.AttachAnalyzer(sys, aopt)
+	o.az = sara.AttachAnalyzer(sys, aopt)
 }
 
-// close detaches the live analyzer, harvesting its report.
-func (s *analysisSink) close() {
-	if s == nil || s.az == nil {
+// detach detaches the live analyzer, filing its report.
+func (o *invocation) detach() {
+	if o.az == nil {
 		return
 	}
-	s.az.Detach()
-	if s.enabled {
-		s.reports[s.label] = s.az.Report()
+	o.az.Detach()
+	if o.Opt.Analyze {
+		o.Report(o.label, o.az.Report())
 	}
-	s.h.Finish(true)
-	s.az, s.h = nil, nil
+	o.h.Finish(true)
+	o.az, o.h = nil, nil
 }
 
-// deposit records a RunCells-produced report under label.
-func (s *analysisSink) deposit(label string, rep *sara.AnalysisReport) {
-	if s != nil && rep != nil {
-		s.reports[label] = rep
-	}
-}
+// ablation is what the direct-build sweeps read: no supervisor journal
+// or retry, no cell field, and one warmup and one measured frame of
+// their own.
+const ablation = exp.BaseFlags | exp.SeedFlag | exp.RefreshFlag
 
-// writeReports writes the collected reports to path: CSV sections for a
-// .csv suffix, one JSON object otherwise.
-func (s *analysisSink) writeReports(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return sara.WriteAnalysisCSV(f, s.reports)
-	}
-	return sara.WriteAnalysisJSON(f, s.reports)
-}
-
-// sweeps is the dispatch table; -sweep is validated against it up front.
-var sweeps = map[string]func(o cliOptions, w io.Writer) error{
-	"delta":   sweepDelta,
-	"bits":    sweepBits,
-	"aging":   sweepAging,
-	"refresh": sweepRefresh,
-	"seeds":   sweepSeeds,
-	"scale":   sweepScale,
-	"cell":    sweepCell,
+// sweeps is the dispatch table, with the flags each sweep reads; -sweep
+// is validated against it up front.
+var sweeps = map[string]struct {
+	run   func(o *invocation, w io.Writer) error
+	reads exp.FlagGroup
+}{
+	"delta":   {sweepDelta, ablation},
+	"bits":    {sweepBits, ablation},
+	"aging":   {sweepAging, ablation},
+	"refresh": {sweepRefresh, ablation &^ exp.RefreshFlag},
+	"seeds":   {sweepSeeds, exp.RunFlags&^exp.SeedFlag | exp.FrameFlags},
+	"scale":   {sweepScale, ablation},
+	"cell":    {sweepCell, exp.RunFlags | exp.CellFlags},
 }
 
 // sweepNames lists the valid -sweep values for the usage text.
 func sweepNames() string {
-	names := make([]string, 0, len(sweeps))
-	for n := range sweeps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
+	return strings.Join(slices.Sorted(maps.Keys(sweeps)), "|")
 }
 
 // run is main without the process plumbing, so tests can drive the CLI
@@ -151,111 +130,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sarasweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sweep := fs.String("sweep", "delta", "sweep to run: "+sweepNames())
-	scale := exp.PositiveFlag(fs, "scale", sara.DefaultScaleDiv, "time-scale divisor")
-	refresh := fs.Bool("refresh", false, "enable LPDDR4 refresh (tREFI/tRFC) in the sweep")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget per run; overruns abort with a watchdog diagnosis (0 = unbounded)")
-	maxCycles := fs.Uint64("max-cycles", 0, "executed-cycle budget per run (0 = unbounded)")
-	retries := fs.Int("retries", 0, "rerun a failed cell up to this many extra times (seeds/cell sweeps)")
-	journal := fs.String("journal", "", "JSONL checkpoint journal for the seeds/cell sweeps")
-	resume := fs.Bool("resume", false, "with -journal: serve already-completed cells from the journal")
-	caseName := fs.String("case", "A", "cell sweep: test case, A or B")
-	policyName := fs.String("policy", "qos", "cell sweep: arbitration policy (fcfs|rr|frfcfs|framerate|qos|qos-rb)")
-	seed := fs.Uint64("seed", 1, "workload seed")
-	freq := fs.Int("freq", 0, "cell sweep: DRAM data rate in MT/s (0 = case default)")
-	socScale := exp.PositiveFlag(fs, "soc-scale", 1, "cell sweep: SoC scale factor (channels and DMAs; a power of two)")
-	saturated := fs.Bool("saturated", false, "cell sweep: bandwidth-bound saturated variant")
-	warmup := fs.Int("warmup", 0, "cell sweep: warmup frames before measurement")
-	measure := exp.PositiveFlag(fs, "measure", 1, "cell sweep: measured frames")
-	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
-	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
-	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports here (.csv = CSV sections, else JSON)")
-	monitorAddr := fs.String("monitor", "", "serve the live HTTP sweep monitor on this address (e.g. :8080)")
+	o := &invocation{Flags: exp.BindFlags(fs, exp.RunFlags|exp.CellFlags)}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *analysisOut != "" && !*analyze {
-		fmt.Fprintln(stderr, "sarasweep: -analysis-out requires -analyze")
-		return 2
-	}
-	fn, ok := sweeps[*sweep]
+	sw, ok := sweeps[*sweep]
 	if !ok {
 		fmt.Fprintf(stderr, "sarasweep: unknown sweep %q (want %s)\n", *sweep, sweepNames())
 		fs.Usage()
 		return 2
 	}
-	var tc config.Case
-	switch *caseName {
-	case "A", "a":
-		tc = config.CaseA
-	case "B", "b":
-		tc = config.CaseB
-	default:
-		fmt.Fprintf(stderr, "sarasweep: unknown case %q (want A or B)\n", *caseName)
+	o.sweep = *sweep
+	// Refuse bad values before any build. Every sweep but the cell
+	// sweep runs case A, so its frame period is the one to check.
+	check := exp.Cell{Case: config.CaseA}
+	if *sweep == "cell" {
+		check = o.Cell
+	}
+	if err := o.Check(sw.reads, "-sweep "+*sweep, check); err != nil {
+		fmt.Fprintf(stderr, "sarasweep: %v\n", err)
 		return 2
 	}
-	policy, err := memctrl.ParsePolicy(*policyName)
+	stop, err := o.Start(stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "sarasweep: %v\n", err)
 		return 2
 	}
-
-	o := cliOptions{
-		opt: exp.Options{
-			ScaleDiv:       *scale,
-			Refresh:        *refresh,
-			Seed:           *seed,
-			WarmupFrames:   *warmup,
-			MeasureFrames:  *measure,
-			Timeout:        *timeout,
-			MaxCycles:      *maxCycles,
-			Retries:        *retries,
-			Journal:        *journal,
-			Resume:         *resume,
-			Analyze:        *analyze,
-			AnalysisWindow: *analysisWindow,
-		},
-		cell: exp.Cell{
-			Case:         tc,
-			Policy:       policy,
-			Seed:         *seed,
-			DataRateMTps: *freq,
-			Scale:        *socScale,
-			Saturated:    *saturated,
-		},
-		sink: &analysisSink{
-			enabled: *analyze,
-			window:  *analysisWindow,
-			prefix:  *sweep,
-			reports: make(map[string]*sara.AnalysisReport),
-		},
-	}
-	// Refuse bad values before any build. Every sweep but the cell
-	// sweep runs case A, so its frame period is the one to check.
-	check := o.cell
-	if *sweep != "cell" {
-		check = exp.Cell{Case: config.CaseA}
-	}
-	if err := check.Validate(o.opt); err != nil {
-		fmt.Fprintf(stderr, "sarasweep: %v\n", err)
-		return 2
-	}
-	if *monitorAddr != "" {
-		mon := sara.NewMonitor()
-		if err := mon.Start(*monitorAddr); err != nil {
-			fmt.Fprintf(stderr, "sarasweep: %v\n", err)
-			return 2
-		}
-		defer mon.Close()
-		fmt.Fprintf(stdout, "monitor: http://%s\n", mon.Addr())
-		o.sink.mon = mon
-		o.opt.Monitor = mon
-	}
-	err = fn(o, stdout)
-	o.sink.close()
-	if err == nil && *analysisOut != "" {
-		if err = o.sink.writeReports(*analysisOut); err == nil {
-			fmt.Fprintf(stdout, "wrote %s\n", *analysisOut)
-		}
+	defer stop()
+	err = sw.run(o, stdout)
+	o.detach()
+	if err == nil {
+		err = o.WriteReports(stdout)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "sarasweep: %v\n", err)
@@ -277,12 +182,12 @@ type window struct {
 // (no watchdog when neither is set) and, under -analyze / -monitor, an
 // analyzer attached; then runs one warmup frame to reach steady state and
 // one measured frame.
-func (o cliOptions) run(cfg core.Config) (m window, err error) {
+func (o *invocation) run(cfg core.Config) (m window, err error) {
 	m.sys = sara.Build(cfg)
-	if wd := o.opt.Watchdog(); wd != nil {
+	if wd := o.Opt.Watchdog(); wd != nil {
 		m.sys.SetWatchdog(wd)
 	}
-	o.sink.attach(m.sys)
+	o.attach(m.sys)
 	if err = m.sys.RunFramesChecked(1); err != nil {
 		return m, err
 	}
@@ -312,14 +217,15 @@ func (m window) worstNPI() float64 {
 
 // sweepDelta varies Policy 2's threshold: higher delta favors row hits
 // (bandwidth) at growing risk to urgent transactions (worst-case NPI).
-func sweepDelta(o cliOptions, w io.Writer) error {
+func sweepDelta(o *invocation, w io.Writer) error {
 	fmt.Fprintln(w, "delta  bandwidth(GB/s)  worst min NPI (critical cores)")
 	for delta := 0; delta <= 8; delta += 2 {
 		cfg := sara.Saturated(
 			sara.WithPolicy(memctrl.QoSRB),
-			sara.WithScaleDiv(o.opt.ScaleDiv),
+			sara.WithScaleDiv(o.Opt.ScaleDiv),
+			sara.WithSeed(o.Opt.Seed),
 			sara.WithDelta(txn.Priority(min(delta, 7))),
-			sara.WithRefresh(o.opt.Refresh))
+			sara.WithRefresh(o.Opt.Refresh))
 		if delta == 8 {
 			// delta = 8 means "row hits always win" (no priority override).
 			cfg.Delta = 8
@@ -334,14 +240,15 @@ func sweepDelta(o cliOptions, w io.Writer) error {
 }
 
 // sweepBits varies the priority quantization k in 1..4 under Policy 1.
-func sweepBits(o cliOptions, w io.Writer) error {
+func sweepBits(o *invocation, w io.Writer) error {
 	fmt.Fprintln(w, "bits  levels  worst min NPI (case A, QoS)")
 	for bits := 1; bits <= 4; bits++ {
 		cfg := sara.Camcorder(sara.CaseA,
 			sara.WithPolicy(memctrl.QoS),
-			sara.WithScaleDiv(o.opt.ScaleDiv),
+			sara.WithScaleDiv(o.Opt.ScaleDiv),
+			sara.WithSeed(o.Opt.Seed),
 			sara.WithPriorityBits(bits),
-			sara.WithRefresh(o.opt.Refresh))
+			sara.WithRefresh(o.Opt.Refresh))
 		// Per-core LUT overrides are sized for 8 levels; drop them when
 		// sweeping other quantizations.
 		if bits != 3 {
@@ -359,14 +266,15 @@ func sweepBits(o cliOptions, w io.Writer) error {
 }
 
 // sweepAging varies the starvation limit T under Policy 1.
-func sweepAging(o cliOptions, w io.Writer) error {
+func sweepAging(o *invocation, w io.Writer) error {
 	fmt.Fprintln(w, "agingT  worst min NPI (case A, QoS)")
 	for _, t := range []uint64{1000, 10000, 100000, 0} {
 		cfg := sara.Camcorder(sara.CaseA,
 			sara.WithPolicy(memctrl.QoS),
-			sara.WithScaleDiv(o.opt.ScaleDiv),
+			sara.WithScaleDiv(o.Opt.ScaleDiv),
+			sara.WithSeed(o.Opt.Seed),
 			sara.WithAgingT(sara.Cycle(t)),
-			sara.WithRefresh(o.opt.Refresh))
+			sara.WithRefresh(o.Opt.Refresh))
 		m, err := o.run(cfg)
 		if err != nil {
 			return err
@@ -383,13 +291,14 @@ func sweepAging(o cliOptions, w io.Writer) error {
 // sweepRefresh compares the saturated workload with refresh off and on:
 // how much bandwidth the tREFI cadence steals and what it costs the
 // worst-case NPI under both row-aware policies.
-func sweepRefresh(o cliOptions, w io.Writer) error {
+func sweepRefresh(o *invocation, w io.Writer) error {
 	fmt.Fprintln(w, "policy     refresh  bandwidth(GB/s)  refreshes  blackout%  worst min NPI")
 	for _, policy := range []memctrl.PolicyKind{memctrl.QoS, memctrl.QoSRB} {
 		for _, on := range []bool{false, true} {
 			cfg := sara.Saturated(
 				sara.WithPolicy(policy),
-				sara.WithScaleDiv(o.opt.ScaleDiv),
+				sara.WithScaleDiv(o.Opt.ScaleDiv),
+				sara.WithSeed(o.Opt.Seed),
 				sara.WithRefresh(on))
 			m, err := o.run(cfg)
 			if err != nil {
@@ -414,12 +323,13 @@ func sweepRefresh(o cliOptions, w io.Writer) error {
 // and the routers' grant dormancy keep the per-channel scheduling cost
 // near-flat as the SoC grows, instead of re-inflating with total queue
 // depth.
-func sweepScale(o cliOptions, w io.Writer) error {
+func sweepScale(o *invocation, w io.Writer) error {
 	fmt.Fprintln(w, "scale  channels  DMAs  bandwidth(GB/s)  ns/cycle  ns/cycle/channel")
 	for _, factor := range []int{1, 2, 4} {
 		cfg := sara.ScaledSaturated(factor,
-			sara.WithScaleDiv(o.opt.ScaleDiv),
-			sara.WithRefresh(o.opt.Refresh))
+			sara.WithScaleDiv(o.Opt.ScaleDiv),
+			sara.WithSeed(o.Opt.Seed),
+			sara.WithRefresh(o.Opt.Refresh))
 		m, err := o.run(cfg)
 		if err != nil {
 			return err
@@ -436,17 +346,17 @@ func sweepScale(o cliOptions, w io.Writer) error {
 // harness and reports the across-seed confidence intervals. Failed cells
 // are reported with their rerun command and fail the sweep's exit code
 // after the surviving cells' summary prints.
-func sweepSeeds(o cliOptions, w io.Writer) error {
+func sweepSeeds(o *invocation, w io.Writer) error {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	var failed int
 	for _, policy := range []memctrl.PolicyKind{memctrl.QoS, memctrl.FCFS} {
-		runs, err := exp.RunSeeds(config.CaseA, policy, seeds, o.opt)
+		runs, err := exp.RunSeeds(config.CaseA, policy, seeds, o.Opt)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, exp.FormatSeedSummary(runs))
 		for i, r := range runs {
-			o.sink.deposit(fmt.Sprintf("%v-seed%d", policy, seeds[i]), r.Analysis)
+			o.Report(fmt.Sprintf("%v-seed%d", policy, seeds[i]), r.Analysis)
 		}
 		for _, re := range exp.Failed(runs) {
 			failed++
@@ -461,16 +371,29 @@ func sweepSeeds(o cliOptions, w io.Writer) error {
 
 // sweepCell runs the single cell the -case/-policy/-seed/... flags
 // describe — the command every supervisor Repro line rebuilds a failure
-// with.
-func sweepCell(o cliOptions, w io.Writer) error {
-	runs, err := exp.RunCells([]exp.Cell{o.cell}, o.opt)
+// with. With refresh on it splits each below-target core's shortfall
+// between the refresh cadence and contention, so "the dip is tREFI, not
+// the policy" is visible at a glance; cores at or above the pass
+// threshold are healthy by the tool's own criterion and get no line.
+func sweepCell(o *invocation, w io.Writer) error {
+	runs, err := exp.RunCells([]exp.Cell{o.Cell}, o.Opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(w, exp.FormatRun(runs[0]))
-	o.sink.deposit(o.cell.String(), runs[0].Analysis)
-	if runs[0].Err != nil {
-		return runs[0].Err
+	r := runs[0]
+	fmt.Fprint(w, exp.FormatRun(r))
+	o.Report(o.Cell.String(), r.Analysis)
+	if r.Err != nil {
+		return r.Err
 	}
-	return nil
+	if r.Refreshes > 0 {
+		for _, core := range r.CriticalCores {
+			if npi := r.MinNPI[core]; npi < exp.PassNPI {
+				ref, cont := meter.StallAttribution(npi, r.RefreshDuty)
+				fmt.Fprintf(w, "  %-14s shortfall %.3f = refresh %.3f + contention %.3f\n",
+					core, ref+cont, ref, cont)
+			}
+		}
+	}
+	return o.WriteSeries(w, r)
 }

@@ -6,11 +6,9 @@ package exp
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,23 +137,6 @@ func (o Options) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PositiveFlag defines an int flag on fs that refuses, as a parse error,
-// any value below 1. The commands' scale and frame-count flags use it:
-// Options and Cell read a zero there as the default, so a command line
-// that asks for 0 would otherwise silently run the default.
-func PositiveFlag(fs *flag.FlagSet, name string, value int, usage string) *int {
-	p := &value
-	fs.Func(name, fmt.Sprintf("%s (default %d)", usage, value), func(s string) error {
-		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
-		if err == nil && v < 1 {
-			err = errors.New("want >= 1")
-		}
-		*p = int(v)
-		return err
-	})
-	return p
 }
 
 // forEach runs fn(0..n-1) across the configured number of workers,

@@ -143,35 +143,36 @@ func (c Cell) Key(opt Options) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Repro builds the exact one-line rerun command for this cell.
+// Repro builds the exact one-line rerun command for this cell, in the
+// flag names BindFlags defines.
 func (c Cell) Repro(opt Options) string {
 	opt = opt.apply()
 	c = c.normalize(opt)
 	parts := []string{"go", "run", "./cmd/sarasweep", "-sweep", "cell",
-		"-case", c.Case.String(),
-		"-policy", c.Policy.String(),
-		"-seed", fmt.Sprint(c.Seed),
+		"-" + flagCase, c.Case.String(),
+		"-" + flagPolicy, c.Policy.String(),
+		"-" + flagSeed, fmt.Sprint(c.Seed),
 	}
 	if c.DataRateMTps > 0 {
-		parts = append(parts, "-freq", fmt.Sprint(c.DataRateMTps))
+		parts = append(parts, "-"+flagFreq, fmt.Sprint(c.DataRateMTps))
 	}
 	if c.Scale > 1 {
-		parts = append(parts, "-soc-scale", fmt.Sprint(c.Scale))
+		parts = append(parts, "-"+flagSoCScale, fmt.Sprint(c.Scale))
 	}
 	if c.Saturated {
-		parts = append(parts, "-saturated")
+		parts = append(parts, "-"+flagSaturated)
 	}
 	if opt.Refresh {
-		parts = append(parts, "-refresh")
+		parts = append(parts, "-"+flagRefresh)
 	}
 	if opt.ScaleDiv != config.DefaultScaleDiv {
-		parts = append(parts, "-scale", fmt.Sprint(opt.ScaleDiv))
+		parts = append(parts, "-"+flagScale, fmt.Sprint(opt.ScaleDiv))
 	}
 	if opt.WarmupFrames > 0 {
-		parts = append(parts, "-warmup", fmt.Sprint(opt.WarmupFrames))
+		parts = append(parts, "-"+flagWarmup, fmt.Sprint(opt.WarmupFrames))
 	}
 	if opt.MeasureFrames != 1 {
-		parts = append(parts, "-measure", fmt.Sprint(opt.MeasureFrames))
+		parts = append(parts, "-"+flagMeasure, fmt.Sprint(opt.MeasureFrames))
 	}
 	return repro.Command(parts...)
 }

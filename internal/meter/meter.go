@@ -112,9 +112,6 @@ func (m *BandwidthMeter) ObserveBytes(now sim.Cycle, n int) {
 	m.counter.Add(now, float64(n))
 }
 
-// Achieved reports the measured bandwidth in bytes/cycle.
-func (m *BandwidthMeter) Achieved(now sim.Cycle) float64 { return m.counter.Rate(now) }
-
 // NPI reports achieved/(Margin*target). During the first window it reports
 // healthy until enough time has passed for the rate to be meaningful.
 func (m *BandwidthMeter) NPI(now sim.Cycle) float64 {

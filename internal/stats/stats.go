@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"sara/internal/sim"
 )
@@ -180,38 +179,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.Values))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on a
-// sorted copy. It returns NaN for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.Values) == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), s.Values...)
-	sort.Float64s(cp)
-	idx := int(q*float64(len(cp)-1) + 0.5)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
-}
-
-// FractionBelow reports the fraction of samples strictly below threshold.
-func (s *Series) FractionBelow(threshold float64) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range s.Values {
-		if v < threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Values))
 }
 
 // Summary aggregates one scalar metric across independent runs (e.g. the

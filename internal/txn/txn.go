@@ -43,18 +43,6 @@ const (
 	Levels = 8
 )
 
-// Clamp limits p to the representable range for k priority bits.
-func Clamp(p int, bits int) Priority {
-	max := (1 << bits) - 1
-	if p < 0 {
-		return 0
-	}
-	if p > max {
-		return Priority(max)
-	}
-	return Priority(p)
-}
-
 // Class identifies the memory-controller transaction queue a transaction is
 // routed to. The evaluated MPSoC dedicates one queue each to the CPU, the
 // GPU and the DSP, one to all media cores and one to all system cores
@@ -168,11 +156,6 @@ func (p *Pool) Put(t *Transaction) {
 //sara:hotpath
 func (t *Transaction) Latency() sim.Cycle {
 	return t.Complete - t.Issue
-}
-
-// QueueWait reports cycles spent in the memory-controller queue so far.
-func (t *Transaction) QueueWait(now sim.Cycle) sim.Cycle {
-	return now - t.Enqueue
 }
 
 // String formats the transaction for debug traces.

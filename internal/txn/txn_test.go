@@ -3,29 +3,11 @@ package txn
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestKindString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
 		t.Fatal("kind names wrong")
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(p int16, bits uint8) bool {
-		b := int(bits%4) + 1
-		got := Clamp(int(p), b)
-		return got <= Priority((1<<b)-1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if Clamp(-3, 3) != 0 {
-		t.Fatal("negative priority not clamped to 0")
-	}
-	if Clamp(99, 3) != 7 {
-		t.Fatal("overlarge priority not clamped to max")
 	}
 }
 
@@ -45,9 +27,6 @@ func TestLatencyAndWait(t *testing.T) {
 	tr := &Transaction{ID: 1, Issue: 100, Enqueue: 150, Complete: 400}
 	if tr.Latency() != 300 {
 		t.Fatalf("latency %d, want 300", tr.Latency())
-	}
-	if tr.QueueWait(250) != 100 {
-		t.Fatalf("queue wait %d, want 100", tr.QueueWait(250))
 	}
 	if !strings.Contains(tr.String(), "txn 1") {
 		t.Fatalf("String() = %q", tr.String())
