@@ -34,9 +34,6 @@ func TestUnknownCaseAndPolicyAreUsageErrors(t *testing.T) {
 	if code := run([]string{"-sweep", "cell", "-case", "Z"}, &out, &errb); code != 2 {
 		t.Fatalf("bad case: exit code %d, want 2", code)
 	}
-	if !strings.Contains(errb.String(), `unknown case "Z"`) {
-		t.Errorf("stderr lacks the case diagnosis:\n%s", errb.String())
-	}
 	errb.Reset()
 	if code := run([]string{"-sweep", "cell", "-policy", "nope"}, &out, &errb); code != 2 {
 		t.Fatalf("bad policy: exit code %d, want 2", code)
@@ -104,8 +101,20 @@ func TestCellJournalResume(t *testing.T) {
 }
 
 func TestAnalysisOutRequiresAnalyze(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run(append(fastCell, "-analysis-out", "x.json"), &out, &errb); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "-analysis-out requires -analyze") {
+		t.Errorf("stderr lacks the diagnosis:\n%s", errb.String())
+	}
+}
+
+// TestDefaultCellAnalysisOutRequiresAnalyze: the same check with no cell
+// field and no -sweep given, as the single-run inspector is started bare.
+func TestDefaultCellAnalysisOutRequiresAnalyze(t *testing.T) {
 	for _, args := range [][]string{
-		append(append([]string{}, fastCell...), "-analysis-out", "x.json"),
+		{"-sweep", "cell", "-analysis-out", "x.json"},
 		{"-analysis-out", "x.json"},
 	} {
 		var out, errb strings.Builder
@@ -139,23 +148,6 @@ func TestAnalyzedCellWritesReport(t *testing.T) {
 	if len(reports) != 1 {
 		t.Fatalf("cell sweep wrote %d reports, want 1; keys: %v", len(reports), reports)
 	}
-	if _, ok := reports["case A / policy fcfs / seed 1"]; !ok {
-		t.Fatalf("report is not labeled with the cell; keys: %v", reports)
-	}
-
-	csvPath := filepath.Join(t.TempDir(), "rep.csv")
-	out.Reset()
-	code = run(append(fastCell, "-analyze", "-analysis-window", "4096", "-analysis-out", csvPath), &out, &errb)
-	if code != 0 {
-		t.Fatalf("CSV run: exit code %d, want 0; stderr:\n%s", code, errb.String())
-	}
-	csv, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(csv), "worst_npi") {
-		t.Errorf("system CSV lacks the worst_npi column:\n%s", csv)
-	}
 }
 
 func TestMonitorFlagServesStatus(t *testing.T) {
@@ -174,7 +166,7 @@ func TestMonitorFlagServesStatus(t *testing.T) {
 // 2^64, so the sweep never finished; zero -measure and -scale were
 // silently replaced by defaults.
 func TestBadFrameCountsAreUsageErrors(t *testing.T) {
-	for _, bad := range [][]string{{"-warmup", "-1"}, {"-measure", "0"}, {"-measure", "-1"}, {"-measure", "-2"}, {"-scale", "0"}} {
+	for _, bad := range [][]string{{"-warmup", "-1"}, {"-measure", "0"}, {"-measure", "-2"}, {"-scale", "0"}} {
 		args := append(append([]string{}, fastCell...), bad...)
 		done := make(chan int, 1)
 		var out, errb strings.Builder
@@ -229,6 +221,72 @@ func TestRunWritesReportAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(string(blob), "Display") {
 		t.Errorf("CSV lacks the Display series:\n%.400s", blob)
+	}
+}
+
+func TestBadCaseAndPolicyAreUsageErrors(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-sweep", "cell", "-case", "Z"}, &out, &errb); code != 2 {
+		t.Fatalf("bad case: exit code %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), `unknown case "Z"`) {
+		t.Errorf("stderr lacks the case diagnosis:\n%s", errb.String())
+	}
+	errb.Reset()
+	if code := run([]string{"-sweep", "cell", "-policy", "nope"}, &out, &errb); code != 2 {
+		t.Fatalf("bad policy: exit code %d, want 2", code)
+	}
+	if code := run([]string{"-sweep", "cell", "-no-such-flag"}, &out, &errb); code != 2 {
+		t.Fatalf("bad flag: exit code %d, want 2", code)
+	}
+}
+
+// TestAnalyzeWritesReport writes the cell's analysis report once as JSON,
+// keyed by the cell's label, and once as the system CSV.
+func TestAnalyzeWritesReport(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "rep.json")
+	var out, errb strings.Builder
+	code := run([]string{"-sweep", "cell", "-case", "A", "-policy", "qos", "-scale", "2048",
+		"-analyze", "-analysis-window", "4096", "-analysis-out", jsonPath}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, errb.String())
+	}
+	blob, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &reports); err != nil {
+		t.Fatalf("report is not a JSON object: %v", err)
+	}
+	if _, ok := reports["case A / policy qos / seed 1"]; !ok {
+		t.Fatalf("report is not labeled with the cell; keys: %v", reports)
+	}
+
+	csvPath := filepath.Join(dir, "rep.csv")
+	out.Reset()
+	errb.Reset()
+	code = run([]string{"-sweep", "cell", "-case", "A", "-policy", "qos", "-scale", "2048",
+		"-analyze", "-analysis-window", "4096", "-analysis-out", csvPath}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("CSV run: exit code %d, want 0; stderr:\n%s", code, errb.String())
+	}
+	csv, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(csv), "worst_npi") {
+		t.Errorf("system CSV lacks the worst_npi column:\n%s", csv)
+	}
+}
+
+func TestNonPositiveFramesAndScaleAreUsageErrors(t *testing.T) {
+	for _, bad := range [][]string{{"-measure", "0"}, {"-measure", "-1"}, {"-scale", "0"}} {
+		var out, errb strings.Builder
+		if code := run(append([]string{"-sweep", "cell"}, bad...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", bad, code)
+		}
 	}
 }
 
