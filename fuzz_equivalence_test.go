@@ -31,8 +31,8 @@ func fuzzScale() int {
 
 // The randomized differential harness: each case derives a whole system
 // configuration from a single uint64 seed — test case, policy, refresh,
-// workload seed, a random subset of the core roster, per-DMA request and
-// window sizes, NoC port depths / hop latencies / aging, controller queue
+// workload seed, a random subset of the core roster, per-DMA windows and
+// rate bursts, NoC port depths / hop latencies / aging, controller queue
 // split and delta — and requires the idle-skipping event-driven run to be
 // bit-identical to the cycle-stepped force-scan reference: aggregate
 // statistics, the full NoC grant trace and the full credit-return trace.
@@ -78,10 +78,12 @@ func fuzzConfig(seed uint64) (cfg sara.Config, desc string, partitioned bool) {
 	}
 	cfg.DMAs = kept
 
-	// Per-DMA shape: request (burst) sizes and outstanding windows.
+	// Per-DMA shape: outstanding windows and rate bursts. Every
+	// transaction is one DRAM burst; the draw that once picked a request
+	// size stays, discarded, so a seed keeps its other draws.
 	for i := range cfg.DMAs {
 		s := &cfg.DMAs[i]
-		s.Source.ReqSize = []uint32{0, 64, 128, 256}[rng.Intn(4)]
+		_ = rng.Intn(4)
 		if s.Source.Kind == sara.SrcRate {
 			s.Source.BurstReqs = 1 + rng.Intn(16)
 		}

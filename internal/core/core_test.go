@@ -120,6 +120,23 @@ func TestConservationOfTransactions(t *testing.T) {
 	}
 }
 
+// TestCompletedBytesWithinDRAMBytes checks the byte accounting: every
+// transaction is one DRAM burst, so the engines can never have completed
+// more bytes than the device moved (the device may lead by the writes it
+// served whose responses are still in flight).
+func TestCompletedBytesWithinDRAMBytes(t *testing.T) {
+	sys := core.Build(fastCfg())
+	sys.RunFrames(2)
+	var completed uint64
+	for _, u := range sys.Units() {
+		completed += u.Engine.Stats().BytesCompleted
+	}
+	moved := sys.DRAMStats().Totals().BytesMoved
+	if completed == 0 || completed > moved {
+		t.Fatalf("engines completed %d bytes, DRAM moved %d", completed, moved)
+	}
+}
+
 func TestBaselinePoliciesDisableAdaptation(t *testing.T) {
 	sys := core.Build(fastCfg(config.WithPolicy(memctrl.FCFS)))
 	sys.RunFrames(1)

@@ -70,7 +70,8 @@ func (k SourceKind) String() string {
 
 // SourceSpec parameterizes a traffic source in real-time units; the
 // builder converts to cycles and bytes using the DRAM clock and the
-// configured time scale.
+// configured time scale. Every transaction is one DRAM burst, the unit
+// the device serves and counts.
 type SourceSpec struct {
 	Kind SourceKind
 	// RateBps is the average demand in bytes per second of real time.
@@ -80,8 +81,6 @@ type SourceSpec struct {
 	RateBps float64
 	// ReadFrac is the read share of the traffic (1 = all reads).
 	ReadFrac float64
-	// ReqSize overrides the per-transaction size; 0 selects one DRAM burst.
-	ReqSize uint32
 	// RefFactor scales a frame source's reference progress slope.
 	RefFactor float64
 	// BurstReqs batches a rate source's emissions (bulk-transfer style).
@@ -244,7 +243,7 @@ func (c *Config) validateDMA(d DMASpec, frame sim.Cycle) error {
 	}
 	src := d.Source
 	levels := 1 << c.PriorityBits
-	req := cmp.Or(uint64(src.ReqSize), uint64(c.DRAM.Geometry.BurstBytes(c.DRAM.Timing)))
+	burst := uint64(c.DRAM.Geometry.BurstBytes(c.DRAM.Timing))
 	period, deadline := chunkTiming(src, frame)
 	switch {
 	case len(d.LUTBounds) > 0 && (len(d.LUTBounds) != levels || !decreasing(d.LUTBounds)):
@@ -259,9 +258,7 @@ func (c *Config) validateDMA(d DMASpec, frame sim.Cycle) error {
 		return bad("Source.Locality", src.Locality, "[0, 1]")
 	case !unitInterval(src.StartOffsetFrac):
 		return bad("Source.StartOffsetFrac", src.StartOffsetFrac, "[0, 1]")
-	case req > regionBytes:
-		return bad("Source.ReqSize", src.ReqSize, "at most the 16 MiB DMA region (0 selects one DRAM burst)")
-	case src.BurstReqs < 0 || uint64(src.BurstReqs) > regionBytes/req:
+	case src.BurstReqs < 0 || uint64(src.BurstReqs) > regionBytes/burst:
 		return bad("Source.BurstReqs", src.BurstReqs, ">= 0, a burst of at most the 16 MiB DMA region (0 selects 1)")
 	case !(src.RefFactor >= 0 && src.RefFactor <= math.MaxFloat64):
 		return bad("Source.RefFactor", src.RefFactor, "finite and >= 0 (0 selects 1)")

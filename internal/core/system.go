@@ -17,7 +17,12 @@ import (
 )
 
 // Unit is one assembled DMA: engine, traffic source, meter, adapter and
-// the sampled NPI time series.
+// the sampled NPI time series. It is the DMA's one kernel ticker: the
+// source ticks inside it, right before the engine it feeds, so a source
+// enqueue and a pending-queue pop need no wake edge, and the unit's wake
+// is the earlier of the source's and the engine's answers. The engine
+// holds the unit's wake handle for the events that come from outside (a
+// completion delivery, a port credit).
 type Unit struct {
 	Spec    DMASpec
 	Engine  *dma.Engine
@@ -29,6 +34,40 @@ type Unit struct {
 
 // Label returns the unit's full DMA name.
 func (u *Unit) Label() string { return u.Spec.Label() }
+
+// Tick implements sim.Ticker: the source generates, then the engine
+// injects.
+//
+//sara:hotpath
+func (u *Unit) Tick(now sim.Cycle) {
+	u.Source.Tick(now)
+	u.Engine.Tick(now)
+}
+
+// NextActivity implements sim.Idler: the earlier of the engine's and the
+// source's answers. The engine answers now or not at all, and nothing is
+// earlier than now.
+//
+//sara:hotpath
+func (u *Unit) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
+	if at, ok := u.Engine.NextActivity(now); ok {
+		return at, true
+	}
+	return u.Source.NextActivity(now)
+}
+
+// BindWake implements sim.WakeBinder: the unit's one wake handle goes to
+// the engine, which re-arms it on deliveries and port credits.
+func (u *Unit) BindWake(h sim.WakeHandle) { u.Engine.BindWake(h) }
+
+// SettleRun implements sim.Settler: it settles the source (when it
+// batches dormant-cycle state) and then the engine.
+func (u *Unit) SettleRun(end sim.Cycle) {
+	if s, ok := u.Source.(sim.Settler); ok {
+		s.SettleRun(end)
+	}
+	u.Engine.SettleRun(end)
+}
 
 // System is a fully wired MPSoC memory subsystem: one sim.Kernel and one
 // dram.DRAM, with the components built as a set of domains (see
@@ -302,30 +341,19 @@ func build(cfg Config, plan PartitionPlan) *System {
 		}
 	}
 
-	// Per-cycle pipeline order, domain by domain: sources generate,
-	// DMAs inject, aggregation routers forward, the root router delivers
-	// (through the channel ingress router, with several domains) into
-	// the controllers, and the controllers issue DRAM commands. Every
-	// component carries its sim.Idler hint, so the kernel can
-	// fast-forward over quiescence. Registration also binds the
-	// push-based wake wiring: engines, routers and controllers receive
-	// their kernel wake handles through sim.WakeBinder, and each engine
-	// additionally gets its source's handle — the engine is the
-	// component that observes the two events that can move a source's
-	// next activity earlier (a pending-queue pop from full, a completion
-	// delivery), so it owns those re-arms.
+	// Per-cycle pipeline order, domain by domain: in each DMA unit the
+	// source generates and then the engine injects, aggregation routers
+	// forward, the root router delivers (through the channel
+	// ingress router, with several domains) into the controllers, and the
+	// controllers issue DRAM commands. Every component carries its
+	// sim.Idler hint, so the kernel can fast-forward over quiescence, and
+	// receives its kernel wake handle through sim.WakeBinder. The unit
+	// order holds because a source touches only its own engine's pending
+	// queue, and the engines inject, draw IDs and take pooled transactions
+	// in spec order.
 	for _, dom := range s.domains {
-		srcWakes := make([]sim.WakeHandle, len(dom.units))
-		for i, u := range dom.units {
-			srcWakes[i] = k.Register(u.Source)
-		}
-		for i, u := range dom.units {
-			k.Register(u.Engine)
-			// Only the occupancy-tracking sources consult
-			// completion-mutated state (buffer in-flight bytes) in their
-			// activity hints; the rest need no per-delivery re-arm.
-			kind := u.Spec.Source.Kind
-			u.Engine.BindSourceWake(srcWakes[i], kind == SrcDisplay || kind == SrcCamera)
+		for _, u := range dom.units {
+			k.Register(u)
 		}
 		for _, r := range dom.routers() {
 			k.Register(r)
@@ -375,9 +403,6 @@ type unitDeps struct {
 func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand, burst uint32) *Unit {
 	cfg := b.cfg
 	src := spec.Source
-	if src.ReqSize == 0 {
-		src.ReqSize = burst
-	}
 	window := spec.Window
 	if window <= 0 {
 		window = defaultWindow(src.Kind)
@@ -401,36 +426,34 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 	u := &Unit{Spec: spec, Engine: engine}
 	switch src.Kind {
 	case SrcFrame:
-		bytesPerFrame := roundTo(bpc*float64(framePeriod), src.ReqSize)
+		bytesPerFrame := roundTo(bpc*float64(framePeriod), burst)
 		fs := traffic.NewFrameSource(spec.Label(), engine, rng, region,
-			bytesPerFrame, framePeriod, src.ReqSize, src.ReadFrac, src.RefFactor)
+			bytesPerFrame, framePeriod, burst, src.ReadFrac, src.RefFactor)
 		fs.StartOffset = sim.Cycle(src.StartOffsetFrac * float64(framePeriod))
 		u.Source = fs
 		u.Meter = meter.NewFrameProgressMeter(framePeriod, src.RefFactor, fs.Progress)
 
 	case SrcDisplay:
-		bufBytes := bufferBytes(cfg, src, bpc)
-		ds := traffic.NewDisplaySource(spec.Label(), engine, region, bpc, bufBytes, src.ReqSize)
+		bufBytes := bufferBytes(cfg, src, bpc, burst)
+		ds := traffic.NewDisplaySource(spec.Label(), engine, region, bpc, bufBytes, burst)
 		u.Source = ds
 		u.Meter = meter.NewOccupancyMeter(bpc, meterWindow, bufBytes, false, ds.OccupancyAt)
 		// The frame-rate baseline treats a draining real-time buffer as an
-		// urgent media core. The probe integrates to now+1 — the same point
-		// the source's own tick would have reached had it run this cycle —
-		// so the answer is identical whether or not the active-ticker list
-		// skipped the source.
+		// urgent media core. The probe integrates to now+1, the point the
+		// source's tick just before the engine's reached.
 		engine.SetUrgentProbe(func(now sim.Cycle) bool { return ds.OccupancyAt(now+1) < 0.55 })
 
 	case SrcCamera:
-		bufBytes := bufferBytes(cfg, src, bpc)
-		cs := traffic.NewCameraSource(spec.Label(), engine, region, bpc, bufBytes, src.ReqSize)
+		bufBytes := bufferBytes(cfg, src, bpc, burst)
+		cs := traffic.NewCameraSource(spec.Label(), engine, region, bpc, bufBytes, burst)
 		u.Source = cs
 		u.Meter = meter.NewOccupancyMeter(bpc, meterWindow, bufBytes, true, cs.OccupancyAt)
 		engine.SetUrgentProbe(func(now sim.Cycle) bool { return cs.OccupancyAt(now+1) > 0.45 })
 
 	case SrcSporadic:
-		meanGap := float64(src.ReqSize) / bpc
+		meanGap := float64(burst) / bpc
 		ss := traffic.NewSporadicSource(spec.Label(), engine, rng, region,
-			meanGap, src.ReqSize, src.ReadFrac)
+			meanGap, burst, src.ReadFrac)
 		u.Source = ss
 		limit := src.LatencyLimit
 		if limit == 0 {
@@ -444,7 +467,7 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 
 	case SrcRate:
 		rs := traffic.NewRateSource(spec.Label(), engine, rng, region,
-			bpc, src.ReqSize, src.BurstReqs, src.ReadFrac)
+			bpc, burst, src.BurstReqs, src.ReadFrac)
 		u.Source = rs
 		// Bandwidth meters average over a longer window so bulk-transfer
 		// lumpiness does not read as QoS noise.
@@ -456,12 +479,12 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 
 	case SrcChunk:
 		period, deadline := chunkTiming(src, framePeriod)
-		chunkBytes := roundTo(bpc*float64(period), src.ReqSize)
+		chunkBytes := roundTo(bpc*float64(period), burst)
 		// The progress probe is wired after the source exists; the meter
 		// tolerates a nil probe in the interim.
 		cm := meter.NewChunkMeter(deadline, nil)
 		csrc := traffic.NewChunkSource(spec.Label(), engine, rng, region,
-			chunkBytes, period, src.ReqSize, src.ReadFrac, cm)
+			chunkBytes, period, burst, src.ReadFrac, cm)
 		csrc.Scatter = src.Scatter
 		cm.SetProgress(csrc.ChunkProgress)
 		csrc.StartOffset = sim.Cycle(src.StartOffsetFrac * float64(framePeriod))
@@ -474,7 +497,7 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 			locality = 0.5
 		}
 		u.Source = traffic.NewCPUSource(spec.Label(), engine, rng, region,
-			bpc, src.ReqSize, src.ReadFrac, locality)
+			bpc, burst, src.ReadFrac, locality)
 		u.Meter = nil // the CPU has no QoS target in this use case
 	}
 
@@ -491,8 +514,9 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 }
 
 // bufferBytes sizes a display/camera buffer: either BufSeconds of traffic
-// (scaled) or a default of 16 adaptation intervals.
-func bufferBytes(cfg Config, src SourceSpec, bpc float64) float64 {
+// (scaled) or a default of 16 adaptation intervals, and at least eight
+// bursts.
+func bufferBytes(cfg Config, src SourceSpec, bpc float64, burst uint32) float64 {
 	var bufCycles float64
 	if src.BufSeconds > 0 {
 		bufCycles = float64(cfg.DRAM.CyclesFromSeconds(src.BufSeconds / float64(cfg.ScaleDiv)))
@@ -500,7 +524,7 @@ func bufferBytes(cfg Config, src SourceSpec, bpc float64) float64 {
 		bufCycles = 16 * float64(cfg.AdaptInterval)
 	}
 	buf := bpc * bufCycles
-	min := 8 * float64(src.ReqSize)
+	min := 8 * float64(burst)
 	if buf < min {
 		buf = min
 	}
@@ -525,13 +549,13 @@ func defaultWindow(k SourceKind) int {
 	return 8
 }
 
-// roundTo rounds v up to a whole number of reqSize units (at least one).
-func roundTo(v float64, reqSize uint32) uint64 {
-	n := uint64(math.Ceil(v / float64(reqSize)))
+// roundTo rounds v up to a whole number of bursts (at least one).
+func roundTo(v float64, burst uint32) uint64 {
+	n := uint64(math.Ceil(v / float64(burst)))
 	if n == 0 {
 		n = 1
 	}
-	return n * uint64(reqSize)
+	return n * uint64(burst)
 }
 
 // --- accessors and run control ---

@@ -113,11 +113,6 @@ func TestConfigValidateEveryNumericField(t *testing.T) {
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 1 }, true},
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = -0.5 }, false},
 			{func(c *core.Config) { c.DMAs[0].Source.StartOffsetFrac = 3 }, false}}},
-		{"ReqSize", []value{
-			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 0 }, true},
-			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 128 }, true},
-			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = 16<<20 + 1 }, false},
-			{func(c *core.Config) { c.DMAs[0].Source.ReqSize = math.MaxUint32 }, false}}},
 		{"BurstReqs", []value{
 			{func(c *core.Config) { c.DMAs[0].Source.BurstReqs = 16 }, true},
 			{func(c *core.Config) { c.DMAs[0].Source.BurstReqs = -1 }, false},

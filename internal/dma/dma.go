@@ -5,15 +5,18 @@
 // priority its adapter most recently chose (Section 3.2), and routes
 // completion notifications back to the source and the performance meter.
 //
-// Injection is event-driven, and the kernel's wake wheel is the only
-// record of when an engine acts next. NextActivity answers from the live
-// queue, window and port: the engine can inject now, or it waits for an
-// event. The three events that can unblock it each re-arm its kernel wake:
-// a source enqueue (Enqueue), a completion freeing a window slot
-// (Deliver), and a credit return from the NoC port it injects into (Wake,
-// wired through noc.Port.OnCredit). A dormant engine is not ticked at all:
-// its stall accounting is batched, settled on its next tick and, by
-// SettleRun, at the run horizon.
+// An engine is not a kernel ticker of its own: it ticks inside its DMA
+// unit (core.Unit), right after the traffic source that feeds it, and the
+// unit's wake is the earlier of the source's and the engine's answers. So
+// a source's enqueue needs no wake edge, and the engine re-arms the
+// unit's wake handle (BindWake) only for the two events that come from
+// outside the unit: a completion delivery (Deliver), which can free a
+// window slot and moves the source's completion-read state, and a credit
+// return from the NoC port it injects into (Wake, wired through
+// noc.Port.OnCredit). NextActivity answers from the live queue, window
+// and port. A dormant engine is not ticked at all: its stall accounting
+// is batched, settled on its next tick and, by SettleRun, at the run
+// horizon.
 package dma
 
 import (
@@ -35,13 +38,11 @@ import (
 type InjectFn = func(now sim.Cycle, source int, id uint64, addr uint64)
 
 // WakeFn observes one injection-wake re-arm: which engine re-armed to
-// at, and why — 'D' for a completion delivery with requests pending, 'C'
-// for a port credit return the engine can use. The enqueue edge is not
-// traced: it re-arms only an unblocked engine, and Tick reads the live
-// queue. The re-arm stream is a function of the simulated behavior alone,
-// so it must be bit-identical between the idle-skipping run and the
-// stepped reference — a stale or missing wake diverges this trace instead
-// of silently stalling a core.
+// at, and why — 'D' for a completion delivery, 'C' for a port credit
+// return the engine can use. The re-arm stream is a function of the
+// simulated behavior alone, so it must be bit-identical between the
+// idle-skipping run and the stepped reference — a stale or missing wake
+// diverges this trace instead of silently stalling a core.
 type WakeFn = func(source int, at sim.Cycle, cause byte)
 
 // Trace is one engine's set of trace probes; nil fields are disabled.
@@ -76,9 +77,10 @@ type Config struct {
 	Window int
 	// MaxPending bounds the generated-but-not-injected request queue.
 	MaxPending int
-	// Pool, when set, recycles completed transactions so the steady-state
+	// Pool recycles completed transactions so the steady-state
 	// inject/complete path allocates nothing. All engines of one system
-	// share a pool; the simulator is single-threaded.
+	// share a pool (the simulator is single-threaded); nil gives the
+	// engine a private one.
 	Pool *txn.Pool
 }
 
@@ -105,10 +107,7 @@ type Engine struct {
 
 	priority txn.Priority
 	// urgent is probed at injection time for the frame-rate baseline; nil
-	// means never urgent. It receives the injection cycle: under the
-	// active-ticker list the probed source may not have been ticked this
-	// cycle, so any time-dependent state it reads must be derived from
-	// now rather than from its own last tick.
+	// means never urgent. It receives the injection cycle.
 	urgent func(now sim.Cycle) bool
 
 	pending     []request
@@ -127,18 +126,8 @@ type Engine struct {
 	onComplete []CompletionFunc
 	stats      Stats
 
-	// kern and srcWake push re-arms into the kernel's wake wheel, for this
-	// engine and for the traffic source feeding it: a source blocked on
-	// a full pending queue, or waiting on completions (display/camera
-	// in-flight accounting), would otherwise never be re-validated under
-	// push-based wake scheduling. srcWakeOnDeliver marks sources whose
-	// activity hint reads completion-mutated state: only those need a
-	// source re-arm per delivery; other sources' hints cannot move
-	// earlier on a completion, and skipping the re-arm keeps the
-	// per-completion path off the wake wheel.
-	kern             sim.WakeHandle
-	srcWake          sim.WakeHandle
-	srcWakeOnDeliver bool
+	// kern is the owning unit's kernel wake handle (see BindWake).
+	kern sim.WakeHandle
 
 	// trace holds the engine's trace probes (see SetTrace).
 	trace Trace
@@ -154,6 +143,9 @@ func New(cfg Config, id int, nextID *uint64, port *noc.Port, hop sim.Cycle) *Eng
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 2 * cfg.Window
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = new(txn.Pool)
 	}
 	e := &Engine{cfg: cfg, id: id, nextID: nextID, port: port, hop: hop}
 	port.OnCredit(e)
@@ -192,28 +184,17 @@ func (e *Engine) OnComplete(fn CompletionFunc) {
 	e.onComplete = append(e.onComplete, fn)
 }
 
-// BindWake implements sim.WakeBinder: the kernel hands the engine its
-// wake handle at registration.
+// BindWake receives the kernel wake handle of the unit the engine ticks
+// in; the engine re-arms it on a delivery and on a usable credit.
 func (e *Engine) BindWake(h sim.WakeHandle) { e.kern = h }
 
-// BindSourceWake installs the wake handle of the traffic source feeding
-// this engine (the SoC assembly wires it). The engine re-arms it when the
-// pending queue pops from full and — when onDeliver is set, for sources
-// whose activity hint reads completion-mutated state — on every
-// completion delivery; those are the two events that can move a source's
-// next activity earlier.
-func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
-	e.srcWake = h
-	e.srcWakeOnDeliver = onDeliver
-}
-
 // rearm records an injection-wake re-arm in the wake trace and the
-// engine's kernel wake. Both callers must reach the kernel under the
-// active-ticker list: a port credit return lands after the engine's tick
+// unit's kernel wake. Both callers must reach the kernel under the
+// active-ticker list: a port credit return lands after the unit's tick
 // and re-arms the NEXT cycle, and a delivery fires before this cycle's
-// ticks on an engine that may be dormant — in either case the kernel
-// entry is what gets the engine ticked at all. The wake wheel drops a
-// re-arm at or above the cached wake in O(1).
+// ticks on a unit that may be dormant — in either case the kernel entry
+// is what gets the unit ticked at all. The wake wheel drops a re-arm at
+// or above the cached wake in O(1).
 func (e *Engine) rearm(at sim.Cycle, cause byte) {
 	if e.trace.Wake != nil {
 		e.trace.Wake(e.id, at, cause)
@@ -225,9 +206,10 @@ func (e *Engine) rearm(at sim.Cycle, cause byte) {
 // port (a pop freeing a slot in the full FIFO, usable from the next cycle
 // because the router ticks after the engine). Credits that cannot lead to
 // an injection — nothing pending, or the window exhausted — are dropped:
-// the enqueue or delivery that clears the other blocker re-arms then. The
-// engine ticks before the routers in a cycle, so a credit passes the
-// filter exactly when the engine last parked on the full port.
+// the unit's tick (an enqueue) or the delivery that clears the other
+// blocker makes the unit due then. The engine ticks before the routers in
+// a cycle, so a credit passes the filter exactly when the engine last
+// parked on the full port.
 //
 //sara:hotpath
 func (e *Engine) Wake(at sim.Cycle) {
@@ -239,27 +221,14 @@ func (e *Engine) Wake(at sim.Cycle) {
 
 // Enqueue adds a request to the pending queue. It reports false when the
 // queue is full, letting rate-based sources retry without losing the
-// tokens.
-//
-// The enqueue re-arms the engine's kernel wake: the source enqueues
-// during its own tick, the engine walks later in the same cycle, and
-// without a due kernel wake it would not be ticked at all.
-//
-// The re-arm is gated on !stalled — a stalled engine's blockers (full
-// window, full port) are untouched by an enqueue, its stall accounting is
-// settled lazily, and the clearing event re-arms the kernel itself — so
-// the saturated hot path stays one flag test.
+// tokens. It needs no wake: the source enqueues during its unit's tick,
+// and the engine ticks right after it.
 func (e *Engine) Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool {
 	if len(e.pending) >= e.cfg.MaxPending {
 		return false
 	}
 	e.pending = append(e.pending, request{kind: kind, addr: addr, size: size})
 	e.stats.Generated++
-	if !e.stalled {
-		// First pending work on an un-blocked engine: make it due now.
-		// (Repeat enqueues this cycle hit the wheel's O(1) early drop.)
-		e.kern.Rearm(0)
-	}
 	return true
 }
 
@@ -277,8 +246,8 @@ func (e *Engine) Outstanding() int { return e.outstanding }
 // NextActivity implements sim.Idler from live state: the engine acts now
 // if a request is pending, the window has room and the port can accept.
 // Otherwise it reports no activity, because each blocker is cleared only
-// by an event that re-arms the engine's kernel wake (an enqueue, a
-// delivery, a port credit).
+// by an event that re-arms the unit's kernel wake (an enqueue in the
+// unit's tick, a delivery, a port credit).
 //
 //sara:hotpath
 func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
@@ -303,7 +272,6 @@ func (e *Engine) Tick(now sim.Cycle) {
 		e.stats.InjectStalls += uint64(now - e.lastTick - 1)
 	}
 	e.lastTick = now
-	wasPendingFull := len(e.pending) == e.cfg.MaxPending
 	stalled := false
 	for len(e.pending) > 0 && e.outstanding < e.cfg.Window {
 		if !e.port.CanAccept() {
@@ -316,13 +284,8 @@ func (e *Engine) Tick(now sim.Cycle) {
 		e.pending = e.pending[:len(e.pending)-1]
 
 		*e.nextID++
-		var t *txn.Transaction
-		if e.cfg.Pool != nil {
-			//sara:alloc-ok inlined copy of Pool.Get's pool warm-up allocation; steady state recycles
-			t = e.cfg.Pool.Get()
-		} else {
-			t = new(txn.Transaction) //sara:alloc-ok pool-less fallback path; pooled configs never take it
-		}
+		//sara:alloc-ok inlined copy of Pool.Get's pool warm-up allocation; steady state recycles
+		t := e.cfg.Pool.Get()
 		*t = txn.Transaction{
 			ID:       *e.nextID,
 			Kind:     r.kind,
@@ -350,19 +313,13 @@ func (e *Engine) Tick(now sim.Cycle) {
 		e.stats.InjectStalls++
 	}
 	e.stalled = stalled
-	if wasPendingFull && len(e.pending) < e.cfg.MaxPending {
-		// The pending queue popped from full: the source, which ticked
-		// before this engine saw the queue full, can generate again from
-		// the next cycle on.
-		e.srcWake.Rearm(now + 1)
-	}
 }
 
-// Deliver hands a completed transaction back to the DMA at cycle now.
-// The freed window slot re-arms the injection wake (the delivery event
-// fires before this cycle's ticks, so the engine can inject this cycle),
-// and the source wake is re-armed alongside: completions change the
-// in-flight accounting some sources' activity hints depend on.
+// Deliver hands a completed transaction back to the DMA at cycle now and
+// re-arms the unit at now: the delivery event fires before this cycle's
+// ticks, so the engine can use the freed window slot this cycle, and the
+// source sees the completion-mutated state (in-flight bytes) it may
+// answer from.
 //
 //sara:hotpath
 func (e *Engine) Deliver(t *txn.Transaction, now sim.Cycle) {
@@ -380,17 +337,10 @@ func (e *Engine) Deliver(t *txn.Transaction, now sim.Cycle) {
 	for _, fn := range e.onComplete {
 		fn(t, now)
 	}
-	if len(e.pending) > 0 {
-		e.rearm(now, 'D')
-	}
-	if e.srcWakeOnDeliver {
-		e.srcWake.Rearm(now)
-	}
+	e.rearm(now, 'D')
 	// The transaction has fully left the system: observers consume it
 	// synchronously and nothing downstream retains it.
-	if e.cfg.Pool != nil {
-		e.cfg.Pool.Put(t)
-	}
+	e.cfg.Pool.Put(t)
 }
 
 // SettleRun implements sim.Settler: when the run horizon cuts a dormant

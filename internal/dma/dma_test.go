@@ -205,88 +205,3 @@ func TestNextActivityReadsLiveState(t *testing.T) {
 		t.Fatalf("after the credit NextActivity = (%d, %v), credit wakes %v; want (2, true), [2]", at, ok, credits)
 	}
 }
-
-// everyCycle is an always-busy test ticker: the kernel runs it on every
-// cycle in its registration slot.
-type everyCycle func(now sim.Cycle)
-
-func (f everyCycle) Tick(now sim.Cycle) { f(now) }
-
-func (f everyCycle) NextActivity(now sim.Cycle) (sim.Cycle, bool) { return now, true }
-
-// TestInjectionWakeDifferential scripts a scenario that exercises all
-// three injection blockers — port full, window full, queue empty — and
-// their re-arming events, and requires the event-driven engine — ticked
-// by the kernel's active list only when its wake comes due — to match the
-// per-cycle reference — the same engine on a reference-mode kernel —
-// injection-for-injection and stall-for-stall.
-func TestInjectionWakeDifferential(t *testing.T) {
-	t.Parallel()
-	type inj struct {
-		now sim.Cycle
-		id  uint64
-	}
-	run := func(reference bool) (Stats, []inj) {
-		var injs []inj
-
-		var id uint64
-		var out []*txn.Transaction
-		sink := sinkFunc(func(tr *txn.Transaction) { out = append(out, tr) })
-		// Port depth 2 so the port-full blocker engages quickly.
-		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
-		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8},
-			0, &id, router.Port(0), 0)
-		engine.SetTrace(Trace{Inject: func(now sim.Cycle, _ int, id uint64, _ uint64) {
-			injs = append(injs, inj{now, id})
-		}})
-
-		// The script ticks every cycle ahead of the engine, and the drain
-		// behind it; the router itself stays off the kernel.
-		delivered := 0
-		script := func(now sim.Cycle) {
-			switch now {
-			case 0:
-				for i := 0; i < 5; i++ {
-					engine.Enqueue(txn.Read, txn.Addr(i*128), 128)
-				}
-			case 20:
-				engine.Enqueue(txn.Write, 4096, 128)
-			}
-			if now >= 12 && delivered < len(out) {
-				// Hand one completion back per cycle from cycle 12 on.
-				engine.Deliver(out[delivered], now)
-				delivered++
-			}
-		}
-		drain := func(now sim.Cycle) {
-			if now >= 5 && now%3 == 0 {
-				// The router drains sporadically, returning port credits.
-				router.Tick(now)
-			}
-		}
-		var k sim.Kernel
-		k.SetReference(reference)
-		k.Register(everyCycle(script))
-		k.Register(engine)
-		k.Register(everyCycle(drain))
-		k.Run(40)
-		return engine.Stats(), injs
-	}
-
-	refStats, refInjs := run(true)
-	fastStats, fastInjs := run(false)
-	if refStats != fastStats {
-		t.Fatalf("stats differ:\n  reference: %+v\n  event-driven: %+v", refStats, fastStats)
-	}
-	if len(refInjs) != len(fastInjs) {
-		t.Fatalf("injection counts differ: %d vs %d", len(refInjs), len(fastInjs))
-	}
-	for i := range refInjs {
-		if refInjs[i] != fastInjs[i] {
-			t.Fatalf("injection %d differs: reference %+v, event-driven %+v", i, refInjs[i], fastInjs[i])
-		}
-	}
-	if refStats.InjectStalls == 0 || refStats.Injected != 6 || refStats.Completed == 0 {
-		t.Fatalf("vacuous scenario: %+v", refStats)
-	}
-}

@@ -310,13 +310,6 @@ func (m *ChunkMeter) NPI(now sim.Cycle) float64 {
 	return clamp(m.progress() / ref)
 }
 
-// Static is a constant-NPI meter for background traffic (the CPU cluster)
-// that has no QoS target of its own.
-type Static float64
-
-// NPI reports the fixed value.
-func (s Static) NPI(sim.Cycle) float64 { return float64(s) }
-
 // StallAttribution splits a measured NPI shortfall (1 - npi, zero when
 // the target is met) between DRAM refresh and everything else. Refresh
 // steals at most its blackout duty — the fraction of rank-cycles spent

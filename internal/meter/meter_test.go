@@ -148,12 +148,6 @@ func TestChunkMeterLifecycle(t *testing.T) {
 	}
 }
 
-func TestStaticMeter(t *testing.T) {
-	if npi := Static(1.5).NPI(123); npi != 1.5 {
-		t.Fatalf("static NPI %v, want 1.5", npi)
-	}
-}
-
 func TestClampProperty(t *testing.T) {
 	f := func(v float64) bool {
 		c := clamp(v)

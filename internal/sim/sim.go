@@ -49,9 +49,14 @@
 // the switch through WakeHandle.Reference and scans everything instead.
 // The switch lives on the Kernel, so concurrent simulations in one process
 // never see each other's mode. Among co-due tickers the active list
-// preserves registration order — the SoC pipeline order sources -> DMA ->
-// NoC -> MC -> DRAM -> adapters — so the stepped and skipping modes
-// execute the same cycles' work in the same order.
+// preserves registration order — the SoC pipeline order DMA units -> NoC
+// -> MC -> DRAM -> adapters — so the stepped and skipping modes execute
+// the same cycles' work in the same order.
+//
+// A ticker may tick parts of its own inside its Tick: a DMA unit ticks its
+// traffic source and then its engine, and its wake is the earlier of the
+// two answers. Edges between such parts are ordinary calls within one
+// tick, so they need no wake.
 package sim
 
 import (
@@ -330,8 +335,8 @@ func (k *Kernel) SetReference(on bool) {
 
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
-// assembly uses to realize the pipeline order sources -> DMAs -> NoC ->
-// MC -> DRAM -> responses -> adapters; the wake wheel files tickers by
+// assembly uses to realize the pipeline order DMA units -> NoC -> MC ->
+// DRAM -> responses -> adapters; the wake wheel files tickers by
 // cached wake cycle, so registration order never affects fast-forward
 // targets. If t implements WakeBinder the handle is also pushed into the
 // component here, so assemblies get push wiring for free. Register
@@ -441,9 +446,8 @@ func (k *Kernel) Step() {
 // time in ascending id order, which is registration order. So an executed
 // cycle costs the due tickers, not the whole roster.
 //
-// Same-cycle forward edges join the set mid-walk: a source enqueueing
-// into a dormant engine, or a router into a dormant controller, re-arms
-// the receiver at now, Rearm files it in soon, and because the walk
+// Same-cycle forward edges join the set mid-walk: a router delivering
+// into a dormant controller re-arms the receiver at now, Rearm files it in soon, and because the walk
 // re-reads the word after every tick, masking only the ids at or below
 // the one just ticked, it reaches the receiver this cycle. Backward
 // same-cycle edges need no tick: a stepped run's earlier-registered

@@ -17,17 +17,10 @@ import (
 // idle-skipping kernel exploits this) and still reproduce the cycle-by-
 // cycle evolution exactly, including underrun accounting.
 type DisplaySource struct {
-	name   string
-	engine *dma.Engine
-
-	// DrainPerCycle is the panel's constant read rate in bytes/cycle.
-	DrainPerCycle float64
-	// BufBytes is the read buffer capacity.
-	BufBytes float64
-	// ReqSize is the refill transaction size.
-	ReqSize uint32
-
-	str *stream
+	name    string
+	engine  *dma.Engine
+	reqSize uint32 // refill transaction size
+	str     *stream
 
 	drainFP    uint64 // Q32 bytes/cycle
 	bufFP      uint64 // Q32 buffer capacity
@@ -40,8 +33,6 @@ type DisplaySource struct {
 	// UnderrunCycles counts cycles the panel wanted data from an empty
 	// buffer — each one is a visible artifact on a real panel.
 	UnderrunCycles uint64
-	// RefilledBytes is the cumulative refill volume.
-	RefilledBytes uint64
 }
 
 // NewDisplaySource builds a display refill source over region r. The
@@ -49,15 +40,13 @@ type DisplaySource struct {
 func NewDisplaySource(name string, e *dma.Engine, r Region,
 	drainPerCycle, bufBytes float64, reqSize uint32) *DisplaySource {
 	s := &DisplaySource{
-		name:          name,
-		engine:        e,
-		DrainPerCycle: drainPerCycle,
-		BufBytes:      bufBytes,
-		ReqSize:       reqSize,
-		str:           newStream(r, reqSize),
-		drainFP:       toFP(drainPerCycle),
-		bufFP:         toFP(bufBytes),
-		reqFP:         bytesFP(reqSize),
+		name:    name,
+		engine:  e,
+		reqSize: reqSize,
+		str:     newStream(r, reqSize),
+		drainFP: toFP(drainPerCycle),
+		bufFP:   toFP(bufBytes),
+		reqFP:   bytesFP(reqSize),
 	}
 	s.occFP = s.bufFP / 2
 	e.OnComplete(func(t *txn.Transaction, now sim.Cycle) {
@@ -68,7 +57,6 @@ func NewDisplaySource(name string, e *dma.Engine, r Region,
 		if s.occFP > s.bufFP {
 			s.occFP = s.bufFP
 		}
-		s.RefilledBytes += uint64(t.Size)
 	})
 	return s
 }
@@ -188,7 +176,7 @@ func (s *DisplaySource) Tick(now sim.Cycle) {
 	// a stream offset on a failed enqueue — blocked cycles must leave no
 	// trace, or fast-forwarding over them would not be equivalent.
 	for s.occFP+s.inflightFP+s.reqFP <= s.bufFP && s.engine.PendingSpace() > 0 {
-		s.engine.Enqueue(txn.Read, s.str.next(), s.ReqSize)
+		s.engine.Enqueue(txn.Read, s.str.next(), s.reqSize)
 		s.inflightFP += s.reqFP
 	}
 }
@@ -201,17 +189,10 @@ func (s *DisplaySource) Tick(now sim.Cycle) {
 // Like DisplaySource, the sensor fill is integrated in Q32 fixed point so
 // ticking over gaps reproduces per-cycle evolution exactly.
 type CameraSource struct {
-	name   string
-	engine *dma.Engine
-
-	// FillPerCycle is the sensor's constant write rate in bytes/cycle.
-	FillPerCycle float64
-	// BufBytes is the write buffer capacity.
-	BufBytes float64
-	// ReqSize is the drain transaction size.
-	ReqSize uint32
-
-	str *stream
+	name    string
+	engine  *dma.Engine
+	reqSize uint32 // drain transaction size
+	str     *stream
 
 	fillFP     uint64 // Q32 bytes/cycle
 	bufFP      uint64
@@ -220,9 +201,6 @@ type CameraSource struct {
 	inflightFP uint64
 	overflowFP uint64
 	filled     sim.Cycle
-
-	// DrainedBytes is the cumulative DMA write volume.
-	DrainedBytes uint64
 }
 
 // NewCameraSource builds a camera drain source over region r. The buffer
@@ -230,22 +208,19 @@ type CameraSource struct {
 func NewCameraSource(name string, e *dma.Engine, r Region,
 	fillPerCycle, bufBytes float64, reqSize uint32) *CameraSource {
 	s := &CameraSource{
-		name:         name,
-		engine:       e,
-		FillPerCycle: fillPerCycle,
-		BufBytes:     bufBytes,
-		ReqSize:      reqSize,
-		str:          newStream(r, reqSize),
-		fillFP:       toFP(fillPerCycle),
-		bufFP:        toFP(bufBytes),
-		reqFP:        bytesFP(reqSize),
+		name:    name,
+		engine:  e,
+		reqSize: reqSize,
+		str:     newStream(r, reqSize),
+		fillFP:  toFP(fillPerCycle),
+		bufFP:   toFP(bufBytes),
+		reqFP:   bytesFP(reqSize),
 	}
 	s.occFP = s.bufFP / 2
 	e.OnComplete(func(t *txn.Transaction, now sim.Cycle) {
 		s.integrateTo(now)
 		sz := bytesFP(t.Size)
 		s.inflightFP -= sz
-		s.DrainedBytes += uint64(t.Size)
 		// The completed write frees its bytes in the sensor buffer.
 		if s.occFP >= sz {
 			s.occFP -= sz
@@ -344,7 +319,7 @@ func (s *CameraSource) Tick(now sim.Cycle) {
 	// pending-space check comes first so a blocked cycle never burns a
 	// stream offset (see DisplaySource.Tick).
 	for s.occFP >= s.inflightFP+s.reqFP && s.engine.PendingSpace() > 0 {
-		s.engine.Enqueue(txn.Write, s.str.next(), s.ReqSize)
+		s.engine.Enqueue(txn.Write, s.str.next(), s.reqSize)
 		s.inflightFP += s.reqFP
 	}
 }

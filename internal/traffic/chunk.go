@@ -19,8 +19,8 @@ type ChunkSource struct {
 	ChunkBytes uint64
 	// Period is the chunk arrival period in cycles.
 	Period sim.Cycle
-	// ReqSize is the transaction size.
-	ReqSize uint32
+	// reqSize is the transaction size.
+	reqSize uint32
 	// Scatter addresses the chunk randomly within the region instead of
 	// sequentially, defeating row-buffer locality (GPS correlators gather
 	// from scattered satellite-channel buffers).
@@ -56,7 +56,7 @@ func NewChunkSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		engine:     e,
 		ChunkBytes: chunkBytes,
 		Period:     period,
-		ReqSize:    reqSize,
+		reqSize:    reqSize,
 		rng:        rng,
 		str:        newStream(r, reqSize),
 		picker:     kindPicker{readFrac: readFrac, rng: rng},
@@ -142,12 +142,12 @@ func (s *ChunkSource) Tick(now sim.Cycle) {
 	for s.active && s.issuedBytes < s.ChunkBytes && s.engine.PendingSpace() > 0 {
 		addr := s.str.next()
 		if s.Scatter {
-			addr = randomIn(s.rng, s.str.region, s.ReqSize)
+			addr = randomIn(s.rng, s.str.region, s.reqSize)
 		}
-		if !s.engine.Enqueue(s.picker.pick(), addr, s.ReqSize) {
+		if !s.engine.Enqueue(s.picker.pick(), addr, s.reqSize) {
 			break
 		}
-		s.issuedBytes += uint64(s.ReqSize)
+		s.issuedBytes += uint64(s.reqSize)
 	}
 }
 

@@ -15,8 +15,8 @@ type CPUSource struct {
 	name   string
 	engine *dma.Engine
 
-	// ReqSize is the transaction size.
-	ReqSize uint32
+	// reqSize is the transaction size.
+	reqSize uint32
 	// Locality is the probability that the next access continues the
 	// current sequential run instead of jumping to a random address.
 	Locality float64
@@ -36,7 +36,7 @@ func NewCPUSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 	return &CPUSource{
 		name:     name,
 		engine:   e,
-		ReqSize:  reqSize,
+		reqSize:  reqSize,
 		Locality: locality,
 		rng:      rng,
 		region:   r,
@@ -71,19 +71,19 @@ func (s *CPUSource) Tick(now sim.Cycle) {
 			s.saturate(capFP)
 			return
 		}
-		s.engine.Enqueue(s.picker.pick(), s.nextAddr(), s.ReqSize)
+		s.engine.Enqueue(s.picker.pick(), s.nextAddr(), s.reqSize)
 		s.tokensFP -= s.reqFP
 	}
 }
 
 func (s *CPUSource) nextAddr() txn.Addr {
 	if s.rng.Bool(s.Locality) {
-		s.cursor += txn.Addr(s.ReqSize)
-		if uint64(s.cursor-s.region.Base)+uint64(s.ReqSize) > s.region.Size {
+		s.cursor += txn.Addr(s.reqSize)
+		if uint64(s.cursor-s.region.Base)+uint64(s.reqSize) > s.region.Size {
 			s.cursor = s.region.Base
 		}
 		return s.cursor
 	}
-	s.cursor = randomIn(s.rng, s.region, s.ReqSize)
+	s.cursor = randomIn(s.rng, s.region, s.reqSize)
 	return s.cursor
 }

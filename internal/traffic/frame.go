@@ -19,8 +19,8 @@ type FrameSource struct {
 	BytesPerFrame uint64
 	// Period is the frame period in cycles.
 	Period sim.Cycle
-	// ReqSize is the per-transaction size (one DRAM burst).
-	ReqSize uint32
+	// reqSize is the per-transaction size (one DRAM burst).
+	reqSize uint32
 	// RefFactor scales the reference progress slope (Fig. 4(b)).
 	RefFactor float64
 	// StartOffset delays the first frame, de-phasing multiple sources.
@@ -49,7 +49,7 @@ func NewFrameSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		engine:        e,
 		BytesPerFrame: bytesPerFrame,
 		Period:        period,
-		ReqSize:       reqSize,
+		reqSize:       reqSize,
 		RefFactor:     refFactor,
 		rng:           rng,
 		str:           newStream(r, reqSize),
@@ -60,9 +60,7 @@ func NewFrameSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 	})
 	// The frame-rate-based QoS baseline marks transactions urgent when the
 	// core has fallen behind its reference progress. The DMA probes this
-	// at injection time with the injection cycle: under the active-ticker
-	// list the source may not have been ticked that cycle, so the
-	// reference line is evaluated from now, not from source-local state.
+	// at injection time, with the injection cycle.
 	e.SetUrgentProbe(func(now sim.Cycle) bool {
 		p, _ := s.Progress()
 		return p < s.referenceAt(now)
@@ -145,9 +143,9 @@ func (s *FrameSource) Tick(now sim.Cycle) {
 		s.doneBytes = 0
 	}
 	for s.issuedBytes < s.BytesPerFrame && s.engine.PendingSpace() > 0 {
-		if !s.engine.Enqueue(s.picker.pick(), s.str.next(), s.ReqSize) {
+		if !s.engine.Enqueue(s.picker.pick(), s.str.next(), s.reqSize) {
 			break
 		}
-		s.issuedBytes += uint64(s.ReqSize)
+		s.issuedBytes += uint64(s.reqSize)
 	}
 }

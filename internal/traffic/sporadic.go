@@ -16,8 +16,8 @@ type SporadicSource struct {
 
 	// MeanGap is the average inter-arrival time in cycles.
 	MeanGap float64
-	// ReqSize is the transaction size.
-	ReqSize uint32
+	// reqSize is the transaction size.
+	reqSize uint32
 
 	rng    *sim.Rand
 	region Region
@@ -35,7 +35,7 @@ func NewSporadicSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 		name:        name,
 		engine:      e,
 		MeanGap:     meanGap,
-		ReqSize:     reqSize,
+		reqSize:     reqSize,
 		rng:         rng,
 		region:      r,
 		picker:      kindPicker{readFrac: readFrac, rng: rng},
@@ -64,7 +64,7 @@ func (s *SporadicSource) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 // Tick issues a request whenever the arrival process fires.
 func (s *SporadicSource) Tick(now sim.Cycle) {
 	for now >= s.nextArrival {
-		if !s.engine.Enqueue(s.picker.pick(), randomIn(s.rng, s.region, s.ReqSize), s.ReqSize) {
+		if !s.engine.Enqueue(s.picker.pick(), randomIn(s.rng, s.region, s.reqSize), s.reqSize) {
 			s.dropped++
 		}
 		s.nextArrival += sim.Cycle(s.rng.Geometric(s.MeanGap))
@@ -81,8 +81,8 @@ type RateSource struct {
 	name   string
 	engine *dma.Engine
 
-	// ReqSize is the transaction size.
-	ReqSize uint32
+	// reqSize is the transaction size.
+	reqSize uint32
 	// BurstReqs groups emissions: tokens are paid out only once a full
 	// burst's worth has accumulated, creating the bursty arrival pattern
 	// of bulk I/O engines. 1 means smooth.
@@ -106,7 +106,7 @@ func NewRateSource(name string, e *dma.Engine, rng *sim.Rand, r Region,
 	return &RateSource{
 		name:      name,
 		engine:    e,
-		ReqSize:   reqSize,
+		reqSize:   reqSize,
 		BurstReqs: burstReqs,
 		rng:       rng,
 		str:       newStream(r, reqSize),
@@ -143,7 +143,7 @@ func (s *RateSource) Tick(now sim.Cycle) {
 		}
 		emitted := uint64(0)
 		for i := 0; i < s.BurstReqs && s.engine.PendingSpace() > 0; i++ {
-			s.engine.Enqueue(s.picker.pick(), s.str.next(), s.ReqSize)
+			s.engine.Enqueue(s.picker.pick(), s.str.next(), s.reqSize)
 			emitted++
 		}
 		s.tokensFP -= emitted * s.reqFP

@@ -13,20 +13,22 @@ import (
 	"sara/internal/txn"
 )
 
-// Source drives one DMA engine. Tick is called on every executed cycle,
-// before the DMA injects; the kernel may fast-forward over cycles the
-// NextActivity hint declares quiescent, so sources integrate time from
-// the cycle number rather than counting Tick calls.
+// Source drives one DMA engine. It is not a kernel ticker of its own: it
+// ticks inside its DMA unit (core.Unit), right before the engine, and the
+// unit's wake is the earlier of the source's and the engine's answers.
+// The kernel may fast-forward over cycles the unit declares quiescent, so
+// sources integrate time from the cycle number rather than counting Tick
+// calls, and a tick on a cycle the source's own answer did not cover must
+// leave no trace.
 //
-// Under the kernel's push-based wake wheel a source's hint is re-queried
-// only when its cached wake surfaces, so the two external events that can
-// move a source's next activity EARLIER must re-arm its kernel wake. Both
-// are observed by the DMA engine the source feeds, which owns the re-arms
-// (see dma.Engine.BindSourceWake): a pending-queue pop from full (every
-// hint here consults PendingSpace), and — for the occupancy sources,
-// whose hints read in-flight bytes — a completion delivery. Everything
-// else about a source's schedule is self-timed from its own state, which
-// only its own Tick mutates, so no further wiring is needed.
+// A source's answer is re-queried right after each unit tick and when the
+// unit's cached wake comes due, so the two events that can move it
+// EARLIER need no wiring of their own: a pending-queue pop (every hint
+// here consults PendingSpace) happens in the engine's tick inside the
+// unit, and a completion delivery — which the occupancy sources' hints
+// read as in-flight bytes — re-arms the unit (dma.Engine.Deliver).
+// Everything else about a source's schedule is self-timed from its own
+// state, which only its own Tick mutates.
 type Source interface {
 	// Name labels the source (usually the DMA name).
 	Name() string
